@@ -2,8 +2,8 @@
 
 Usage: python benchmarks/bench_kernels.py [m]
 
-Times the element-triplet assembly, boundary-edge assembly, coarse-hat
-evaluation, and the RAS scatter-combine on an m x m mesh (default 512),
+Times the element-triplet assembly, boundary-edge assembly and coarse-hat
+evaluation on an m x m mesh (default 512),
 reporting best-of-5 wall times for both implementations.  The numpy path is
 what you get at import time with HELMDD_DISABLE_NUMBA=1.
 """
@@ -36,11 +36,6 @@ def main():
     edge_coeffs = rng.uniform(0.5, 2.0, len(mesh.boundary_edge_nodes))
     bx = mesh.xs[layout.breaks_x]
     by = mesh.ys[layout.breaks_y]
-    nsc = mesh.n // 2
-    idx = rng.integers(0, mesh.n, nsc)
-    pos = rng.integers(0, nsc, nsc)
-    w = rng.standard_normal(nsc)
-    vals = rng.standard_normal(nsc) + 1j * rng.standard_normal(nsc)
 
     pairs = [
         ("element triplets",
@@ -52,9 +47,6 @@ def main():
         ("coarse hat evaluation",
          lambda: _kernels.coarse_hat_triplets(mesh.nodes, bx, by),
          lambda: _kernels.coarse_hat_triplets_np(mesh.nodes, bx, by)),
-        ("weighted scatter-add",
-         lambda: _kernels.weighted_scatter_add(np.zeros(mesh.n, complex), idx, w, vals, pos),
-         lambda: _kernels.weighted_scatter_add_np(np.zeros(mesh.n, complex), idx, w, vals, pos)),
     ]
 
     print(f"mesh m={m} (n={mesh.n}, elements={ne}); numba active: "

@@ -92,11 +92,6 @@ def coarse_hat_triplets_np(points, bx, by):
     return rows.ravel(), cols, vals.ravel()
 
 
-def weighted_scatter_add_np(out, idx, weights, values, pos):
-    """out[idx[t]] += weights[t] * values[pos[t]] with duplicate-safe adds."""
-    np.add.at(out, idx, weights * values[pos])
-
-
 # ---------------------------------------------------------------------------
 # numba implementations
 
@@ -199,17 +194,10 @@ if HAVE_NUMBA:
             cols[t + 2] = p
         return rows, cols, vals
 
-    @njit(cache=True)
-    def _weighted_scatter_add_nb(out, idx, weights, values, pos):
-        for t in range(len(idx)):
-            out[idx[t]] += weights[t] * values[pos[t]]
-
     element_system_triplets = _element_system_triplets_nb
     edge_mass_triplets = _edge_mass_triplets_nb
     coarse_hat_triplets = _coarse_hat_triplets_nb
-    weighted_scatter_add = _weighted_scatter_add_nb
 else:
     element_system_triplets = element_system_triplets_np
     edge_mass_triplets = edge_mass_triplets_np
     coarse_hat_triplets = coarse_hat_triplets_np
-    weighted_scatter_add = weighted_scatter_add_np

@@ -53,10 +53,13 @@ class AssemblyCoefficients:
     def wavenumber(self):
         return self.omega / float(self.wavespeed.values[0])
 
-    def element_shifts(self, mesh):
+    def element_shifts(self, mesh, element_ids=None):
+        """Shift of each mesh element, or of the given elements only."""
         v = self.wavespeed.values
         if len(v) != len(mesh.elements):
             raise ValueError("wave-speed field does not match the mesh")
+        if element_ids is not None:
+            v = v[element_ids]
         if self.shift_mode == "additive_eps":
             k = self.wavenumber
             return np.full(len(v), k * k + 1j * self.shift_value, dtype=np.complex128)
@@ -134,7 +137,7 @@ def assemble_local_impedance(mesh, element_ids, coeff):
     if element_ids.size == 0:
         raise ValueError("empty subdomain")
     nodes_g = closed_node_set(mesh, element_ids)
-    shifts = coeff.element_shifts(mesh)[element_ids]
+    shifts = coeff.element_shifts(mesh, element_ids)
     r, c, v = _kernels.element_system_triplets(mesh.nodes, mesh.elements[element_ids], shifts)
     edges, owners = subdomain_boundary_edges(mesh, element_ids)
     er, ec, ev = _kernels.edge_mass_triplets(

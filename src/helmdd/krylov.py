@@ -150,8 +150,9 @@ def _solve(A, M, b, cfg, flexible):
             w = matvec(u)
         w = np.asarray(w, dtype=np.complex128)
 
-        # modified-Gram-Schmidt block update in the weighted inner product,
-        # with one corrective pass when orthogonality loss exceeds the threshold
+        # classical Gram-Schmidt in the weighted inner product, with one
+        # re-orthogonalisation pass when orthogonality loss exceeds the
+        # threshold (CGS2)
         t = wdot(w) if wdot else w
         h = V[:, :j + 1].conj().T @ t
         w = w - V[:, :j + 1] @ h

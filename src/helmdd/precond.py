@@ -9,20 +9,33 @@ may be nested inner GMRES iterations, in which case the operator varies per
 application and must sit under flexible outer GMRES.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import _kernels
 from .assembly import assemble_local_impedance
 from .decomposition import (build_block_decomposition, build_coarse_interpolation,
                             build_decomposition)
 from .mesh import ceil_snapped, layout_from_blocks, round_half_up
 
 DENSE_SOLVE_CUTOFF = 200  # below this, dense LAPACK beats SuperLU call overhead
+
+# local matrices share a factorisation when their entries differ by at most
+# this many machine epsilons relative to the largest entry; translated copies
+# of one subdomain differ by coordinate round-off of up to about 26 epsilons
+# on the uniform benchmark meshes
+_SHARE_TOLERANCE_EPS = 64
+_KEY_DECIMALS = 12  # rounding of the class key; a match is then checked exactly
 
 KINDS = ("AS1", "AS", "RAS1", "HRAS", "ImpRAS1", "ImpHRAS")
 _IMPEDANCE_KINDS = ("ImpRAS1", "ImpHRAS")
@@ -35,8 +48,46 @@ class SingularMatrixError(RuntimeError):
     """A coarse/local matrix was numerically singular (possible only at eps=0)."""
 
 
+@functools.cache
+def _scipy_openblas():
+    """(get, set) thread-count functions of the OpenBLAS bundled with scipy's
+    wheel, or None where there is no such library (another BLAS, another
+    platform).  numpy bundles its own OpenBLAS with its own thread pool."""
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    for path in sorted(glob.glob(str(libs / "libscipy_openblas-*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads
+            set_ = lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run scipy's BLAS on one thread inside the block, then restore the
+    previous count.  Small triangular solves and LU factorisations run several
+    times slower on a threaded OpenBLAS.  The count is process-wide: a block
+    entered while the count is already 1 (a nested local solve, or a worker
+    thread of a pinned apply) changes nothing."""
+    fns = _scipy_openblas()
+    prev = fns[0]() if fns is not None else 1
+    if prev != 1:
+        fns[1](1)
+    try:
+        yield
+    finally:
+        if prev != 1:
+            fns[1](prev)
+
+
 class DirectFactorization:
-    """Reusable LU of a sparse complex matrix (dense LAPACK below a cutoff)."""
+    """Reusable LU of a sparse complex matrix (dense LAPACK below a cutoff).
+    solve takes one right-hand side or a block of them as columns."""
 
     flexible = False
 
@@ -105,65 +156,151 @@ class NestedSolver:
         return x
 
 
-class LocalSolves:
-    """Per-subdomain solves plus plain (AS) or RAS-weighted recombination.
+def _class_key(matrix):
+    """Digest of shape, pattern and entries rounded to _KEY_DECIMALS."""
+    h = hashlib.blake2b(repr(matrix.shape).encode(), digest_size=16)
+    for arr in (matrix.indptr, matrix.indices,
+                np.round(matrix.data, _KEY_DECIMALS) + 0.0):  # + 0.0: no -0.0
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.digest()
 
-    Each entry holds the solve index set (interior nodes for Dirichlet local
-    problems, closed nodes for impedance ones), a solver, and the owned
-    nodes/weights of the weighted combination.  Recombination always runs in
-    subdomain order, so results are deterministic even when the solves
-    themselves run on a thread pool.
+
+def _same_matrix(a, rep):
+    """a equals rep up to round-off: identical pattern, entries within
+    _SHARE_TOLERANCE_EPS epsilons of rep's largest entry."""
+    if a.shape != rep.shape or not (np.array_equal(a.indptr, rep.indptr)
+                                    and np.array_equal(a.indices, rep.indices)):
+        return False
+    if a.nnz == 0:
+        return True
+    tol = _SHARE_TOLERANCE_EPS * np.finfo(np.float64).eps * np.abs(rep.data).max()
+    return bool(np.abs(a.data - rep.data).max() <= tol)
+
+
+class LocalSolves:
+    """Batched local solves with plain (AS) or RAS-weighted recombination.
+
+    Built from one entry per subdomain: (local, solve_set, own_nodes,
+    own_weights), where local is the local matrix or an inexact solver
+    (NestedSolver), solve_set the sorted index set it acts on (interior nodes
+    for Dirichlet local problems, closed nodes for impedance ones), and
+    own_nodes/own_weights the subdomain's RAS partition of unity.
+
+    Local matrices are grouped into classes that share one factorisation: a
+    matrix joins a class when it has the class representative's pattern and
+    its entries agree to round-off (_same_matrix), so translated copies of one
+    subdomain share a factor while differing coefficients never do.  An
+    inexact solver is a class of its own.  An apply gathers every restriction
+    with one index array, runs one multi-right-hand-side solve per class on
+    the (s, G) block of its G subdomains, and recombines all local solutions
+    with one sparse matrix: R_w^T (RAS weights) when weighted, else R^T.
+    Factorisations and solves run with scipy's BLAS on one thread
+    (_one_blas_thread).  With threads > 1 the classes are solved on a
+    persistent thread pool; results are identical to the serial ones.
     """
 
-    def __init__(self, n, threads=1):
+    def __init__(self, n, entries, weighted, threads=1):
         self.n = n
-        self.threads = threads
-        self.solvers = []
-        self.solve_sets = []
-        self.own_global = []
-        self.own_pos = []
-        self.own_weights = []
+        reps, members, keys = [], [], {}
+        for local, solve_set, own_nodes, own_w in entries:
+            solve_set = np.asarray(solve_set, dtype=np.int64)
+            if isinstance(local, NestedSolver):
+                reps.append(local)
+                members.append([])
+                cls = len(reps) - 1
+            else:
+                mat = sp.csr_matrix(local, dtype=np.complex128)
+                mat.sum_duplicates()
+                bucket = keys.setdefault(_class_key(mat), [])
+                cls = next((c for c in bucket if _same_matrix(mat, reps[c])), None)
+                if cls is None:
+                    reps.append(mat)
+                    members.append([])
+                    cls = len(reps) - 1
+                    bucket.append(cls)
+            members[cls].append((solve_set, np.asarray(own_nodes), np.asarray(own_w)))
+        with _one_blas_thread():
+            self.solvers = [r if isinstance(r, NestedSolver) else DirectFactorization(r)
+                            for r in reps]
+        self.nested = [s for s in self.solvers if isinstance(s, NestedSolver)]
 
-    def add(self, solver, solve_set, own_global, own_pos, own_weights):
-        self.solvers.append(solver)
-        self.solve_sets.append(solve_set)
-        self.own_global.append(own_global)
-        self.own_pos.append(own_pos)
-        self.own_weights.append(own_weights)
+        # classes occupy consecutive segments [lo, hi) of the gathered vector,
+        # each laid out subdomain after subdomain
+        none = np.zeros(0, dtype=np.int64)
+        gather, rows, cols, vals, self._segments = [none], [none], [none], [none], []
+        lo = 0
+        for sets in members:
+            hi = lo
+            for solve_set, own_nodes, own_w in sets:
+                gather.append(solve_set)
+                if weighted:
+                    pos, inside = _own_positions(solve_set, own_nodes)
+                    rows.append(own_nodes[inside])
+                    cols.append(hi + pos[inside])
+                    vals.append(own_w[inside])
+                else:
+                    rows.append(solve_set)
+                    cols.append(hi + np.arange(len(solve_set)))
+                    vals.append(np.ones(len(solve_set)))
+                hi += len(solve_set)
+            self._segments.append((lo, hi, len(sets)))
+            lo = hi
+        self._gather = np.concatenate(gather)
+        self._recombine = sp.csr_matrix(
+            (np.concatenate(vals).astype(np.complex128),
+             (np.concatenate(rows), np.concatenate(cols))), shape=(n, lo))
+        self._pool = ThreadPoolExecutor(max_workers=threads) \
+            if threads > 1 and len(self.solvers) > 1 else None
 
     @property
     def flexible(self):
-        return any(s.flexible for s in self.solvers)
+        return bool(self.nested)
 
-    def _solve_all(self, v):
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return list(pool.map(lambda t: t[0].solve(v[t[1]]),
-                                     zip(self.solvers, self.solve_sets)))
-        return [s.solve(v[idx]) for s, idx in zip(self.solvers, self.solve_sets)]
+    def _solve_class(self, c, vg, ug):
+        lo, hi, g = self._segments[c]
+        rhs = vg[lo:hi].reshape(g, -1).T  # (s, G), one column per subdomain
+        x = self.solvers[c].solve(rhs[:, 0] if g == 1 else rhs)
+        ug[lo:hi] = x.T.ravel()
 
-    def apply_weighted(self, v):
-        out = np.zeros(self.n, dtype=np.complex128)
-        for i, u in enumerate(self._solve_all(v)):
-            _kernels.weighted_scatter_add(out, self.own_global[i], self.own_weights[i],
-                                          np.ascontiguousarray(u), self.own_pos[i])
-        return out
+    def apply(self, v):
+        vg = v[self._gather]
+        ug = np.empty(len(vg), dtype=np.complex128)
+        with _one_blas_thread():
+            if self._pool is not None:
+                # the count is pinned here, in the calling thread, for the
+                # workers; each writes a disjoint segment of ug
+                list(self._pool.map(lambda c: self._solve_class(c, vg, ug),
+                                    range(len(self.solvers))))
+            else:
+                for c in range(len(self.solvers)):
+                    self._solve_class(c, vg, ug)
+        return self._recombine @ ug
 
-    def apply_plain(self, v):
-        out = np.zeros(self.n, dtype=np.complex128)
-        for i, u in enumerate(self._solve_all(v)):
-            out[self.solve_sets[i]] += u
-        return out
+    def to_dense(self):
+        """Dense matrix of apply (exact solves only): one identity solve per
+        class, scattered into the gathered rows, then recombined."""
+        none = np.zeros(0, dtype=np.int64)
+        rows, cols, vals = [none], [none], [none]
+        with _one_blas_thread():
+            for solver, (lo, hi, g) in zip(self.solvers, self._segments):
+                s = (hi - lo) // g
+                inv = solver.solve(np.eye(s, dtype=np.complex128))
+                sets = self._gather[lo:hi].reshape(g, s)
+                rows.append(np.broadcast_to(np.arange(lo, hi).reshape(g, s, 1), (g, s, s)))
+                cols.append(np.broadcast_to(sets[:, None, :], (g, s, s)))
+                vals.append(np.broadcast_to(inv, (g, s, s)))
+        inv_blocks = sp.csr_matrix(
+            (np.concatenate([a.ravel() for a in vals]),
+             (np.concatenate([a.ravel() for a in rows]),
+              np.concatenate([a.ravel() for a in cols]))),
+            shape=(len(self._gather), self.n))
+        return (self._recombine @ inv_blocks).toarray()
 
     def inner_counts(self):
-        out = []
-        for s in self.solvers:
-            if isinstance(s, NestedSolver):
-                out.extend(s.inner_counts)
-        return out
+        return [c for s in self.nested for c in s.inner_counts]
 
     def inner_failures(self):
-        return sum(s.failures for s in self.solvers if isinstance(s, NestedSolver))
+        return sum(s.failures for s in self.nested)
 
 
 class CoarseSolve:
@@ -216,15 +353,13 @@ class PreconditionerOperator:
 
     def apply(self, v):
         v = np.asarray(v, dtype=np.complex128)
-        if self.kind == "AS1":
-            return self.locals_.apply_plain(v)
         if self.kind == "AS":
-            return self.coarse.apply(v) + self.locals_.apply_plain(v)
-        if self.kind in ("RAS1", "ImpRAS1") or not self.coarse_enabled:
-            return self.locals_.apply_weighted(v)
+            return self.coarse.apply(v) + self.locals_.apply(v)
+        if self.kind not in _HYBRID_KINDS or not self.coarse_enabled:
+            return self.locals_.apply(v)
         # hybrid: z + P0^T B_local P0 v, with A^T = A and A_{eps,0}^T = A_{eps,0}
         z = self.coarse.apply(v)
-        t = self.locals_.apply_weighted(v - self.system_matrix @ z)
+        t = self.locals_.apply(v - self.system_matrix @ z)
         return z + t - self.coarse.apply(self.system_matrix @ t)
 
     def __call__(self, v):
@@ -243,30 +378,19 @@ class PreconditionerOperator:
         return fails
 
     def reset_stats(self):
-        for s in self.locals_.solvers:
-            if isinstance(s, NestedSolver):
-                s.inner_counts = []
-                s.failures = 0
+        nested = list(self.locals_.nested)
         if self.coarse is not None and isinstance(self.coarse.solver, NestedSolver):
-            self.coarse.solver.inner_counts = []
-            self.coarse.solver.failures = 0
+            nested.append(self.coarse.solver)
+        for s in nested:
+            s.inner_counts = []
+            s.failures = 0
 
     def to_dense(self):
         """Dense action matrix (exact solves only), for desk-scale analysis."""
         if self.flexible:
             raise ValueError("nested preconditioners have no fixed matrix")
         n = self.n
-        loc = np.zeros((n, n), dtype=np.complex128)
-        weighted = self.kind in _WEIGHTED_KINDS
-        for i, solver in enumerate(self.locals_.solvers):
-            idx = self.locals_.solve_sets[i]
-            inv = solver.solve(np.eye(len(idx), dtype=np.complex128))
-            if weighted:
-                og = self.locals_.own_global[i]
-                loc[np.ix_(og, idx)] += self.locals_.own_weights[i][:, None] \
-                    * inv[self.locals_.own_pos[i], :]
-            else:
-                loc[np.ix_(idx, idx)] += inv
+        loc = self.locals_.to_dense()
         if self.kind in ("AS1", "RAS1", "ImpRAS1") or not self.coarse_enabled:
             return loc
         r0 = self.coarse.R0.toarray()
@@ -277,14 +401,39 @@ class PreconditionerOperator:
         return c0 + p0.T @ loc @ p0
 
 
-def _own_positions(solve_set, own_nodes, own_w):
-    """Positions of owned nodes inside the solve set; owners outside the set
-    (possible only in the degenerate no-overlap case) contribute nothing."""
-    if len(solve_set) == 0:
-        return own_nodes[:0], np.zeros(0, dtype=np.int64), own_w[:0]
+def _own_positions(solve_set, own_nodes):
+    """Positions of owned nodes inside the solve set, and which owned nodes
+    lie in it; owners outside the set (possible only in the degenerate
+    no-overlap case) contribute nothing."""
     pos = np.searchsorted(solve_set, own_nodes)
     inside = solve_set[np.minimum(pos, len(solve_set) - 1)] == own_nodes
-    return own_nodes[inside], pos[inside], own_w[inside]
+    return pos, inside
+
+
+def _principal_submatrices(A, index_sets):
+    """A[idx, :][:, idx] as CSR for each sorted index set, from one row
+    gather of A: each gathered row keeps the columns inside its own set."""
+    A = sp.csr_matrix(A)
+    n = A.shape[0]
+    sizes = np.array([len(idx) for idx in index_sets], dtype=np.int64)
+    offs = np.concatenate([[0], np.cumsum(sizes)])
+    gather = np.concatenate(index_sets).astype(np.int64)
+    owner = np.repeat(np.arange(len(index_sets)), sizes)
+    rows = A[gather]
+    row_of = np.repeat(np.arange(len(gather)), np.diff(rows.indptr))
+    # (set, node) pairs in ascending order, since every set is sorted
+    keys = owner * n + gather
+    want = owner[row_of] * n + rows.indices
+    pos = np.searchsorted(keys, want)
+    keep = keys[np.minimum(pos, len(keys) - 1)] == want
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row_of[keep],
+                                                        minlength=len(gather)))])
+    indices = (pos - offs[owner[row_of]])[keep]
+    data = rows.data[keep]
+    for i, s in enumerate(sizes):
+        p, q = indptr[offs[i]], indptr[offs[i + 1]]
+        yield sp.csr_matrix((data[p:q], indices[p:q], indptr[offs[i]:offs[i + 1] + 1] - p),
+                            shape=(s, s))
 
 
 def coarse_matrix(R0, A):
@@ -307,22 +456,21 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     block ImpRAS1 on the subdomain.
     """
     impedance = kind in _IMPEDANCE_KINDS
-    locals_ = LocalSolves(mesh.n, threads=threads)
-    for sub in decomp.subdomains:
-        solve_set = sub.closed_nodes if impedance else sub.interior_nodes
-        if len(solve_set) == 0:
-            continue
-        if impedance:
-            mat = assemble_local_impedance(mesh, sub.element_ids, coeff_prec)
-            if nested_local is not None:
-                solver = _nested_local_solver(mesh, sub, mat, coeff_prec, **nested_local)
-            else:
-                solver = DirectFactorization(mat)
-        else:
-            solver = DirectFactorization(A_prec[solve_set, :][:, solve_set])
-        own_nodes, own_w = decomp.ras.by_subdomain[sub.id]
-        og, op, ow = _own_positions(solve_set, own_nodes, own_w)
-        locals_.add(solver, solve_set, og, op, ow)
+    subs = [sub for sub in decomp.subdomains
+            if len(sub.closed_nodes if impedance else sub.interior_nodes)]
+    if impedance:
+        sets = [sub.closed_nodes for sub in subs]
+        locals_iter = (assemble_local_impedance(mesh, sub.element_ids, coeff_prec)
+                       for sub in subs)
+        if nested_local is not None:
+            locals_iter = (_nested_local_solver(mesh, sub, mat, coeff_prec, **nested_local)
+                           for sub, mat in zip(subs, locals_iter))
+    else:
+        sets = [sub.interior_nodes for sub in subs]
+        locals_iter = _principal_submatrices(A_prec, sets)
+    entries = ((local, solve_set, *decomp.ras.by_subdomain[sub.id])
+               for local, solve_set, sub in zip(locals_iter, sets, subs))
+    locals_ = LocalSolves(mesh.n, entries, kind in _WEIGHTED_KINDS, threads=threads)
 
     coarse = None
     if kind in _COARSE_KINDS:
@@ -372,13 +520,10 @@ def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, *, k, alpha_inner=0.
     nby = max(1, min(round_half_up(wy * k ** alpha_inner), y1 - y0))
     bdec = build_block_decomposition(mesh, sub.cell_rect, nbx, nby)
     nloc = len(sub.closed_nodes)
-    locals_ = LocalSolves(nloc)
-    for blk in bdec.subdomains:
-        mat = assemble_local_impedance(mesh, blk.element_ids, coeff_prec)
-        solve_set = np.searchsorted(sub.closed_nodes, blk.closed_nodes)
-        own_nodes, own_w = bdec.ras.by_subdomain[blk.id]
-        own_local = np.searchsorted(sub.closed_nodes, own_nodes)
-        og, op, ow = _own_positions(solve_set, own_local, own_w)
-        locals_.add(DirectFactorization(mat), solve_set, og, op, ow)
-    inner = PreconditionerOperator("ImpRAS1", nloc, locals_)
+    entries = ((assemble_local_impedance(mesh, blk.element_ids, coeff_prec),
+                np.searchsorted(sub.closed_nodes, blk.closed_nodes),
+                np.searchsorted(sub.closed_nodes, bdec.ras.by_subdomain[blk.id][0]),
+                bdec.ras.by_subdomain[blk.id][1])
+               for blk in bdec.subdomains)
+    inner = PreconditionerOperator("ImpRAS1", nloc, LocalSolves(nloc, entries, True))
     return make_nested_solver(imp_matrix, inner, tol, max_iters)

@@ -47,15 +47,3 @@ def test_hat_triplets_paths_agree():
     B = _dense_from_triplets(b[0], b[1], b[2].astype(complex), max(nc, mesh.n))
     assert np.abs(A - B).max() < 1e-15
 
-
-def test_scatter_paths_agree():
-    rng = np.random.default_rng(2)
-    out1 = np.zeros(40, dtype=complex)
-    out2 = np.zeros(40, dtype=complex)
-    idx = rng.integers(0, 40, size=25)
-    pos = rng.integers(0, 30, size=25)
-    w = rng.standard_normal(25)
-    vals = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    _kernels.weighted_scatter_add(out1, idx, w, vals, pos)
-    _kernels.weighted_scatter_add_np(out2, idx, w, vals, pos)
-    assert np.abs(out1 - out2).max() < 1e-15

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,11 +8,13 @@ from helmdd.assembly import AssemblyCoefficients, assemble_system
 from helmdd.decomposition import build_decomposition
 from helmdd.krylov import KrylovConfig, fgmres, gmres
 from helmdd.mesh import build_fine_mesh, build_wavespeed, layout_from_blocks
-from helmdd.precond import (KINDS, DirectFactorization, SingularMatrixError,
-                            build_nested_coarse_solver, build_preconditioner,
-                            coarse_matrix, factorize, make_nested_solver)
+from helmdd import precond
+from helmdd.precond import (KINDS, DirectFactorization, LocalSolves, NestedSolver,
+                            SingularMatrixError, build_nested_coarse_solver,
+                            build_preconditioner, coarse_matrix, factorize,
+                            make_nested_solver)
 
-from oracles import dense_preconditioner
+from oracles import dense_preconditioner, dense_system
 
 
 def setup_problem(m, M, k=5.0, eps=None, scenario="constant", c_star=1.0):
@@ -221,6 +225,27 @@ def test_threaded_local_solves_deterministic():
     assert np.array_equal(outs[0], outs[1])
 
 
+def test_threaded_nested_local_solves_deterministic():
+    # inner GMRES solves on worker threads of a pinned apply, switching often
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
+    rng = np.random.default_rng(22)
+    v = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
+    interval = sys.getswitchinterval()
+    outs, counts = [], []
+    try:
+        sys.setswitchinterval(1e-6)
+        for threads in (1, 3):
+            P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                                     coeff_prec=coeff, threads=threads,
+                                     nested_local=dict(k=6.0, alpha_inner=0.8, tol=0.5))
+            outs.append([P.apply(v) for _ in range(3)])
+            counts.append(P.inner_counts())
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(*outs))
+    assert counts[0] == counts[1] and len(counts[0]) == 3 * 4
+
+
 def test_reset_stats():
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(12, 3, k=6.0, eps=6.0)
     ns, _ = build_nested_coarse_solver(mesh, decomp.layout, A_prec, coeff, 6.0)
@@ -231,3 +256,127 @@ def test_reset_stats():
     assert P.inner_counts()
     P.reset_stats()
     assert P.inner_counts() == []
+
+
+def _distinct_count(matrices, rtol=1e-12):
+    """Number of distinct dense matrices, equal meaning within rtol of the
+    largest entry."""
+    reps = []
+    for a in matrices:
+        if not any(r.shape == a.shape and np.abs(a - r).max() <= rtol * np.abs(r).max()
+                   for r in reps):
+            reps.append(a)
+    return len(reps)
+
+
+def _oracle_local_matrices(kind, mesh, decomp, A_prec, coeff):
+    if kind in ("ImpRAS1", "ImpHRAS"):
+        return [dense_system(mesh, coeff, sub.element_ids, impedance_everywhere=True)[0]
+                for sub in decomp.subdomains]
+    Ad = A_prec.toarray()
+    return [Ad[np.ix_(sub.interior_nodes, sub.interior_nodes)]
+            for sub in decomp.subdomains if len(sub.interior_nodes)]
+
+
+@pytest.mark.parametrize("kind", ["HRAS", "ImpHRAS"])
+@pytest.mark.parametrize("setup", [
+    dict(m=16, M=4, k=5.0, eps=5.0),
+    dict(m=12, M=4, k=4.0, scenario="centered-square", c_star=1.5),
+])
+def test_local_solves_share_factors_of_equal_matrices_only(kind, setup):
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(**setup)
+    P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, system_matrix=A_sys)
+    locals_ = _oracle_local_matrices(kind, mesh, decomp, A_prec, coeff)
+    # one factorisation per distinct local matrix: translated copies share,
+    # matrices with different coefficients never do
+    assert len(P.locals_.solvers) == _distinct_count(locals_)
+    if setup.get("scenario") is None:
+        assert len(P.locals_.solvers) < len(decomp.subdomains)
+    Bd = dense_preconditioner(kind, mesh, decomp, A_sys, A_prec, coeff)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        v = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
+        want = Bd @ v
+        assert np.linalg.norm(P.apply(v) - want) / np.linalg.norm(want) < 1e-10
+    assert np.abs(P.to_dense() - Bd).max() < 1e-10 * np.abs(Bd).max()
+
+
+def test_local_solves_share_only_within_round_off():
+    # all three round to the same 12 decimals; only the round-off copy shares
+    base = np.array([[4.0, 0.5, 0.0], [0.5, 4.0, 0.5], [0.0, 0.5, 4.0]], dtype=complex)
+    roundoff = base.copy()
+    roundoff[0, 1] += 1e-15
+    apart = base.copy()
+    apart[0, 1] += 3e-13
+    sets = [np.arange(0, 3), np.arange(3, 6), np.arange(6, 9)]
+    entries = [(sp.csr_matrix(a), idx, idx, np.ones(3))
+               for a, idx in zip((base, roundoff, apart), sets)]
+    L = LocalSolves(9, entries, weighted=True)
+    assert len(L.solvers) == 2
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    want = np.concatenate([np.linalg.solve(a, v[idx])
+                           for a, idx in zip((base, roundoff, apart), sets)])
+    assert np.abs(L.apply(v) - want).max() < 1e-14
+
+
+def test_local_solves_restore_blas_thread_count():
+    fns = precond._scipy_openblas()
+    if fns is None:
+        pytest.skip("scipy does not bundle OpenBLAS here")
+    get, set_ = fns
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(12, 3, k=6.0, eps=6.0)
+    seen = []
+
+    def record(v):
+        seen.append(get())
+        return v
+
+    nested = NestedSolver(A_prec, record, inner_tol=1e-14, inner_max_iters=2)
+    own = np.arange(mesh.n)
+    probe = LocalSolves(mesh.n, [(nested, own, own, np.ones(mesh.n))], weighted=True)
+    v = np.ones(mesh.n, complex)
+    before = get()
+    try:
+        set_(2)
+        for threads in (1, 3):
+            P = build_preconditioner("ImpHRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                                     coeff_prec=coeff, system_matrix=A_sys,
+                                     threads=threads)
+            assert get() == 2
+            P.apply(v)
+            assert get() == 2
+        probe.apply(v)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen and set(seen) == {1}  # pinned inside the apply
+
+
+def test_nested_inner_counts_pinned():
+    # inner iteration counts of the per-subdomain implementation, which
+    # batching and shared factorisations must reproduce exactly
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
+    P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff,
+                             nested_local=dict(k=6.0, alpha_inner=0.8, tol=0.5))
+    b = np.ones(mesh.n, complex)
+    x, rep = fgmres(A_sys, P, b, KrylovConfig(variant="fgmres", rel_tol=1e-8))
+    assert rep.iterations == 19
+    assert P.inner_counts() == [  # subdomain by subdomain
+        3, 2, 1, 2, 2, 2, 1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 2, 1, 1,
+        3, 2, 1, 2, 2, 2, 1, 2, 1, 1, 1, 1, 2, 2, 2, 1, 1, 1, 1,
+        3, 2, 1, 2, 2, 2, 1, 2, 1, 1, 1, 1, 2, 2, 2, 1, 1, 1, 1,
+        3, 2, 1, 2, 2, 2, 1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 2, 1, 1]
+
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(12, 3, k=6.0, eps=6.0)
+    ns, _ = build_nested_coarse_solver(mesh, decomp.layout, A_prec, coeff, 6.0,
+                                       alpha_inner=0.5)
+    P = build_preconditioner("HRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, system_matrix=A_sys, nested_coarse=ns)
+    b = np.ones(mesh.n, complex)
+    x, rep = fgmres(A_sys, P, b, KrylovConfig(variant="fgmres", rel_tol=1e-8))
+    assert rep.iterations == 14
+    assert P.inner_counts() == [1, 1, 2, 1, 1, 2, 1, 2, 1, 2, 2, 1, 1, 2, 2, 1, 2, 1,
+                                1, 1, 1, 1, 2, 1, 2, 1, 2, 1]
