@@ -12,8 +12,8 @@ from .decomposition import (Decomposition, Subdomain, build_coarse_interpolation
 from .krylov import KrylovConfig, KrylovReport, fgmres, gmres
 from .mesh import (CoarseLayout, FineMesh, WaveSpeedField, build_coarse_layout,
                    build_fine_mesh, build_wavespeed, dump_mesh)
-from .precond import (DirectFactorization, PreconditionerOperator, SingularMatrixError,
-                      build_nested_coarse_solver, build_preconditioner, factorize,
-                      make_nested_solver)
+from .precond import (DirectFactorization, NestedSolver, PreconditionerOperator,
+                      SingularMatrixError, build_nested_coarse_solver,
+                      build_preconditioner)
 
 __version__ = "0.1.0"

@@ -116,35 +116,53 @@ def closed_node_set(mesh, element_ids):
     return np.unique(mesh.elements[np.asarray(element_ids)])
 
 
-def subdomain_boundary_edges(mesh, element_ids):
-    """Boundary edges of a union of elements: edges incident to exactly one
-    element.  Returns (edges (nb,2) global node pairs, adjacent element ids)."""
-    element_ids = np.asarray(element_ids)
-    tris = mesh.elements[element_ids]
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    key = np.minimum(edges[:, 0], edges[:, 1]) * mesh.n + np.maximum(edges[:, 0], edges[:, 1])
+def assemble_local_impedance(mesh, element_sets, coeff):
+    """Subdomain matrices, one per element set, each over its closed
+    subdomain's nodes with the impedance term on the entire subdomain
+    boundary (artificial interior boundary and any part on the global
+    boundary alike).
+
+    The sets may overlap.  All of them are assembled in one batch as one
+    block-diagonal matrix: a node of set s is keyed s*n + node, so its rank
+    among the keys is its row in the block and the sets stay apart.  The
+    diagonal blocks are cut out as per-set CSR matrices; each is bitwise the
+    one a batch of that set alone gives."""
+    sets = [np.asarray(e, dtype=np.int64) for e in element_sets]
+    sizes = np.array([len(e) for e in sets], dtype=np.int64)
+    if not len(sets) or not sizes.all():
+        raise ValueError("no element sets, or an empty one")
+    n = mesh.n
+    elems = np.concatenate(sets)
+    owner = np.repeat(np.arange(len(sets)), sizes)
+    tris = mesh.elements[elems]
+    node_keys, pos = np.unique(owner[:, None] * n + tris, return_inverse=True)
+    pos = pos.reshape(tris.shape)  # each element's vertices as block rows
+    offs = np.searchsorted(node_keys, np.arange(len(sets) + 1) * n)
+    coords = mesh.nodes[node_keys % n]
+
+    # boundary edges of each set: edges incident to exactly one of its elements
+    edges = np.concatenate([pos[:, [0, 1]], pos[:, [1, 2]], pos[:, [2, 0]]])
+    size = len(node_keys)
+    key = np.minimum(edges[:, 0], edges[:, 1]) * size + np.maximum(edges[:, 0], edges[:, 1])
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
     onb = first[counts == 1]
-    owner = element_ids[onb % len(element_ids)]
-    return edges[onb], owner
+    adjacent_c = coeff.wavespeed.values[elems[onb % len(elems)]]
+
+    r, c, v = _kernels.element_system_triplets(coords, pos, coeff.element_shifts(mesh, elems))
+    er, ec, ev = _kernels.edge_mass_triplets(coords, edges[onb],
+                                             coeff.edge_impedance(adjacent_c))
+    block = _to_csr(np.concatenate([r, er]), np.concatenate([c, ec]),
+                    np.concatenate([v, -1j * ev]), size)
+    return list(csr_diagonal_blocks(block.indptr, block.indices, block.data, offs))
 
 
-def assemble_local_impedance(mesh, element_ids, coeff):
-    """Subdomain matrix over the closed subdomain's nodes with the impedance
-    term on the entire subdomain boundary (artificial interior boundary and
-    any part on the global boundary alike)."""
-    element_ids = np.asarray(element_ids)
-    if element_ids.size == 0:
-        raise ValueError("empty subdomain")
-    nodes_g = closed_node_set(mesh, element_ids)
-    shifts = coeff.element_shifts(mesh, element_ids)
-    r, c, v = _kernels.element_system_triplets(mesh.nodes, mesh.elements[element_ids], shifts)
-    edges, owners = subdomain_boundary_edges(mesh, element_ids)
-    er, ec, ev = _kernels.edge_mass_triplets(
-        mesh.nodes, edges, coeff.edge_impedance(coeff.wavespeed.values[owners]))
-    rows = np.searchsorted(nodes_g, np.concatenate([r, er]))
-    cols = np.searchsorted(nodes_g, np.concatenate([c, ec]))
-    return _to_csr(rows, cols, np.concatenate([v, -1j * ev]), len(nodes_g))
+def csr_diagonal_blocks(indptr, indices, data, offs):
+    """CSR matrices of the diagonal blocks [offs[i], offs[i+1])^2 of a
+    block-diagonal CSR matrix given by its arrays; the values are views."""
+    for lo, hi in zip(offs[:-1], offs[1:]):
+        p, q = indptr[lo], indptr[hi]
+        yield sp.csr_matrix((data[p:q], indices[p:q] - lo, indptr[lo:hi + 1] - p),
+                            shape=(hi - lo, hi - lo))
 
 
 def write_matrix_market(matrix, target):

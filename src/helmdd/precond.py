@@ -23,7 +23,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_local_impedance
+from .assembly import assemble_local_impedance, csr_diagonal_blocks
 from .decomposition import (build_block_decomposition, build_coarse_interpolation,
                             build_decomposition)
 from .mesh import ceil_snapped, layout_from_blocks, round_half_up
@@ -102,11 +102,15 @@ class DirectFactorization:
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(matrix.toarray())
+                lu, piv = sla.lu_factor(matrix.toarray().astype(np.complex128, copy=False))
             d = np.abs(np.diag(lu))
             if self.n and (np.min(d) == 0.0 or not np.all(np.isfinite(d))):
                 raise SingularMatrixError("zero pivot in dense LU")
             self._lu = (lu, piv)
+            # LAPACK's getrs bound once (complex LU, so real and complex
+            # right-hand sides alike): sla.lu_solve spends several times the
+            # solve of a small block in its per-call wrapper layers
+            self._getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
             self.fill_nnz = self.n * self.n
         else:
             try:
@@ -116,14 +120,15 @@ class DirectFactorization:
             self.fill_nnz = self._splu.L.nnz + self._splu.U.nnz
 
     def solve(self, rhs):
-        if self._dense:
-            return sla.lu_solve(self._lu, rhs)
-        return self._splu.solve(rhs)
-
-
-def factorize(matrix):
-    """Factorize a complex sparse matrix for repeated solves."""
-    return DirectFactorization(matrix)
+        if not self._dense:
+            return self._splu.solve(rhs)
+        rhs = np.asarray_chkfinite(rhs)  # ValueError on NaN/inf, as lu_solve
+        if rhs.size == 0:
+            return np.zeros(rhs.shape, dtype=np.complex128)
+        x, info = self._getrs(*self._lu, rhs)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return x
 
 
 class NestedSolver:
@@ -353,10 +358,10 @@ class PreconditionerOperator:
 
     def apply(self, v):
         v = np.asarray(v, dtype=np.complex128)
+        if self.kind not in _COARSE_KINDS or not self.coarse_enabled:
+            return self.locals_.apply(v)
         if self.kind == "AS":
             return self.coarse.apply(v) + self.locals_.apply(v)
-        if self.kind not in _HYBRID_KINDS or not self.coarse_enabled:
-            return self.locals_.apply(v)
         # hybrid: z + P0^T B_local P0 v, with A^T = A and A_{eps,0}^T = A_{eps,0}
         z = self.coarse.apply(v)
         t = self.locals_.apply(v - self.system_matrix @ z)
@@ -391,7 +396,7 @@ class PreconditionerOperator:
             raise ValueError("nested preconditioners have no fixed matrix")
         n = self.n
         loc = self.locals_.to_dense()
-        if self.kind in ("AS1", "RAS1", "ImpRAS1") or not self.coarse_enabled:
+        if self.kind not in _COARSE_KINDS or not self.coarse_enabled:
             return loc
         r0 = self.coarse.R0.toarray()
         c0 = r0.T @ self.coarse.solver.solve(r0)
@@ -428,12 +433,7 @@ def _principal_submatrices(A, index_sets):
     keep = keys[np.minimum(pos, len(keys) - 1)] == want
     indptr = np.concatenate([[0], np.cumsum(np.bincount(row_of[keep],
                                                         minlength=len(gather)))])
-    indices = (pos - offs[owner[row_of]])[keep]
-    data = rows.data[keep]
-    for i, s in enumerate(sizes):
-        p, q = indptr[offs[i]], indptr[offs[i + 1]]
-        yield sp.csr_matrix((data[p:q], indices[p:q], indptr[offs[i]:offs[i + 1] + 1] - p),
-                            shape=(s, s))
+    return csr_diagonal_blocks(indptr, pos[keep], rows.data[keep], offs)
 
 
 def coarse_matrix(R0, A):
@@ -460,7 +460,10 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
             if len(sub.closed_nodes if impedance else sub.interior_nodes)]
     if impedance:
         sets = [sub.closed_nodes for sub in subs]
-        locals_iter = (assemble_local_impedance(mesh, sub.element_ids, coeff_prec)
+        # one batch per subdomain: one batch of all of them would hold every
+        # subdomain's triplets at once (2.7x the peak RSS of the assembly at
+        # 100 subdomains)
+        locals_iter = (assemble_local_impedance(mesh, [sub.element_ids], coeff_prec)[0]
                        for sub in subs)
         if nested_local is not None:
             locals_iter = (_nested_local_solver(mesh, sub, mat, coeff_prec, **nested_local)
@@ -486,11 +489,6 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
                                   coarse_enabled=coarse_enabled)
 
 
-def make_nested_solver(matrix, inner_precond, inner_tol=0.5, inner_max_iters=200):
-    """Wrap a matrix and an inner preconditioner into an inexact solver."""
-    return NestedSolver(matrix, inner_precond, inner_tol, inner_max_iters)
-
-
 def build_nested_coarse_solver(mesh, layout, A_prec, coeff_prec, k, *,
                                alpha_inner=0.5, inner_tol=0.5, inner_max_iters=200,
                                coarse_interp=None, threads=1):
@@ -506,7 +504,7 @@ def build_nested_coarse_solver(mesh, layout, A_prec, coeff_prec, k, *,
     cdecomp = build_decomposition(cmesh, layout_from_blocks(cmesh, Mi))
     inner = build_preconditioner("ImpRAS1", mesh=cmesh, decomp=cdecomp, A_prec=A0,
                                  coeff_prec=ccoeff, threads=threads)
-    return make_nested_solver(A0, inner, inner_tol, inner_max_iters), A0
+    return NestedSolver(A0, inner, inner_tol, inner_max_iters), A0
 
 
 def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, *, k, alpha_inner=0.8,
@@ -520,10 +518,11 @@ def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, *, k, alpha_inner=0.
     nby = max(1, min(round_half_up(wy * k ** alpha_inner), y1 - y0))
     bdec = build_block_decomposition(mesh, sub.cell_rect, nbx, nby)
     nloc = len(sub.closed_nodes)
-    entries = ((assemble_local_impedance(mesh, blk.element_ids, coeff_prec),
-                np.searchsorted(sub.closed_nodes, blk.closed_nodes),
+    blocks = assemble_local_impedance(mesh, [blk.element_ids for blk in bdec.subdomains],
+                                      coeff_prec)
+    entries = ((mat, np.searchsorted(sub.closed_nodes, blk.closed_nodes),
                 np.searchsorted(sub.closed_nodes, bdec.ras.by_subdomain[blk.id][0]),
                 bdec.ras.by_subdomain[blk.id][1])
-               for blk in bdec.subdomains)
+               for mat, blk in zip(blocks, bdec.subdomains))
     inner = PreconditionerOperator("ImpRAS1", nloc, LocalSolves(nloc, entries, True))
-    return make_nested_solver(imp_matrix, inner, tol, max_iters)
+    return NestedSolver(imp_matrix, inner, tol, max_iters)

@@ -119,7 +119,7 @@ def test_local_impedance_whole_mesh_equals_system():
     mesh = build_fine_mesh(1, "explicit", m=5)
     coeff = constant_coeff(mesh, 5.0, eps=1.0)
     A = assemble_system(mesh, coeff)
-    L = assemble_local_impedance(mesh, np.arange(len(mesh.elements)), coeff)
+    [L] = assemble_local_impedance(mesh, [np.arange(len(mesh.elements))], coeff)
     assert np.abs((A - L).toarray()).max() < 1e-13
 
 
@@ -130,7 +130,7 @@ def test_local_impedance_interior_imaginary_part():
     coeff = constant_coeff(mesh, 5.0, eps=eps)
     cells = [2 * (cy * 8 + cx) + t for cx in range(2, 5) for cy in range(3, 6) for t in (0, 1)]
     elems = np.array(sorted(cells))
-    L = assemble_local_impedance(mesh, elems, coeff).toarray()
+    L = assemble_local_impedance(mesh, [elems], coeff)[0].toarray()
     nodes = closed_node_set(mesh, elems)
     interior = []
     for i, g in enumerate(nodes):
@@ -153,16 +153,57 @@ def test_local_impedance_matches_dense_oracle():
     coeff = constant_coeff(mesh, 5.0, eps=0.0)
     cells = [2 * (cy * 4 + cx) + t for cx in (1, 2) for cy in (1, 2) for t in (0, 1)]
     elems = np.array(sorted(cells))
-    L = assemble_local_impedance(mesh, elems, coeff).toarray()
+    L = assemble_local_impedance(mesh, [elems], coeff)[0].toarray()
     Ld, nodes = dense_system(mesh, coeff, elems, impedance_everywhere=True)
     assert np.array_equal(nodes, closed_node_set(mesh, elems))
     assert np.abs(L - Ld).max() < 1e-12
 
 
+def _cell_rect(m, x0, x1, y0, y1):
+    """Element ids of the cells [x0, x1) x [y0, y1) of an m x m explicit mesh."""
+    return np.array(sorted(2 * (cy * m + cx) + t for cx in range(x0, x1)
+                           for cy in range(y0, y1) for t in (0, 1)))
+
+
+def _batch_cases():
+    uniform = build_fine_mesh(1, "explicit", m=8)
+    variable = build_fine_mesh(1, "explicit", m=9)
+    vcoeff = AssemblyCoefficients(omega=8.0, wavespeed=build_wavespeed(variable, "centered-square",
+                                                                       c_star=0.66),
+                                  shift_mode="multiplicative_rho", shift_value=0.3)
+    return [
+        (uniform, constant_coeff(uniform, 5.0, eps=2.0),
+         [_cell_rect(8, 1, 5, 1, 4), _cell_rect(8, 3, 8, 2, 7), _cell_rect(8, 0, 8, 0, 8),
+          _cell_rect(8, 4, 6, 4, 6), _cell_rect(8, 7, 8, 0, 1)]),
+        (variable, vcoeff,
+         [_cell_rect(9, 0, 5, 0, 5), _cell_rect(9, 3, 9, 2, 8), _cell_rect(9, 2, 7, 2, 7),
+          _cell_rect(9, 4, 5, 4, 5)]),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["uniform", "centered-square"])
+def test_local_impedance_batch_equals_one_call_per_set(case):
+    mesh, coeff, sets = _batch_cases()[case]
+    batch = assemble_local_impedance(mesh, sets, coeff)
+    assert len(batch) == len(sets)
+    for elems, L in zip(sets, batch):
+        [single] = assemble_local_impedance(mesh, [elems], coeff)
+        assert L.format == "csr" and L.shape == single.shape
+        assert np.array_equal(L.indptr, single.indptr)
+        assert np.array_equal(L.indices, single.indices)
+        assert np.array_equal(L.data, single.data)
+        Ld, nodes = dense_system(mesh, coeff, elems, impedance_everywhere=True)
+        assert np.array_equal(nodes, closed_node_set(mesh, elems))
+        assert np.abs(L.toarray() - Ld).max() < 1e-12 * np.abs(Ld).max()
+
+
 def test_local_impedance_empty_subdomain():
-    mesh = build_fine_mesh(1, "explicit", m=3)
-    with pytest.raises(ValueError):
-        assemble_local_impedance(mesh, np.array([], dtype=int), constant_coeff(mesh, 2.0))
+    # an empty set anywhere in a batch, or no sets at all
+    mesh, coeff, sets = _batch_cases()[0]
+    empty = np.array([], dtype=int)
+    for bad in ([empty], [sets[0], empty], [empty, sets[1]], []):
+        with pytest.raises(ValueError):
+            assemble_local_impedance(mesh, bad, coeff)
 
 
 def test_coefficient_validation():

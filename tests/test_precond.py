@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from helmdd.assembly import AssemblyCoefficients, assemble_system
@@ -11,8 +12,7 @@ from helmdd.mesh import build_fine_mesh, build_wavespeed, layout_from_blocks
 from helmdd import precond
 from helmdd.precond import (KINDS, DirectFactorization, LocalSolves, NestedSolver,
                             SingularMatrixError, build_nested_coarse_solver,
-                            build_preconditioner, coarse_matrix, factorize,
-                            make_nested_solver)
+                            build_preconditioner, coarse_matrix)
 
 from oracles import dense_preconditioner, dense_system
 
@@ -40,11 +40,11 @@ def setup_problem(m, M, k=5.0, eps=None, scenario="constant", c_star=1.0):
 
 def test_factorize_identity_and_permutation():
     eye = sp.identity(5, format="csr", dtype=complex)
-    f = factorize(eye)
+    f = DirectFactorization(eye)
     rhs = np.arange(5.0) + 1j
     assert np.allclose(f.solve(rhs), rhs, atol=1e-14)
     perm = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
-    f2 = factorize(perm)
+    f2 = DirectFactorization(perm)
     assert np.allclose(f2.solve(np.array([1.0, 2.0])), [2.0, 1.0], atol=1e-14)
 
 
@@ -52,7 +52,7 @@ def test_factorize_matches_dense_lu():
     rng = np.random.default_rng(1)
     A = sp.random(50, 50, density=0.2, random_state=1, dtype=float).toarray()
     A = A + 1j * rng.standard_normal((50, 50)) * (A != 0) + 5 * np.eye(50)
-    f = factorize(sp.csr_matrix(A))
+    f = DirectFactorization(sp.csr_matrix(A))
     b = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     x = f.solve(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
@@ -62,20 +62,38 @@ def test_factorize_matches_dense_lu():
 
 def test_factorize_singular_raises():
     with pytest.raises(SingularMatrixError):
-        factorize(sp.csr_matrix(np.zeros((3, 3), dtype=complex)))
+        DirectFactorization(sp.csr_matrix(np.zeros((3, 3), dtype=complex)))
     big = sp.identity(300, format="csr", dtype=complex).tolil()
     big[7, 7] = 0.0
     with pytest.raises(SingularMatrixError):
-        factorize(big.tocsr())
+        DirectFactorization(big.tocsr())
 
 
 def test_factorization_well_conditioned_contract():
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
-    f = factorize(A_prec)
+    f = DirectFactorization(A_prec)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
     x = f.solve(b)
     assert np.linalg.norm(A_prec @ x - b) / np.linalg.norm(b) < 1e-10
+
+
+def test_dense_solve_equals_lu_solve_bitwise():
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    f = DirectFactorization(sp.csr_matrix(A))
+    for shape in ((40,), (40, 6)):
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(f.solve(b), sla.lu_solve(f._lu, b))
+    b = np.ones(40, complex)
+    b[3] = np.nan
+    with pytest.raises(ValueError):
+        f.solve(b)
+    # a real matrix still takes a complex right-hand side
+    fr = DirectFactorization(sp.csr_matrix(A.real))
+    b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    x = np.linalg.solve(A.real, b)
+    assert np.linalg.norm(fr.solve(b) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -111,6 +129,21 @@ def test_linearity(kind):
     rhs = a * P.apply(u) + b * P.apply(v)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-12
     assert np.linalg.norm(P.apply(np.zeros(mesh.n, complex))) == 0.0
+
+
+@pytest.mark.parametrize("coarse_enabled", [True, False])
+@pytest.mark.parametrize("kind", KINDS)
+def test_apply_matches_to_dense(kind, coarse_enabled):
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
+    P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, system_matrix=A_sys,
+                             coarse_enabled=coarse_enabled)
+    D = P.to_dense()
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        v = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
+        want = D @ v
+        assert np.linalg.norm(P.apply(v) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_single_subdomain_collapse():
@@ -162,7 +195,7 @@ def test_nested_solver_tight_tolerance_matches_direct():
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
     A0 = coarse_matrix(decomp.coarse_interp, A_prec)
     exact = DirectFactorization(A0)
-    nested = make_nested_solver(A0, lambda v: exact.solve(v), inner_tol=1e-12,
+    nested = NestedSolver(A0, lambda v: exact.solve(v), inner_tol=1e-12,
                                 inner_max_iters=200)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(A0.shape[0]) + 1j * rng.standard_normal(A0.shape[0])
@@ -173,7 +206,7 @@ def test_nested_solver_tight_tolerance_matches_direct():
 
 def test_nested_solver_divergence_is_status_not_crash():
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
-    nested = make_nested_solver(A_sys, None, inner_tol=1e-14, inner_max_iters=2)
+    nested = NestedSolver(A_sys, None, inner_tol=1e-14, inner_max_iters=2)
     b = np.ones(mesh.n, complex)
     nested.solve(b)
     assert nested.failures == 1
