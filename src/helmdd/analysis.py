@@ -157,10 +157,8 @@ class _SubspaceSweep:
         w, v = np.linalg.eigh(Hs)
         lam = float(w[-1])
         y = v[:, -1]
-        r = (math.cos(theta) * (self.FU @ y) + math.sin(theta) * (self.GU @ y)
-             - lam * (self.U @ y))
         z = complex(y.conj() @ (self.Cs @ y))
-        return lam, y, float(np.linalg.norm(r)), z
+        return lam, y, float(np.linalg.norm(self.residual_vector(theta, y, lam))), z
 
     def residual_vector(self, theta, y, lam):
         return (math.cos(theta) * (self.FU @ y) + math.sin(theta) * (self.GU @ y)

@@ -6,9 +6,12 @@ analysis.  Exit code 0 on full success, 2 if any row failed to converge,
 import argparse
 import sys
 
-from . import harness
-from .harness import (PRESETS, ExperimentConfig, NestingSpec, emit_results,
-                      run_experiment, run_table)
+from .assembly import write_matrix_market
+from .decomposition import dump_decomposition
+from .harness import (PRESETS, ExperimentConfig, NestingSpec, build_problem,
+                      emit_results, run_table, solve_problem)
+from .mesh import MESH_RULES, dump_mesh
+from .precond import KINDS
 
 
 def _parse_k_list(text):
@@ -39,11 +42,9 @@ def build_parser():
 
     sol = sub.add_parser("solve", help="run one configuration")
     sol.add_argument("--k", type=float, required=True)
-    sol.add_argument("--mesh-rule", default="pollution_free",
-                     choices=("pollution_free", "points_per_wavelength", "explicit"))
+    sol.add_argument("--mesh-rule", default="pollution_free", choices=MESH_RULES)
     sol.add_argument("--mesh-cells", type=int, default=None)
-    sol.add_argument("--precond", default="HRAS",
-                     choices=("AS1", "AS", "RAS1", "HRAS", "ImpRAS1", "ImpHRAS"))
+    sol.add_argument("--precond", default="HRAS", choices=KINDS)
     sol.add_argument("--alpha", type=float, default=1.0)
     sol.add_argument("--beta", type=float, default=1.0)
     sol.add_argument("--scenario", default="constant",
@@ -66,8 +67,7 @@ def build_parser():
     ana.add_argument("--alpha", type=float, default=1.0)
     ana.add_argument("--beta", type=float, default=None,
                      help="absorption exponent; omit for eps = k^2")
-    ana.add_argument("--precond", default="AS",
-                     choices=("AS1", "AS", "RAS1", "HRAS", "ImpRAS1", "ImpHRAS"))
+    ana.add_argument("--precond", default="AS", choices=KINDS)
     ana.add_argument("--sides", default="left,right")
     ana.add_argument("--envelope", action="store_true",
                      help="also test the GMRES convergence envelope")
@@ -111,37 +111,20 @@ def _cmd_solve(args):
         beta=args.beta, nesting=nesting, rhs=args.rhs, rel_tol=args.tol,
         inner_tol=args.inner_tol, max_iters=args.max_iters, threads=args.threads,
         allow_large=args.allow_large)
-    row = run_experiment(cfg)
-    if args.dump_mesh or args.dump_matrix or args.dump_decomposition:
-        _write_dumps(args, cfg)
+    problem = build_problem(cfg)
+    if args.dump_mesh:
+        with open(args.dump_mesh, "w") as f:
+            dump_mesh(problem.mesh, f)
+    if args.dump_matrix:
+        write_matrix_market(problem.A_sys, args.dump_matrix)
+    if args.dump_decomposition:
+        with open(args.dump_decomposition, "w") as f:
+            dump_decomposition(problem.decomp, f)
+    row = solve_problem(cfg, problem)
     emit_results([row], sys.stdout, fmt="csv")
     if args.out:
         emit_results([row], args.out, fmt="csv")
     return 0 if row.converged else 2
-
-
-def _write_dumps(args, cfg):
-    from .assembly import AssemblyCoefficients, assemble_system, write_matrix_market
-    from .decomposition import build_decomposition, dump_decomposition
-    from .mesh import (build_coarse_layout, build_fine_mesh, build_wavespeed,
-                       cells_for_rule, dump_mesh)
-
-    mesh = build_fine_mesh(cfg.k, "explicit",
-                           m=cells_for_rule(cfg.k, cfg.mesh_rule, m=cfg.mesh_cells))
-    if args.dump_mesh:
-        with open(args.dump_mesh, "w") as f:
-            dump_mesh(mesh, f)
-    if args.dump_matrix:
-        ws = build_wavespeed(mesh, "constant") if cfg.scenario == "constant" \
-            else build_wavespeed(mesh, "centered-square", c_star=cfg.c_star)
-        family = "additive_eps" if cfg.shift_family == "additive" else "multiplicative_rho"
-        coeff = AssemblyCoefficients(omega=cfg.k, wavespeed=ws, shift_mode=family,
-                                     shift_value=0.0)
-        write_matrix_market(assemble_system(mesh, coeff), args.dump_matrix)
-    if args.dump_decomposition:
-        layout = build_coarse_layout(mesh, cfg.k, cfg.alpha)
-        with open(args.dump_decomposition, "w") as f:
-            dump_decomposition(build_decomposition(mesh, layout), f)
 
 
 def _cmd_analyze(args):

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import AssemblyCoefficients, assemble_system
-from .decomposition import build_decomposition
+from .decomposition import Decomposition, build_decomposition
 from .krylov import KrylovConfig, fgmres, gmres
-from .mesh import (DegenerateLayoutError, build_coarse_layout, build_fine_mesh,
-                   build_wavespeed, cells_for_rule, layout_from_blocks,
+from .mesh import (CoarseLayout, DegenerateLayoutError, FineMesh, build_coarse_layout,
+                   build_fine_mesh, build_wavespeed, cells_for_rule, layout_from_blocks,
                    snapped_square_indices)
 from .precond import build_nested_coarse_solver, build_preconditioner
 
@@ -153,9 +153,23 @@ def _shift_values(cfg):
     raise ValueError(f"unknown shift family {cfg.shift_family!r}")
 
 
-def run_experiment(cfg):
-    """Build mesh, decomposition, matrices and preconditioner for one
-    configuration, run the Krylov solve, verify the true residual."""
+@dataclass
+class Problem:
+    """The objects one configuration is solved with; scenario is the
+    normalised wave-speed scenario name."""
+
+    mesh: FineMesh
+    layout: CoarseLayout
+    decomp: Decomposition
+    scenario: str
+    coeff_prec: AssemblyCoefficients
+    A_sys: object
+    A_prec: object
+
+
+def build_problem(cfg):
+    """Mesh, coarse layout, decomposition, wave speed and the system and
+    preconditioner matrices of one configuration (after the size guards)."""
     k = float(cfg.k)
     m = cells_for_rule(k, cfg.mesh_rule, m=cfg.mesh_cells)
     _check_budget(cfg, m)
@@ -187,26 +201,33 @@ def run_experiment(cfg):
                                       shift_value=shift_prec)
     A_sys = assemble_system(mesh, coeff_prob)
     A_prec = A_sys if shift_prec == shift_prob else assemble_system(mesh, coeff_prec)
+    return Problem(mesh, layout, decomp, scenario, coeff_prec, A_sys, A_prec)
 
+
+def solve_problem(cfg, problem):
+    """Build the preconditioner of a built problem, run the Krylov solve,
+    verify the true residual."""
+    k = float(cfg.k)
+    mesh, A_sys = problem.mesh, problem.A_sys
     nested_coarse = None
     nested_local = None
     if cfg.nesting is not None:
         if cfg.nesting.target == "coarse":
             nested_coarse, _ = build_nested_coarse_solver(
-                mesh, layout, A_prec, coeff_prec, k,
+                mesh, problem.layout, problem.A_prec, problem.coeff_prec, k,
                 alpha_inner=cfg.nesting.alpha_inner, inner_tol=cfg.inner_tol,
                 inner_max_iters=cfg.nesting.max_iters,
-                coarse_interp=decomp.coarse_interp, threads=cfg.threads)
+                coarse_interp=problem.decomp.coarse_interp, threads=cfg.threads)
         elif cfg.nesting.target == "local":
             nested_local = dict(k=k, alpha_inner=cfg.nesting.alpha_inner,
                                 tol=cfg.inner_tol, max_iters=cfg.nesting.max_iters)
         else:
             raise ValueError(f"unknown nesting target {cfg.nesting.target!r}")
 
-    P = build_preconditioner(cfg.precond, mesh=mesh, decomp=decomp, A_prec=A_prec,
-                             coeff_prec=coeff_prec, system_matrix=A_sys,
-                             nested_coarse=nested_coarse, nested_local=nested_local,
-                             threads=cfg.threads)
+    P = build_preconditioner(cfg.precond, mesh=mesh, decomp=problem.decomp,
+                             A_prec=problem.A_prec, coeff_prec=problem.coeff_prec,
+                             system_matrix=A_sys, nested_coarse=nested_coarse,
+                             nested_local=nested_local, threads=cfg.threads)
     b = build_rhs(mesh, cfg.rhs, k, system=A_sys)
 
     kcfg = KrylovConfig(variant="fgmres" if P.flexible else "gmres", side="right",
@@ -229,12 +250,18 @@ def run_experiment(cfg):
     return ResultRow(
         preset=cfg.preset, k=k, n=mesh.n, mesh_rule=cfg.mesh_rule,
         precond=cfg.precond, alpha=cfg.alpha, beta=cfg.beta,
-        scenario=scenario.replace("_", "-"), c_star=cfg.c_star if scenario != "constant" else 1.0,
+        scenario=problem.scenario.replace("_", "-"),
+        c_star=cfg.c_star if problem.scenario != "constant" else 1.0,
         outer_iters=rep.iterations if rep.converged else -1,
         inner_iters_avg=inner_avg, converged=rep.converged,
         time_total_s=elapsed,
         time_per_iter_s=elapsed / max(rep.iterations, 1),
         final_relres=rep.true_relres, error=err)
+
+
+def run_experiment(cfg):
+    """Build and solve one configuration."""
+    return solve_problem(cfg, build_problem(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SIDES = ("south", "east", "north", "west")
 MESH_RULES = ("pollution_free", "points_per_wavelength", "explicit")
 
 
@@ -86,17 +85,8 @@ class FineMesh:
     def n(self):
         return (self.m + 1) ** 2
 
-    @property
-    def is_uniform(self):
-        return bool(np.allclose(np.diff(self.xs), 1.0 / self.m)
-                    and np.allclose(np.diff(self.ys), 1.0 / self.m))
-
     def node_id(self, ix, iy):
         return iy * (self.m + 1) + ix
-
-    def cell_elements(self, cx, cy):
-        base = 2 * (cy * self.m + cx)
-        return base, base + 1
 
     def element_areas(self):
         p0 = self.nodes[self.elements[:, 0]]
@@ -153,15 +143,6 @@ class CoarseLayout:
     def g_min(self):
         return int(min(self.widths_x.min(), self.widths_y.min()))
 
-    @property
-    def cell_bounds(self):
-        """(M^2, 4) array of (x_lo, x_hi, y_lo, y_hi) fine-cell indices; id = cj*M+ci."""
-        ci, cj = np.meshgrid(np.arange(self.M), np.arange(self.M), indexing="xy")
-        ci = ci.ravel()
-        cj = cj.ravel()
-        return np.column_stack([self.breaks_x[ci], self.breaks_x[ci + 1],
-                                self.breaks_y[cj], self.breaks_y[cj + 1]])
-
     def as_mesh(self):
         """The coarse triangulation as a mesh of its own (gridlines snapped)."""
         if self._coarse_mesh is None:
@@ -169,14 +150,6 @@ class CoarseLayout:
                                          xs=self.mesh.xs[self.breaks_x],
                                          ys=self.mesh.ys[self.breaks_y])
         return self._coarse_mesh
-
-    @property
-    def coarse_nodes(self):
-        return self.as_mesh().nodes
-
-    @property
-    def coarse_elements(self):
-        return self.as_mesh().elements
 
 
 def snap_breakpoints(m, M, anchors=()):
@@ -257,10 +230,6 @@ class WaveSpeedField:
             return WaveSpeedField(np.ones(len(mesh.elements)), self.scenario, self.c_star)
         return WaveSpeedField(_square_values(mesh, self.square, self.c_star),
                               self.scenario, self.c_star, self.square)
-
-    @property
-    def is_constant(self):
-        return self.square is None or self.c_star == 1.0
 
 
 def _square_values(mesh, square, c_star):

@@ -1,8 +1,14 @@
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+from scipy.io import mmread
+
+from helmdd.assembly import AssemblyCoefficients, assemble_system
 from helmdd.cli import main
 from helmdd.harness import parse_results
+from helmdd.mesh import build_fine_mesh, build_wavespeed
 
 
 def run_cli(args, capsys):
@@ -63,6 +69,34 @@ def test_solve_dumps(tmp_path, capsys):
     assert mat_p.read_text().startswith("%%MatrixMarket matrix coordinate complex general")
     first = dec_p.read_text().splitlines()[0].split()
     assert len(first) == 6
+
+
+def _shifted_square_coeff(mesh):
+    # k=6, alpha=1: 6 coarse cells of 4 fine cells, so (4-1)//2 = 1 overlap layer
+    ws = build_wavespeed(mesh, "shifted-square", c_star=1.5, offset=1)
+    return AssemblyCoefficients(omega=6.0, wavespeed=ws, shift_mode="multiplicative_rho",
+                                shift_value=0.0)
+
+
+def _absorbed_coeff(mesh):
+    return AssemblyCoefficients(omega=6.0, wavespeed=build_wavespeed(mesh, "constant"),
+                                shift_mode="additive_eps", shift_value=6.0 ** 1.2)
+
+
+@pytest.mark.parametrize("extra, coeff", [
+    (["--scenario", "shifted-square", "--c-star", "1.5"], _shifted_square_coeff),
+    (["--eps-prob-beta", "1.2"], _absorbed_coeff),
+], ids=["shifted-square", "eps-prob-beta"])
+def test_dumped_matrix_is_the_solved_system(tmp_path, capsys, extra, coeff):
+    mat_p = tmp_path / "a.mtx"
+    code, _, _ = run_cli(["solve", "--k", "6", "--mesh-rule", "explicit",
+                          "--mesh-cells", "24", "--rhs", "ones",
+                          "--dump-matrix", str(mat_p), *extra], capsys)
+    assert code == 0
+    mesh = build_fine_mesh(6, "explicit", m=24)
+    expected = assemble_system(mesh, coeff(mesh)).toarray()
+    dumped = mmread(str(mat_p)).toarray()
+    assert np.abs(dumped - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_analyze_writes_rows(tmp_path, capsys):
