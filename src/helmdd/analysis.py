@@ -47,10 +47,6 @@ class FovEstimate:
     angles_used: int
     hull_dist: float         # distance to hull of traced boundary points (upper)
 
-    @property
-    def cos_beta(self):
-        return self.dist_to_origin / self.norm if self.norm > 0 else 0.0
-
 
 def _check_hpd(D):
     D = np.asarray(D)

@@ -95,12 +95,12 @@ def _cmd_run(args):
 
 def _cmd_solve(args):
     nesting = None
-    if args.nested == "coarse":
-        nesting = NestingSpec(target="coarse",
-                              alpha_inner=args.alpha_inner or 0.5)
-    elif args.nested == "local":
-        nesting = NestingSpec(target="local",
-                              alpha_inner=args.alpha_inner or 0.8)
+    if args.nested is not None:
+        # an explicit 0 is valid: k^0 = 1, a single inner block
+        alpha_inner = args.alpha_inner
+        if alpha_inner is None:
+            alpha_inner = 0.5 if args.nested == "coarse" else 0.8
+        nesting = NestingSpec(target=args.nested, alpha_inner=alpha_inner)
     family = args.shift_family or (
         "multiplicative" if args.scenario != "constant" else "additive")
     cfg = ExperimentConfig(

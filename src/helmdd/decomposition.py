@@ -50,7 +50,6 @@ class Decomposition:
     overlap_layers: int
     ras: RasWeights
     coarse_interp: sp.csr_matrix = None  # R0, coarse nodes x fine nodes
-    region: tuple = None
     degenerate_overlap: bool = False
     layout: object = field(default=None, repr=False)
 
@@ -169,7 +168,7 @@ def _decomposition_from_breaks(mesh, bx, by, region, coarse_interp=None, layout=
             ))
     ras = _ras_weights_from_breaks(mesh, bx, by, region, mx * my)
     return Decomposition(mesh, subs, l_ov, ras, coarse_interp=coarse_interp,
-                         region=region, degenerate_overlap=degenerate, layout=layout)
+                         degenerate_overlap=degenerate, layout=layout)
 
 
 def build_coarse_interpolation(mesh, layout):

@@ -18,11 +18,11 @@ import numpy as np
 
 from .assembly import AssemblyCoefficients, assemble_system
 from .decomposition import Decomposition, build_decomposition
-from .krylov import KrylovConfig, fgmres, gmres
-from .mesh import (CoarseLayout, DegenerateLayoutError, FineMesh, build_coarse_layout,
+from .krylov import KrylovConfig, gmres
+from .mesh import (DegenerateLayoutError, FineMesh, build_coarse_layout,
                    build_fine_mesh, build_wavespeed, cells_for_rule, layout_from_blocks,
                    snapped_square_indices)
-from .precond import build_nested_coarse_solver, build_preconditioner
+from .precond import build_preconditioner
 
 RESULT_COLUMNS = ("preset", "k", "n", "mesh_rule", "precond", "alpha", "beta",
                   "scenario", "c_star", "outer_iters", "inner_iters_avg", "converged",
@@ -43,8 +43,7 @@ class ExperimentError(RuntimeError):
 class NestingSpec:
     target: str              # "coarse" (inner solve of the coarse problem)
     alpha_inner: float       # or "local" (inner solves of the local problems)
-    tol: float = 0.5
-    max_iters: int = 200
+    max_iters: int = 200     # the inner tolerance is ExperimentConfig.inner_tol
 
 
 @dataclass
@@ -159,7 +158,6 @@ class Problem:
     normalised wave-speed scenario name."""
 
     mesh: FineMesh
-    layout: CoarseLayout
     decomp: Decomposition
     scenario: str
     coeff_prec: AssemblyCoefficients
@@ -168,8 +166,8 @@ class Problem:
 
 
 def build_problem(cfg):
-    """Mesh, coarse layout, decomposition, wave speed and the system and
-    preconditioner matrices of one configuration (after the size guards)."""
+    """Mesh, decomposition (with its coarse layout), wave speed and the system
+    and preconditioner matrices of one configuration (after the size guards)."""
     k = float(cfg.k)
     m = cells_for_rule(k, cfg.mesh_rule, m=cfg.mesh_cells)
     _check_budget(cfg, m)
@@ -201,7 +199,7 @@ def build_problem(cfg):
                                       shift_value=shift_prec)
     A_sys = assemble_system(mesh, coeff_prob)
     A_prec = A_sys if shift_prec == shift_prob else assemble_system(mesh, coeff_prec)
-    return Problem(mesh, layout, decomp, scenario, coeff_prec, A_sys, A_prec)
+    return Problem(mesh, decomp, scenario, coeff_prec, A_sys, A_prec)
 
 
 def solve_problem(cfg, problem):
@@ -209,41 +207,31 @@ def solve_problem(cfg, problem):
     verify the true residual."""
     k = float(cfg.k)
     mesh, A_sys = problem.mesh, problem.A_sys
-    nested_coarse = None
-    nested_local = None
+    nested = {}
     if cfg.nesting is not None:
-        if cfg.nesting.target == "coarse":
-            nested_coarse, _ = build_nested_coarse_solver(
-                mesh, problem.layout, problem.A_prec, problem.coeff_prec, k,
-                alpha_inner=cfg.nesting.alpha_inner, inner_tol=cfg.inner_tol,
-                inner_max_iters=cfg.nesting.max_iters,
-                coarse_interp=problem.decomp.coarse_interp, threads=cfg.threads)
-        elif cfg.nesting.target == "local":
-            nested_local = dict(k=k, alpha_inner=cfg.nesting.alpha_inner,
-                                tol=cfg.inner_tol, max_iters=cfg.nesting.max_iters)
-        else:
-            raise ValueError(f"unknown nesting target {cfg.nesting.target!r}")
+        target = cfg.nesting.target
+        if target not in ("coarse", "local"):
+            raise ValueError(f"unknown nesting target {target!r}")
+        nested["nested_" + target] = dict(k=k, alpha_inner=cfg.nesting.alpha_inner,
+                                          tol=cfg.inner_tol, max_iters=cfg.nesting.max_iters)
 
     P = build_preconditioner(cfg.precond, mesh=mesh, decomp=problem.decomp,
                              A_prec=problem.A_prec, coeff_prec=problem.coeff_prec,
-                             system_matrix=A_sys, nested_coarse=nested_coarse,
-                             nested_local=nested_local, threads=cfg.threads)
+                             system_matrix=A_sys, threads=cfg.threads, **nested)
     b = build_rhs(mesh, cfg.rhs, k, system=A_sys)
 
     kcfg = KrylovConfig(variant="fgmres" if P.flexible else "gmres", side="right",
                         rel_tol=cfg.rel_tol, max_iters=cfg.max_iters)
     t0 = time.perf_counter()
-    if P.flexible:
-        x, rep = fgmres(A_sys, P, b, kcfg)
-    else:
-        x, rep = gmres(A_sys, P, b, kcfg)
+    x, rep = gmres(A_sys, P, b, kcfg)
     elapsed = time.perf_counter() - t0
 
     inner = P.inner_counts()
     inner_avg = float(np.mean(inner)) if inner else None
+    failures = P.inner_failures()
     notes = []
-    if P.inner_failures():
-        notes.append(f"inner solves failed to converge {P.inner_failures()} time(s)")
+    if failures:
+        notes.append(f"inner solves failed to converge {failures} time(s)")
     if rep.converged and rep.true_relres > 2 * cfg.rel_tol:
         notes.append(f"true residual {rep.true_relres:.3e} above 2x rel_tol")
     err = "; ".join(notes) or None

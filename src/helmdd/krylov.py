@@ -75,11 +75,9 @@ def _grow(V, j, n, dtype):
 
 
 def gmres(A, preconditioner, b, config=None):
-    """(Weighted) GMRES; returns (solution, KrylovReport)."""
-    config = config or KrylovConfig()
-    if config.variant == "fgmres":
-        return fgmres(A, preconditioner, b, config)
-    return _solve(A, preconditioner, b, config, flexible=False)
+    """GMRES of the config's variant (standard, weighted or flexible); returns
+    (solution, KrylovReport)."""
+    return _solve(A, preconditioner, b, config or KrylovConfig())
 
 
 def fgmres(A, preconditioner, b, config=None):
@@ -88,11 +86,12 @@ def fgmres(A, preconditioner, b, config=None):
         config = KrylovConfig(variant="fgmres", side="right")
     if config.variant != "fgmres":
         raise ValueError("fgmres called with a non-flexible config")
-    return _solve(A, preconditioner, b, config, flexible=True)
+    return _solve(A, preconditioner, b, config)
 
 
-def _solve(A, M, b, cfg, flexible):
+def _solve(A, M, b, cfg):
     t_start = time.perf_counter()
+    flexible = cfg.variant == "fgmres"
     matvec = _as_matvec(A)
     apply_m = _as_apply(M)
     if apply_m is not None and cfg.side == "none":

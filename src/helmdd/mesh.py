@@ -44,7 +44,6 @@ class FineMesh:
         for g in (self.xs, self.ys):
             if len(g) != m + 1 or g[0] != 0.0 or g[-1] != 1.0 or np.any(np.diff(g) <= 0):
                 raise ValueError("gridlines must increase from 0 to 1 with m+1 entries")
-        self.h = float(max(np.max(np.diff(self.xs)), np.max(np.diff(self.ys))))
 
         gx, gy = np.meshgrid(self.xs, self.ys, indexing="xy")
         self.nodes = np.column_stack([gx.ravel(), gy.ravel()])

@@ -4,9 +4,16 @@ Schwarz variants: AS1, AS, RAS1, HRAS, ImpRAS1, ImpHRAS.
 The hybrid kinds apply the residual projection P0 = I - A R0^T A_{eps,0}^{-1} R0
 built from the system matrix A being solved (not its absorbed counterpart) and
 the shifted coarse inverse; A and A_{eps,0} are complex symmetric, so the
-transposed projection reuses the same solves.  Coarse or local solves
-may be nested inner GMRES iterations, in which case the operator varies per
-application and must sit under flexible outer GMRES.
+transposed projection reuses the same solves.
+
+The coarse solve, the local impedance solves, or both may be nested: an inner
+GMRES (NestedSolver) preconditioned by a one-level ImpRAS1 over subdomains of
+diameter ~k^-alpha_inner.  build_preconditioner takes either nesting as a
+dict of the same keywords (k, alpha_inner, tol, max_iters).  The operator
+lists its nested solvers in one place, PreconditionerOperator.nested; they
+hold its inner iteration counts and failures, and any of them makes the
+operator vary per application (flexible), so it must sit under flexible
+outer GMRES.
 """
 
 import contextlib
@@ -24,8 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_local_impedance, csr_diagonal_blocks
-from .decomposition import (build_block_decomposition, build_coarse_interpolation,
-                            build_decomposition)
+from .decomposition import build_block_decomposition, build_decomposition
 from .mesh import ceil_snapped, layout_from_blocks, round_half_up
 
 DENSE_SOLVE_CUTOFF = 200  # below this, dense LAPACK beats SuperLU call overhead
@@ -89,14 +95,12 @@ class DirectFactorization:
     """Reusable LU of a sparse complex matrix (dense LAPACK below a cutoff).
     solve takes one right-hand side or a block of them as columns."""
 
-    flexible = False
-
-    def __init__(self, matrix, dense_cutoff=DENSE_SOLVE_CUTOFF):
+    def __init__(self, matrix):
         matrix = sp.csc_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
         self.n = matrix.shape[0]
-        self._dense = self.n <= dense_cutoff
+        self._dense = self.n <= DENSE_SOLVE_CUTOFF
         if self._dense:
             import warnings
 
@@ -137,8 +141,6 @@ class NestedSolver:
     Divergence at the iteration cap is recorded as a failure status on the
     solver (the current iterate is still returned), never raised.
     """
-
-    flexible = True
 
     def __init__(self, matrix, inner_precond, inner_tol=0.5, inner_max_iters=200):
         self.matrix = matrix.tocsr() if sp.issparse(matrix) else matrix
@@ -227,7 +229,6 @@ class LocalSolves:
         with _one_blas_thread():
             self.solvers = [r if isinstance(r, NestedSolver) else DirectFactorization(r)
                             for r in reps]
-        self.nested = [s for s in self.solvers if isinstance(s, NestedSolver)]
 
         # classes occupy consecutive segments [lo, hi) of the gathered vector,
         # each laid out subdomain after subdomain
@@ -256,10 +257,6 @@ class LocalSolves:
              (np.concatenate(rows), np.concatenate(cols))), shape=(n, lo))
         self._pool = ThreadPoolExecutor(max_workers=threads) \
             if threads > 1 and len(self.solvers) > 1 else None
-
-    @property
-    def flexible(self):
-        return bool(self.nested)
 
     def _solve_class(self, c, vg, ug):
         lo, hi, g = self._segments[c]
@@ -301,12 +298,6 @@ class LocalSolves:
             shape=(len(self._gather), self.n))
         return (self._recombine @ inv_blocks).toarray()
 
-    def inner_counts(self):
-        return [c for s in self.nested for c in s.inner_counts]
-
-    def inner_failures(self):
-        return sum(s.failures for s in self.nested)
-
 
 class CoarseSolve:
     """R0^T A_{eps,0}^{-1} R0 with a direct or nested coarse solver."""
@@ -316,25 +307,19 @@ class CoarseSolve:
         self.R0T = coarse_interp.T.tocsr()
         self.solver = solver
 
-    @property
-    def flexible(self):
-        return self.solver.flexible
-
     def apply(self, v):
         return self.R0T @ self.solver.solve(self.R0 @ v)
 
-    def inner_counts(self):
-        return list(self.solver.inner_counts) if isinstance(self.solver, NestedSolver) else []
-
-    def inner_failures(self):
-        return self.solver.failures if isinstance(self.solver, NestedSolver) else 0
-
 
 class PreconditionerOperator:
-    """Linear-operator contract: apply(v) performs one preconditioner action."""
+    """Linear-operator contract: apply(v) performs one preconditioner action.
 
-    def __init__(self, kind, n, locals_, coarse=None, system_matrix=None,
-                 coarse_enabled=True):
+    nested lists the inexact solvers (NestedSolver) among the local solves, in
+    class order, then the coarse one; they hold the inner statistics, and the
+    operator is flexible (varies per application) when there is any.
+    """
+
+    def __init__(self, kind, n, locals_, coarse=None, system_matrix=None):
         if kind not in KINDS:
             raise ValueError(f"unknown preconditioner kind {kind!r}")
         if kind in _COARSE_KINDS and coarse is None:
@@ -346,11 +331,9 @@ class PreconditionerOperator:
         self.locals_ = locals_
         self.coarse = coarse
         self.system_matrix = system_matrix
-        self.coarse_enabled = coarse_enabled
-
-    @property
-    def flexible(self):
-        return self.locals_.flexible or (self.coarse is not None and self.coarse.flexible)
+        solvers = locals_.solvers + ([coarse.solver] if coarse is not None else [])
+        self.nested = [s for s in solvers if isinstance(s, NestedSolver)]
+        self.flexible = bool(self.nested)
 
     @property
     def shape(self):
@@ -358,7 +341,7 @@ class PreconditionerOperator:
 
     def apply(self, v):
         v = np.asarray(v, dtype=np.complex128)
-        if self.kind not in _COARSE_KINDS or not self.coarse_enabled:
+        if self.kind not in _COARSE_KINDS:
             return self.locals_.apply(v)
         if self.kind == "AS":
             return self.coarse.apply(v) + self.locals_.apply(v)
@@ -371,22 +354,13 @@ class PreconditionerOperator:
         return self.apply(v)
 
     def inner_counts(self):
-        out = self.locals_.inner_counts()
-        if self.coarse is not None:
-            out = out + self.coarse.inner_counts()
-        return out
+        return [c for s in self.nested for c in s.inner_counts]
 
     def inner_failures(self):
-        fails = self.locals_.inner_failures()
-        if self.coarse is not None:
-            fails += self.coarse.inner_failures()
-        return fails
+        return sum(s.failures for s in self.nested)
 
     def reset_stats(self):
-        nested = list(self.locals_.nested)
-        if self.coarse is not None and isinstance(self.coarse.solver, NestedSolver):
-            nested.append(self.coarse.solver)
-        for s in nested:
+        for s in self.nested:
             s.inner_counts = []
             s.failures = 0
 
@@ -396,7 +370,7 @@ class PreconditionerOperator:
             raise ValueError("nested preconditioners have no fixed matrix")
         n = self.n
         loc = self.locals_.to_dense()
-        if self.kind not in _COARSE_KINDS or not self.coarse_enabled:
+        if self.kind not in _COARSE_KINDS:
             return loc
         r0 = self.coarse.R0.toarray()
         c0 = r0.T @ self.coarse.solver.solve(r0)
@@ -446,14 +420,15 @@ def coarse_matrix(R0, A):
 
 def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
                          system_matrix=None, nested_coarse=None, nested_local=None,
-                         coarse_enabled=True, threads=1):
+                         threads=1):
     """Assemble and factorize everything one preconditioner kind needs.
 
-    nested_coarse: a NestedSolver for the coarse problem (see
-    build_nested_coarse_solver) replacing the direct coarse factorization.
-    nested_local: dict of _nested_local_solver keywords (must include k)
-    making every local impedance solve an inner GMRES preconditioned by a
-    block ImpRAS1 on the subdomain.
+    nested_coarse and nested_local take the same keywords: k (required),
+    alpha_inner, tol and max_iters of the inner GMRES.  nested_coarse replaces
+    the direct coarse factorization by build_nested_coarse_solver; nested_local
+    makes every local impedance solve an inner GMRES preconditioned by a block
+    ImpRAS1 on the subdomain (_nested_local_solver).  Kinds without a coarse
+    solve (or without impedance locals) ignore the respective nesting.
     """
     impedance = kind in _IMPEDANCE_KINDS
     subs = [sub for sub in decomp.subdomains
@@ -480,31 +455,30 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
         if decomp.coarse_interp is None:
             raise ValueError("decomposition carries no coarse interpolation")
         if nested_coarse is not None:
-            coarse = CoarseSolve(decomp.coarse_interp, nested_coarse)
+            solver = build_nested_coarse_solver(decomp, A_prec, coeff_prec,
+                                                threads=threads, **nested_coarse)
         else:
-            A0 = coarse_matrix(decomp.coarse_interp, A_prec)
-            coarse = CoarseSolve(decomp.coarse_interp, DirectFactorization(A0))
+            solver = DirectFactorization(coarse_matrix(decomp.coarse_interp, A_prec))
+        coarse = CoarseSolve(decomp.coarse_interp, solver)
     return PreconditionerOperator(kind, mesh.n, locals_, coarse=coarse,
-                                  system_matrix=system_matrix,
-                                  coarse_enabled=coarse_enabled)
+                                  system_matrix=system_matrix)
 
 
-def build_nested_coarse_solver(mesh, layout, A_prec, coeff_prec, k, *,
-                               alpha_inner=0.5, inner_tol=0.5, inner_max_iters=200,
-                               coarse_interp=None, threads=1):
-    """Inexact coarse solve: the coarse-grid problem (Galerkin matrix), solved
-    by GMRES with a one-level ImpRAS1 preconditioner re-discretised on the
-    coarse triangulation, over a second-level decomposition of diameter
-    ~k^-alpha_inner.  Returns (NestedSolver, A0)."""
-    R0 = coarse_interp if coarse_interp is not None else build_coarse_interpolation(mesh, layout)
-    A0 = coarse_matrix(R0, A_prec)
-    cmesh = layout.as_mesh()
+def build_nested_coarse_solver(decomp, A_prec, coeff_prec, *, k, alpha_inner=0.5,
+                               tol=0.5, max_iters=200, threads=1):
+    """Inexact coarse solve: the coarse-grid problem (Galerkin matrix with the
+    decomposition's R0), solved by GMRES with a one-level ImpRAS1
+    preconditioner re-discretised on the coarse triangulation of the
+    decomposition's layout, over a second-level decomposition of diameter
+    ~k^-alpha_inner.  The Galerkin matrix is the solver's matrix."""
+    A0 = coarse_matrix(decomp.coarse_interp, A_prec)
+    cmesh = decomp.layout.as_mesh()
     ccoeff = coeff_prec.on_mesh(cmesh)
     Mi = min(ceil_snapped(k ** alpha_inner), cmesh.m)
     cdecomp = build_decomposition(cmesh, layout_from_blocks(cmesh, Mi))
     inner = build_preconditioner("ImpRAS1", mesh=cmesh, decomp=cdecomp, A_prec=A0,
                                  coeff_prec=ccoeff, threads=threads)
-    return NestedSolver(A0, inner, inner_tol, inner_max_iters), A0
+    return NestedSolver(A0, inner, tol, max_iters)
 
 
 def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, *, k, alpha_inner=0.8,

@@ -6,6 +6,7 @@ import pytest
 from scipy.io import mmread
 
 from helmdd.assembly import AssemblyCoefficients, assemble_system
+from helmdd import cli
 from helmdd.cli import main
 from helmdd.harness import parse_results
 from helmdd.mesh import build_fine_mesh, build_wavespeed
@@ -115,3 +116,21 @@ def test_console_script_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "solve" in proc.stdout and "analyze" in proc.stdout
+
+
+@pytest.mark.parametrize("target", ["coarse", "local"])
+def test_solve_keeps_explicit_alpha_inner_zero(target, monkeypatch, capsys):
+    # k^0 = 1: a single inner block, a valid setting and not the default
+    seen = []
+
+    def capture(cfg, problem):
+        seen.append(cfg)
+        raise RuntimeError("configuration captured")
+
+    monkeypatch.setattr(cli, "solve_problem", capture)
+    code, _, _ = run_cli(["solve", "--k", "10", "--mesh-rule", "points_per_wavelength",
+                          "--precond", "ImpHRAS", "--alpha", "0.5", "--nested", target,
+                          "--alpha-inner", "0"], capsys)
+    assert code == 1
+    assert seen[0].nesting.target == target
+    assert seen[0].nesting.alpha_inner == 0.0

@@ -65,6 +65,15 @@ def test_run_experiment_inner_outer_table3_k20():
     assert 0.0 <= r.inner_iters_avg <= 4.0  # reference: 2, +-2
 
 
+def test_inner_tol_reaches_nested_coarse_solve():
+    # table3 solves the coarse problem by inner GMRES to ExperimentConfig.inner_tol
+    avg = {}
+    for tol in (0.5, 0.05):
+        cfg, = [c for c in expand_preset("table3", [12], inner_tol=tol) if c.beta == 1.0]
+        avg[tol] = run_experiment(cfg).inner_iters_avg
+    assert avg[0.05] > avg[0.5]
+
+
 def test_run_experiment_multilevel_table5_k100():
     # reference count 26(6); with the loose inner tolerance 0.5 this solver
     # takes noticeably more outer iterations than with exact local solves

@@ -11,8 +11,7 @@ from helmdd.krylov import KrylovConfig, fgmres, gmres
 from helmdd.mesh import build_fine_mesh, build_wavespeed, layout_from_blocks
 from helmdd import precond
 from helmdd.precond import (KINDS, DirectFactorization, LocalSolves, NestedSolver,
-                            SingularMatrixError, build_nested_coarse_solver,
-                            build_preconditioner, coarse_matrix)
+                            SingularMatrixError, build_preconditioner, coarse_matrix)
 
 from oracles import dense_preconditioner, dense_system
 
@@ -131,13 +130,11 @@ def test_linearity(kind):
     assert np.linalg.norm(P.apply(np.zeros(mesh.n, complex))) == 0.0
 
 
-@pytest.mark.parametrize("coarse_enabled", [True, False])
 @pytest.mark.parametrize("kind", KINDS)
-def test_apply_matches_to_dense(kind, coarse_enabled):
+def test_apply_matches_to_dense(kind):
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
     P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec,
-                             coeff_prec=coeff, system_matrix=A_sys,
-                             coarse_enabled=coarse_enabled)
+                             coeff_prec=coeff, system_matrix=A_sys)
     D = P.to_dense()
     rng = np.random.default_rng(12)
     for _ in range(3):
@@ -179,18 +176,6 @@ def test_hras_with_full_coarse_space_is_exact():
     assert rep.converged and rep.iterations == 1
 
 
-def test_imphras_coarse_switch_off_equals_impras1():
-    mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
-    P2 = build_preconditioner("ImpHRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
-                              coeff_prec=coeff, system_matrix=A_sys,
-                              coarse_enabled=False)
-    P1 = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
-                              coeff_prec=coeff)
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
-    assert np.allclose(P2.apply(v), P1.apply(v), atol=1e-14)
-
-
 def test_nested_solver_tight_tolerance_matches_direct():
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
     A0 = coarse_matrix(decomp.coarse_interp, A_prec)
@@ -214,11 +199,13 @@ def test_nested_solver_divergence_is_status_not_crash():
 
 def test_nested_coarse_solver_flexible_flag_and_fgmres():
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(12, 3, k=6.0, eps=6.0)
-    ns, A0 = build_nested_coarse_solver(mesh, decomp.layout, A_prec, coeff, 6.0,
-                                        alpha_inner=0.5)
     P = build_preconditioner("HRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
-                             coeff_prec=coeff, system_matrix=A_sys, nested_coarse=ns)
+                             coeff_prec=coeff, system_matrix=A_sys,
+                             nested_coarse=dict(k=6.0, alpha_inner=0.5))
     assert P.flexible
+    assert P.nested == [P.coarse.solver]
+    A0 = coarse_matrix(decomp.coarse_interp, A_prec)
+    assert (P.coarse.solver.matrix != A0).nnz == 0
     b = np.ones(mesh.n, complex)
     with pytest.raises(ValueError):
         gmres(A_sys, P, b, KrylovConfig(rel_tol=1e-6))
@@ -281,14 +268,46 @@ def test_threaded_nested_local_solves_deterministic():
 
 def test_reset_stats():
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(12, 3, k=6.0, eps=6.0)
-    ns, _ = build_nested_coarse_solver(mesh, decomp.layout, A_prec, coeff, 6.0)
     P = build_preconditioner("HRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
-                             coeff_prec=coeff, system_matrix=A_sys, nested_coarse=ns)
+                             coeff_prec=coeff, system_matrix=A_sys,
+                             nested_coarse=dict(k=6.0))
     b = np.ones(mesh.n, complex)
     fgmres(A_sys, P, b, KrylovConfig(variant="fgmres", rel_tol=1e-6))
     assert P.inner_counts()
     P.reset_stats()
     assert P.inner_counts() == []
+
+
+def test_nested_stats_one_list_locals_then_coarse():
+    # inner caps low enough that the local (2 iterations each) and the coarse
+    # (1 iteration each) solves both record failures
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
+    P = build_preconditioner("ImpHRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, system_matrix=A_sys,
+                             nested_local=dict(k=6.0, alpha_inner=0.8, tol=0.1, max_iters=2),
+                             nested_coarse=dict(k=6.0, alpha_inner=0.5, max_iters=1))
+    assert P.flexible
+    assert P.nested == P.locals_.solvers + [P.coarse.solver]
+    b = np.ones(mesh.n, complex)
+    fgmres(A_sys, P, b, KrylovConfig(variant="fgmres", rel_tol=1e-8))
+    local_counts = [c for s in P.locals_.solvers for c in s.inner_counts]
+    coarse_counts = P.coarse.solver.inner_counts
+    assert set(local_counts) == {2} and set(coarse_counts) == {1}
+    assert P.inner_counts() == local_counts + coarse_counts
+    assert P.coarse.solver.failures > 0
+    assert P.inner_failures() == sum(s.failures for s in P.locals_.solvers) \
+        + P.coarse.solver.failures
+    P.reset_stats()
+    assert P.inner_counts() == [] and P.inner_failures() == 0
+    assert all(s.inner_counts == [] and s.failures == 0 for s in P.nested)
+
+
+def test_exact_preconditioner_has_no_nested_stats():
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
+    P = build_preconditioner("HRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, system_matrix=A_sys)
+    assert not P.flexible
+    assert P.inner_counts() == [] and P.inner_failures() == 0
 
 
 def _distinct_count(matrices, rtol=1e-12):
@@ -404,10 +423,9 @@ def test_nested_inner_counts_pinned():
         3, 2, 1, 2, 2, 2, 1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 2, 1, 1]
 
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(12, 3, k=6.0, eps=6.0)
-    ns, _ = build_nested_coarse_solver(mesh, decomp.layout, A_prec, coeff, 6.0,
-                                       alpha_inner=0.5)
     P = build_preconditioner("HRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
-                             coeff_prec=coeff, system_matrix=A_sys, nested_coarse=ns)
+                             coeff_prec=coeff, system_matrix=A_sys,
+                             nested_coarse=dict(k=6.0, alpha_inner=0.5))
     b = np.ones(mesh.n, complex)
     x, rep = fgmres(A_sys, P, b, KrylovConfig(variant="fgmres", rel_tol=1e-8))
     assert rep.iterations == 14
