@@ -398,7 +398,7 @@ def preconditioned_operator(k, *, eps, alpha=1.0, kind="AS", cells=None,
     Ad = A.toarray()
     D = assemble_energy_matrix(mesh, float(k)).toarray()
     return {"mesh": mesh, "layout": layout, "A_sparse": A, "precond": P,
-            "B": B, "A": Ad, "D": D, "left": B @ Ad, "right": Ad @ B,
+            "B": B, "A": Ad, "D": D, "left": B @ A, "right": A @ B,
             "H": 1.0 / layout.M, "eps": float(eps)}
 
 

@@ -105,8 +105,7 @@ def _cmd_solve(args):
         "multiplicative" if args.scenario != "constant" else "additive")
     cfg = ExperimentConfig(
         k=args.k, preset="custom", mesh_rule=args.mesh_rule, mesh_cells=args.mesh_cells,
-        scenario=args.scenario, c_star=args.c_star,
-        shifted=args.scenario == "shifted-square", shift_family=family,
+        scenario=args.scenario, c_star=args.c_star, shift_family=family,
         eps_prob_beta=args.eps_prob_beta, precond=args.precond, alpha=args.alpha,
         beta=args.beta, nesting=nesting, rhs=args.rhs, rel_tol=args.tol,
         inner_tol=args.inner_tol, max_iters=args.max_iters, threads=args.threads,

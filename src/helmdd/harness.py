@@ -54,7 +54,6 @@ class ExperimentConfig:
     mesh_cells: int = None          # explicit rule only
     scenario: str = "constant"
     c_star: float = 1.0
-    shifted: bool = False           # square moved north-west by the overlap
     anchor_square: bool = False     # coarse grid forced through the square
     shift_family: str = "additive"  # additive eps = k^beta | multiplicative rho = k^(beta-2)
     eps_prob_beta: float = None     # problem absorption exponent (table2 only)
@@ -180,17 +179,10 @@ def build_problem(cfg):
         layout = build_coarse_layout(mesh, k, cfg.alpha)
     decomp = build_decomposition(mesh, layout)
 
-    scenario = cfg.scenario.replace("-", "_")
-    if scenario == "constant" or cfg.c_star == 1.0:
-        ws = build_wavespeed(mesh, "constant")
-        scenario = "constant"
-    elif cfg.shifted:
-        scenario = "shifted_square"
-        ws = build_wavespeed(mesh, scenario, c_star=cfg.c_star,
-                             offset=decomp.overlap_layers)
-    else:
-        scenario = "centered_square"
-        ws = build_wavespeed(mesh, scenario, c_star=cfg.c_star)
+    scenario = "constant" if cfg.c_star == 1.0 else cfg.scenario.replace("-", "_")
+    # the shifted square moves north-west by the overlap
+    offset = decomp.overlap_layers if scenario == "shifted_square" else 0
+    ws = build_wavespeed(mesh, scenario, c_star=cfg.c_star, offset=offset)
 
     family, shift_prob, shift_prec = _shift_values(cfg)
     coeff_prob = AssemblyCoefficients(omega=k, wavespeed=ws, shift_mode=family,
@@ -298,11 +290,13 @@ def _preset_table5(k):
 def _preset_table6(k):
     out = []
     for c_star in (1.5, 1.0, 0.66):
-        for shifted in ((False, True) if c_star != 1.0 else (False,)):
+        squares = ("centered-square", "shifted-square") if c_star != 1.0 \
+            else ("centered-square",)
+        for scenario in squares:
             for beta in (1.0, 1.2, 1.6, 1.8):
                 out.append(ExperimentConfig(
                     k=k, preset="table6_variable", mesh_rule="pollution_free",
-                    scenario="centered-square", c_star=c_star, shifted=shifted,
+                    scenario=scenario, c_star=c_star,
                     anchor_square=True, shift_family="multiplicative",
                     precond="HRAS", alpha=1.0, beta=beta, rhs="ones",
                     nesting=NestingSpec(target="coarse", alpha_inner=0.5)))

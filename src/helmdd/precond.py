@@ -6,6 +6,9 @@ built from the system matrix A being solved (not its absorbed counterpart) and
 the shifted coarse inverse; A and A_{eps,0} are complex symmetric, so the
 transposed projection reuses the same solves.
 
+apply takes a vector (n,) or a block (n, c) of columns; to_dense is apply on
+identity column blocks, so the analysis studies the operator GMRES applies.
+
 The coarse solve, the local impedance solves, or both may be nested: an inner
 GMRES (NestedSolver) preconditioned by a one-level ImpRAS1 over subdomains of
 diameter ~k^-alpha_inner.  build_preconditioner takes either nesting as a
@@ -42,6 +45,10 @@ DENSE_SOLVE_CUTOFF = 200  # below this, dense LAPACK beats SuperLU call overhead
 # on the uniform benchmark meshes
 _SHARE_TOLERANCE_EPS = 64
 _KEY_DECIMALS = 12  # rounding of the class key; a match is then checked exactly
+
+# to_dense applies the identity this many columns at a time: an apply holds
+# several (n, columns) temporaries (HRAS, n=3721: 566 MB peak, 1.1 GB at 2048)
+_DENSE_COLUMNS = 512
 
 KINDS = ("AS1", "AS", "RAS1", "HRAS", "ImpRAS1", "ImpHRAS")
 _IMPEDANCE_KINDS = ("ImpRAS1", "ImpHRAS")
@@ -154,6 +161,8 @@ class NestedSolver:
     def solve(self, rhs):
         from .krylov import KrylovConfig, gmres
 
+        if np.ndim(rhs) == 2 and np.shape(rhs)[1] > 1:
+            raise ValueError("a nested solve takes one right-hand side")
         cfg = KrylovConfig(variant="gmres", side="right", rel_tol=self.inner_tol,
                            max_iters=self.inner_max_iters)
         x, rep = gmres(self.matrix, self.inner_precond, rhs, cfg)
@@ -197,10 +206,11 @@ class LocalSolves:
     matrix joins a class when it has the class representative's pattern and
     its entries agree to round-off (_same_matrix), so translated copies of one
     subdomain share a factor while differing coefficients never do.  An
-    inexact solver is a class of its own.  An apply gathers every restriction
-    with one index array, runs one multi-right-hand-side solve per class on
-    the (s, G) block of its G subdomains, and recombines all local solutions
-    with one sparse matrix: R_w^T (RAS weights) when weighted, else R^T.
+    inexact solver is a class of its own.  apply takes a vector or a block of
+    c columns: it gathers every restriction with one index array, runs one
+    multi-right-hand-side solve per class on the (s, G*c) block of its G
+    subdomains, and recombines all local solutions with one sparse matrix:
+    R_w^T (RAS weights) when weighted, else R^T.
     Factorisations and solves run with scipy's BLAS on one thread
     (_one_blas_thread).  With threads > 1 the classes are solved on a
     persistent thread pool; results are identical to the serial ones.
@@ -260,13 +270,15 @@ class LocalSolves:
 
     def _solve_class(self, c, vg, ug):
         lo, hi, g = self._segments[c]
-        rhs = vg[lo:hi].reshape(g, -1).T  # (s, G), one column per subdomain
-        x = self.solvers[c].solve(rhs[:, 0] if g == 1 else rhs)
-        ug[lo:hi] = x.T.ravel()
+        # (s, c*G): one column per input column and subdomain
+        x = self.solvers[c].solve(vg[..., lo:hi].reshape(-1, (hi - lo) // g).T)
+        ug[..., lo:hi] = x.T.reshape(-1, hi - lo)
 
     def apply(self, v):
-        vg = v[self._gather]
-        ug = np.empty(len(vg), dtype=np.complex128)
+        # every restriction of each column of v: (len,) for a vector, (c, len)
+        # for a block of c columns
+        vg = v.T.take(self._gather, -1)
+        ug = np.empty(vg.shape, dtype=np.complex128)
         with _one_blas_thread():
             if self._pool is not None:
                 # the count is pinned here, in the calling thread, for the
@@ -276,27 +288,7 @@ class LocalSolves:
             else:
                 for c in range(len(self.solvers)):
                     self._solve_class(c, vg, ug)
-        return self._recombine @ ug
-
-    def to_dense(self):
-        """Dense matrix of apply (exact solves only): one identity solve per
-        class, scattered into the gathered rows, then recombined."""
-        none = np.zeros(0, dtype=np.int64)
-        rows, cols, vals = [none], [none], [none]
-        with _one_blas_thread():
-            for solver, (lo, hi, g) in zip(self.solvers, self._segments):
-                s = (hi - lo) // g
-                inv = solver.solve(np.eye(s, dtype=np.complex128))
-                sets = self._gather[lo:hi].reshape(g, s)
-                rows.append(np.broadcast_to(np.arange(lo, hi).reshape(g, s, 1), (g, s, s)))
-                cols.append(np.broadcast_to(sets[:, None, :], (g, s, s)))
-                vals.append(np.broadcast_to(inv, (g, s, s)))
-        inv_blocks = sp.csr_matrix(
-            (np.concatenate([a.ravel() for a in vals]),
-             (np.concatenate([a.ravel() for a in rows]),
-              np.concatenate([a.ravel() for a in cols]))),
-            shape=(len(self._gather), self.n))
-        return (self._recombine @ inv_blocks).toarray()
+        return self._recombine @ ug.T
 
 
 class CoarseSolve:
@@ -365,19 +357,15 @@ class PreconditionerOperator:
             s.failures = 0
 
     def to_dense(self):
-        """Dense action matrix (exact solves only), for desk-scale analysis."""
+        """Dense action matrix (exact solves only), for desk-scale analysis:
+        apply on the identity, _DENSE_COLUMNS columns at a time."""
         if self.flexible:
             raise ValueError("nested preconditioners have no fixed matrix")
-        n = self.n
-        loc = self.locals_.to_dense()
-        if self.kind not in _COARSE_KINDS:
-            return loc
-        r0 = self.coarse.R0.toarray()
-        c0 = r0.T @ self.coarse.solver.solve(r0)
-        if self.kind == "AS":
-            return c0 + loc
-        p0 = np.eye(n) - self.system_matrix @ c0
-        return c0 + p0.T @ loc @ p0
+        out = np.empty((self.n, self.n), dtype=np.complex128)
+        for j in range(0, self.n, _DENSE_COLUMNS):
+            w = min(_DENSE_COLUMNS, self.n - j)
+            out[:, j:j + w] = self.apply(np.eye(self.n, w, -j, dtype=np.complex128))
+        return out
 
 
 def _own_positions(solve_set, own_nodes):
@@ -427,10 +415,13 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     alpha_inner, tol and max_iters of the inner GMRES.  nested_coarse replaces
     the direct coarse factorization by build_nested_coarse_solver; nested_local
     makes every local impedance solve an inner GMRES preconditioned by a block
-    ImpRAS1 on the subdomain (_nested_local_solver).  Kinds without a coarse
-    solve (or without impedance locals) ignore the respective nesting.
+    ImpRAS1 on the subdomain (_nested_local_solver).
     """
     impedance = kind in _IMPEDANCE_KINDS
+    if nested_coarse is not None and kind not in _COARSE_KINDS:
+        raise ValueError(f"{kind} has no coarse solve to nest")
+    if nested_local is not None and not impedance:
+        raise ValueError(f"{kind} has no impedance local solves to nest")
     subs = [sub for sub in decomp.subdomains
             if len(sub.closed_nodes if impedance else sub.interior_nodes)]
     if impedance:

@@ -203,8 +203,8 @@ def test_criterion_9_variable_speed_ordering():
     slow = run_experiment(ExperimentConfig(k=40, precond="HRAS", alpha=1.0, beta=1.0,
                                            c_star=0.66, **kw))
     slow_sh = run_experiment(ExperimentConfig(k=40, precond="HRAS", alpha=1.0,
-                                              beta=1.0, c_star=0.66, shifted=True,
-                                              **kw))
+                                              beta=1.0, c_star=0.66,
+                                              **dict(kw, scenario="shifted-square")))
     ok = (fast.converged and slow.converged and slow_sh.converged
           and slow.outer_iters > fast.outer_iters
           and abs(slow.outer_iters - slow_sh.outer_iters) <= 3)

@@ -5,9 +5,9 @@ import pytest
 
 from helmdd.assembly import AssemblyCoefficients, assemble_system
 from helmdd.harness import (ExperimentConfig, ExperimentError, NestingSpec, ResultRow,
-                            build_rhs, emit_results, expand_preset, parse_results,
-                            plane_wave_interpolant, run_experiment, run_table,
-                            RESULT_COLUMNS)
+                            build_problem, build_rhs, emit_results, expand_preset,
+                            parse_results, plane_wave_interpolant, run_experiment,
+                            run_table, solve_problem, RESULT_COLUMNS)
 from helmdd.mesh import build_fine_mesh, build_wavespeed
 from helmdd.precond import DirectFactorization
 
@@ -106,12 +106,35 @@ def test_run_experiment_variable_speed_resolved_vs_unresolved():
               precond="HRAS", alpha=1.0, beta=1.6, rhs="ones",
               nesting=NestingSpec("coarse", 0.5))
     res = run_experiment(ExperimentConfig(**kw))
-    unres = run_experiment(ExperimentConfig(shifted=True, **kw))
+    unres = run_experiment(ExperimentConfig(**dict(kw, scenario="shifted-square")))
     assert res.converged and unres.converged
     assert 14 <= res.outer_iters <= 42      # reference: 28(1), +-50%
     assert res.inner_iters_avg <= 3.0
     assert abs(res.outer_iters - unres.outer_iters) <= 5
     assert res.scenario == "centered-square" and unres.scenario == "shifted-square"
+
+
+def test_scenario_alone_selects_the_shifted_square():
+    cfg = ExperimentConfig(k=6, scenario="shifted-square", c_star=1.5,
+                           shift_family="multiplicative", precond="RAS1", alpha=0.5,
+                           rhs="ones")
+    problem = build_problem(cfg)
+    assert problem.decomp.overlap_layers > 0
+    want = build_wavespeed(problem.mesh, "shifted-square", c_star=1.5,
+                           offset=problem.decomp.overlap_layers)
+    assert problem.scenario == "shifted_square"
+    assert problem.coeff_prec.wavespeed.square == want.square
+    row = solve_problem(cfg, problem)
+    assert row.scenario == "shifted-square" and row.c_star == 1.5
+    with pytest.raises(ValueError, match="scenario"):
+        build_problem(ExperimentConfig(k=6, scenario="circle", c_star=1.5, alpha=0.5))
+
+
+def test_nesting_the_kind_cannot_use_is_refused():
+    # RAS1 has no coarse solve: the nesting used to be dropped silently
+    with pytest.raises(ValueError, match="no coarse solve"):
+        run_experiment(ExperimentConfig(k=12, precond="RAS1", rhs="ones",
+                                        nesting=NestingSpec("coarse", 0.5)))
 
 
 def test_preset_arities():

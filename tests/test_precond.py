@@ -143,6 +143,39 @@ def test_apply_matches_to_dense(kind):
         assert np.linalg.norm(P.apply(v) - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_apply_matches_column_applies(kind):
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
+    P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, system_matrix=A_sys)
+    rng = np.random.default_rng(13)
+    V = rng.standard_normal((mesh.n, 3)) + 1j * rng.standard_normal((mesh.n, 3))
+    want = np.column_stack([P.apply(V[:, j]) for j in range(3)])
+    got = P.apply(V)
+    assert got.shape == (mesh.n, 3)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert P.apply(V[:, 0]).shape == (mesh.n,)
+
+
+def test_nested_apply_refuses_blocks():
+    # one inner GMRES records one count: a block would be ravelled into one vector
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
+    P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, nested_local=dict(k=6.0))
+    with pytest.raises(ValueError, match="one right-hand side"):
+        P.apply(np.ones((mesh.n, 2), complex))
+
+
+@pytest.mark.parametrize("kind, nesting", [("RAS1", "nested_coarse"),
+                                           ("HRAS", "nested_local")])
+def test_nesting_the_kind_cannot_use_is_refused(kind, nesting):
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(12, 3, k=6.0, eps=6.0)
+    with pytest.raises(ValueError, match="to nest"):
+        build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, system_matrix=A_sys,
+                             **{nesting: dict(k=6.0)})
+
+
 def test_single_subdomain_collapse():
     mesh, _, A_sys, A_prec, coeff = setup_problem(6, 2)
     layout = layout_from_blocks(mesh, 1)
