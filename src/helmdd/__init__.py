@@ -7,8 +7,7 @@ from .assembly import (AssemblyCoefficients, assemble_energy_matrix,
                        assemble_local_impedance, assemble_mass_matrix,
                        assemble_system, write_matrix_market)
 from .decomposition import (Decomposition, Subdomain, build_coarse_interpolation,
-                            build_decomposition, build_ras_weights, dump_decomposition,
-                            prolong, restrict)
+                            build_decomposition, dump_decomposition)
 from .krylov import KrylovConfig, KrylovReport, fgmres, gmres
 from .mesh import (CoarseLayout, FineMesh, WaveSpeedField, build_coarse_layout,
                    build_fine_mesh, build_wavespeed, dump_mesh)

@@ -39,7 +39,6 @@ class AnalysisSizeError(ValueError):
 @dataclass
 class FovEstimate:
     tag: str
-    weight_tag: str          # "D", "Dinv", or "I"
     dist_to_origin: float    # certified lower bound of dist(0, W_D(C))
     norm: float              # ||C||_D
     beta: float              # angle with cos(beta) = dist / norm
@@ -297,8 +296,7 @@ def fov_distance(C, D=None, *, weight="D", tag="", angles=256, refine_rounds=3,
     dist = max(0.0, support)
     hull = _hull_distance(np.array([z for _, _, z in results.values()]))
     cosb = min(dist / norm, 1.0) if norm > 0 else 0.0
-    return FovEstimate(tag=tag, weight_tag=weight if D is not None else "I",
-                       dist_to_origin=dist, norm=norm,
+    return FovEstimate(tag=tag, dist_to_origin=dist, norm=norm,
                        beta=math.acos(cosb), certified=dist > rel_tol * norm,
                        angles_used=len(results), hull_dist=hull)
 
@@ -380,8 +378,8 @@ def analysis_mesh_cells(k):
 def preconditioned_operator(k, *, eps, alpha=1.0, kind="AS", cells=None,
                             size_cap=SIZE_CAP):
     """Dense preconditioned matrices of the absorbed problem: returns a dict
-    with B (preconditioner action), A (A_eps), D (energy matrix), and the
-    left/right products B@A and A@B."""
+    with B (preconditioner action), A (A_eps, sparse), D (energy matrix), and
+    the left/right products B@A and A@B."""
     m = cells(k) if callable(cells) else (cells or analysis_mesh_cells(k))
     mesh = build_fine_mesh(k, "explicit", m=m)
     if mesh.n > size_cap:
@@ -395,10 +393,9 @@ def preconditioned_operator(k, *, eps, alpha=1.0, kind="AS", cells=None,
     P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A,
                              coeff_prec=coeff, system_matrix=A)
     B = P.to_dense()
-    Ad = A.toarray()
     D = assemble_energy_matrix(mesh, float(k)).toarray()
-    return {"mesh": mesh, "layout": layout, "A_sparse": A, "precond": P,
-            "B": B, "A": Ad, "D": D, "left": B @ A, "right": A @ B,
+    return {"mesh": mesh, "layout": layout, "precond": P,
+            "B": B, "A": A, "D": D, "left": B @ A, "right": A @ B,
             "H": 1.0 / layout.M, "eps": float(eps)}
 
 
@@ -408,6 +405,8 @@ def scaling_sweep(k_list, *, beta=None, eps_rule="k^beta", alpha=1.0, kind="AS",
     """Tabulates norm and origin distance of the preconditioned operators in
     the energy inner products across k, with log-log trend slopes against the
     theoretical k^2/eps scaling."""
+    if not set(sides) <= {"left", "right"}:
+        raise ValueError(f"sides must be 'left' or 'right', got {list(sides)}")
     rows = []
     for k in k_list:
         if eps_rule == "ksq":

@@ -4,8 +4,11 @@ interpolation R0.
 
 Subdomains are coarse cells extended by l_ov = (g_min-1)//2 layers of fine
 cells, the largest extension for which subdomains of non-touching coarse
-cells stay disjoint.  The same machinery runs on a sub-rectangle of the cell
-grid (build_block_decomposition) for nested inner preconditioners; there the
+cells stay disjoint.  Each subdomain owns the closed nodes of its coarse
+cell; a node on an interior coarse gridline is shared with weight 1/2 (1/4
+at a corner), so the weights of all subdomains sum to one at every node.
+The same machinery runs on a sub-rectangle of the cell grid
+(build_block_decomposition) for nested inner preconditioners; there the
 rectangle's boundary plays the role of the global boundary.
 """
 
@@ -27,43 +30,17 @@ class Subdomain:
     element_ids: np.ndarray
     interior_nodes: np.ndarray  # open extended subdomain, incl. its trace on Gamma
     closed_nodes: np.ndarray
-
-
-@dataclass
-class RasWeights:
-    """Partition-of-unity ownership weights, node-major and per-subdomain."""
-
-    indptr: np.ndarray
-    sub_ids: np.ndarray
-    weights: np.ndarray
-    by_subdomain: list  # [(nodes, weights)] per subdomain id
-
-    def owners(self, j):
-        s = slice(self.indptr[j], self.indptr[j + 1])
-        return self.sub_ids[s], self.weights[s]
+    own_nodes: np.ndarray  # closed core cell, ascending
+    own_weights: np.ndarray  # RAS partition-of-unity weight of each owned node
 
 
 @dataclass
 class Decomposition:
-    mesh: object
     subdomains: list
     overlap_layers: int
-    ras: RasWeights
     coarse_interp: sp.csr_matrix = None  # R0, coarse nodes x fine nodes
     degenerate_overlap: bool = False
     layout: object = field(default=None, repr=False)
-
-
-def restrict(vec, index_set):
-    """Select the entries of vec on the index set."""
-    return np.asarray(vec)[np.asarray(index_set)]
-
-
-def prolong(vec, index_set, n):
-    """Scatter vec into a zero vector of length n."""
-    out = np.zeros(n, dtype=np.asarray(vec).dtype)
-    out[np.asarray(index_set)] = vec
-    return out
 
 
 def _rect_elements(m, x0, x1, y0, y1):
@@ -86,61 +63,18 @@ def _rect_nodes(m, x0, x1, y0, y1, interior_of=None):
     return (iy[:, None] * (m + 1) + ix[None, :]).ravel()
 
 
-def _ras_weights_from_breaks(mesh, bx, by, region, nsub):
-    """Ownership by unextended cells; nodes on shared coarse edges/corners get
-    weight 1/(number of incident cells)."""
+def _gridline_weights(breaks):
+    """For each cell between consecutive breaks, the weight of each gridline
+    of its closed range: 1/2 on an interior break, shared with the neighbour."""
+    return [np.where(np.isin(np.arange(lo, hi + 1), breaks[1:-1]), 0.5, 1.0)
+            for lo, hi in zip(breaks[:-1], breaks[1:])]
+
+
+def _decomposition_from_breaks(mesh, bx, by, coarse_interp=None, layout=None):
+    """Cover of the rectangle (bx[0], bx[-1], by[0], by[-1]) by the extended
+    cells between the breaks."""
     m = mesh.m
-    rx0, rx1, ry0, ry1 = region
-    mx = len(bx) - 1
-    ix = np.arange(rx0, rx1 + 1)
-    iy = np.arange(ry0, ry1 + 1)
-    nix, niy = np.meshgrid(ix, iy, indexing="xy")
-    nix = nix.ravel()
-    niy = niy.ravel()
-    node = niy * (m + 1) + nix
-
-    cx = np.clip(np.searchsorted(bx, nix, side="right") - 1, 0, mx - 1)
-    cy = np.clip(np.searchsorted(by, niy, side="right") - 1, 0, len(by) - 2)
-    extra_x = (nix == bx[cx]) & (cx > 0)
-    extra_y = (niy == by[cy]) & (cy > 0)
-    count = (1 + extra_x.astype(int)) * (1 + extra_y.astype(int))
-    w = 1.0 / count
-
-    nodes_l, subs_l, w_l = [], [], []
-    for dx in (0, 1):
-        for dy in (0, 1):
-            mask = np.ones(len(node), dtype=bool)
-            if dx:
-                mask &= extra_x
-            if dy:
-                mask &= extra_y
-            nodes_l.append(node[mask])
-            subs_l.append((cy[mask] - dy) * mx + (cx[mask] - dx))
-            w_l.append(w[mask])
-    nodes_a = np.concatenate(nodes_l)
-    subs_a = np.concatenate(subs_l)
-    w_a = np.concatenate(w_l)
-
-    order = np.argsort(nodes_a, kind="stable")
-    counts = np.zeros(mesh.n, dtype=np.int64)
-    np.add.at(counts, nodes_a, 1)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-
-    by_sub = []
-    sorder = np.argsort(subs_a, kind="stable")
-    ssubs = subs_a[sorder]
-    starts = np.searchsorted(ssubs, np.arange(nsub))
-    stops = np.searchsorted(ssubs, np.arange(nsub) + 1)
-    for l in range(nsub):
-        sel = sorder[starts[l]:stops[l]]
-        o = np.argsort(nodes_a[sel])
-        by_sub.append((nodes_a[sel][o], w_a[sel][o]))
-
-    return RasWeights(indptr, subs_a[order], w_a[order], by_sub)
-
-
-def _decomposition_from_breaks(mesh, bx, by, region, coarse_interp=None, layout=None):
-    m = mesh.m
+    region = (bx[0], bx[-1], by[0], by[-1])
     rx0, rx1, ry0, ry1 = region
     mx = len(bx) - 1
     my = len(by) - 1
@@ -151,6 +85,7 @@ def _decomposition_from_breaks(mesh, bx, by, region, coarse_interp=None, layout=
         warnings.warn(f"coarse cells only {g_min} fine cell(s) wide: no overlap "
                       "(subdomain interiors do not cover the mesh)", stacklevel=3)
 
+    wxs, wys = _gridline_weights(bx), _gridline_weights(by)
     subs = []
     for cj in range(my):
         for ci in range(mx):
@@ -165,9 +100,10 @@ def _decomposition_from_breaks(mesh, bx, by, region, coarse_interp=None, layout=
                 element_ids=_rect_elements(m, x0, x1, y0, y1),
                 interior_nodes=_rect_nodes(m, x0, x1, y0, y1, interior_of=region),
                 closed_nodes=_rect_nodes(m, x0, x1, y0, y1),
+                own_nodes=_rect_nodes(m, bx[ci], bx[ci + 1], by[cj], by[cj + 1]),
+                own_weights=np.outer(wys[cj], wxs[ci]).ravel(),
             ))
-    ras = _ras_weights_from_breaks(mesh, bx, by, region, mx * my)
-    return Decomposition(mesh, subs, l_ov, ras, coarse_interp=coarse_interp,
+    return Decomposition(subs, l_ov, coarse_interp=coarse_interp,
                          degenerate_overlap=degenerate, layout=layout)
 
 
@@ -184,15 +120,9 @@ def build_coarse_interpolation(mesh, layout):
     return r0
 
 
-def build_ras_weights(mesh, layout):
-    return _ras_weights_from_breaks(mesh, layout.breaks_x, layout.breaks_y,
-                                    (0, mesh.m, 0, mesh.m), layout.M ** 2)
-
-
 def build_decomposition(mesh, layout):
     """Generously overlapping cover of the whole mesh from a coarse layout."""
     return _decomposition_from_breaks(mesh, layout.breaks_x, layout.breaks_y,
-                                      (0, mesh.m, 0, mesh.m),
                                       coarse_interp=build_coarse_interpolation(mesh, layout),
                                       layout=layout)
 
@@ -214,7 +144,7 @@ def build_block_decomposition(mesh, region, nbx, nby):
     by[0], by[-1] = ry0, ry1
     if np.any(np.diff(bx) <= 0) or np.any(np.diff(by) <= 0):
         raise DegenerateLayoutError("block snapping collapsed breakpoints")
-    return _decomposition_from_breaks(mesh, bx, by, region)
+    return _decomposition_from_breaks(mesh, bx, by)
 
 
 def dump_decomposition(decomp, fobj):

@@ -9,7 +9,6 @@ that change between applications (nested inner solves); it requires right
 preconditioning.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ class KrylovReport:
     iterations: int
     residual_history: np.ndarray  # relative preconditioned/weighted norms, [0] = 1
     true_relres: float            # unpreconditioned 2-norm residual at exit
-    wall_time_s: float
     basis_bytes: int
 
 
@@ -90,7 +88,6 @@ def fgmres(A, preconditioner, b, config=None):
 
 
 def _solve(A, M, b, cfg):
-    t_start = time.perf_counter()
     flexible = cfg.variant == "fgmres"
     matvec = _as_matvec(A)
     apply_m = _as_apply(M)
@@ -112,8 +109,7 @@ def _solve(A, M, b, cfg):
     def report(x, converged, iters, hist, basis_bytes):
         res = b - matvec(x)
         true_rel = float(np.linalg.norm(res) / bnorm) if bnorm > 0 else 0.0
-        return x, KrylovReport(converged, iters, np.asarray(hist), true_rel,
-                               time.perf_counter() - t_start, basis_bytes)
+        return x, KrylovReport(converged, iters, np.asarray(hist), true_rel, basis_bytes)
 
     r0 = apply_m(b) if (apply_m is not None and cfg.side == "left") else b
     t0 = wdot(r0) if wdot else r0

@@ -342,9 +342,6 @@ class PreconditionerOperator:
         t = self.locals_.apply(v - self.system_matrix @ z)
         return z + t - self.coarse.apply(self.system_matrix @ t)
 
-    def __call__(self, v):
-        return self.apply(v)
-
     def inner_counts(self):
         return [c for s in self.nested for c in s.inner_counts]
 
@@ -437,7 +434,7 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     else:
         sets = [sub.interior_nodes for sub in subs]
         locals_iter = _principal_submatrices(A_prec, sets)
-    entries = ((local, solve_set, *decomp.ras.by_subdomain[sub.id])
+    entries = ((local, solve_set, sub.own_nodes, sub.own_weights)
                for local, solve_set, sub in zip(locals_iter, sets, subs))
     locals_ = LocalSolves(mesh.n, entries, kind in _WEIGHTED_KINDS, threads=threads)
 
@@ -486,8 +483,7 @@ def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, *, k, alpha_inner=0.
     blocks = assemble_local_impedance(mesh, [blk.element_ids for blk in bdec.subdomains],
                                       coeff_prec)
     entries = ((mat, np.searchsorted(sub.closed_nodes, blk.closed_nodes),
-                np.searchsorted(sub.closed_nodes, bdec.ras.by_subdomain[blk.id][0]),
-                bdec.ras.by_subdomain[blk.id][1])
+                np.searchsorted(sub.closed_nodes, blk.own_nodes), blk.own_weights)
                for mat, blk in zip(blocks, bdec.subdomains))
     inner = PreconditionerOperator("ImpRAS1", nloc, LocalSolves(nloc, entries, True))
     return NestedSolver(imp_matrix, inner, tol, max_iters)

@@ -127,13 +127,9 @@ def _restriction(index_set, n):
     return R
 
 
-def _ras_diag(decomp, sub_id, n):
+def _ras_diag(sub, n):
     W = np.zeros(n)
-    for j in range(n):
-        subs, w = decomp.ras.owners(j)
-        for s, wt in zip(subs, w):
-            if s == sub_id:
-                W[j] = wt
+    W[sub.own_nodes] = sub.own_weights
     return np.diag(W)
 
 
@@ -159,7 +155,7 @@ def dense_preconditioner(kind, mesh, decomp, A_sys, A_prec, coeff_prec):
             A_l = R @ dense_Aprec @ R.T
         term = R.T @ np.linalg.inv(A_l) @ R
         if weighted:
-            term = _ras_diag(decomp, sub.id, n) @ term
+            term = _ras_diag(sub, n) @ term
         B_loc += term
     if kind in ("AS1", "RAS1", "ImpRAS1"):
         return B_loc

@@ -7,6 +7,7 @@ are exact to stated tolerances.  Run with `pytest tests/test_acceptance.py -v -s
 """
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ import pytest
 from helmdd.analysis import check_adjoint_identity, scaling_sweep
 from helmdd.assembly import (AssemblyCoefficients, assemble_energy_matrix,
                              assemble_system)
-from helmdd.decomposition import (build_coarse_interpolation, build_decomposition,
-                                  build_ras_weights)
+from helmdd.decomposition import build_decomposition
 from helmdd.harness import ExperimentConfig, NestingSpec, run_experiment
 from helmdd.krylov import KrylovConfig, gmres
 from helmdd.mesh import build_fine_mesh, build_wavespeed, layout_from_blocks
@@ -236,10 +236,17 @@ def test_criterion_10_property_suites():
         D = assemble_energy_matrix(mesh, k)
         assert np.linalg.eigvalsh(D.toarray()).min() > 0.0
         layout = layout_from_blocks(mesh, M)
-        w = build_ras_weights(mesh, layout)
-        total = np.add.reduceat(w.weights, w.indptr[:-1]) if len(w.weights) else []
+        # coarse cells under 3 fine cells wide leave no overlap, flagged and warned
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dec = build_decomposition(mesh, layout)
+        warned = any(issubclass(w.category, UserWarning) for w in caught)
+        assert warned == dec.degenerate_overlap == (layout.g_min < 3)
+        total = np.zeros(mesh.n)
+        for sub in dec.subdomains:
+            np.add.at(total, sub.own_nodes, sub.own_weights)
         assert np.allclose(total, 1.0, atol=1e-14)
-        R0 = build_coarse_interpolation(mesh, layout)
+        R0 = dec.coarse_interp
         assert np.allclose(np.asarray(R0.sum(axis=0)).ravel(), 1.0, atol=1e-13)
         # GMRES monotonicity on a random dense system
         n = 20

@@ -111,6 +111,15 @@ def test_analyze_writes_rows(tmp_path, capsys):
     assert lines[1].startswith("AS-left,4")
 
 
+def test_analyze_refuses_unknown_side(tmp_path, capsys):
+    out_path = tmp_path / "fov.csv"
+    code, _, err = run_cli(["analyze", "--k", "4", "--sides", "left,rigth",
+                            "--out", str(out_path)], capsys)
+    assert code == 1
+    assert "rigth" in err
+    assert not out_path.exists()
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run([sys.executable, "-m", "helmdd.cli", "--help"],
                           capture_output=True, text=True)

@@ -5,8 +5,7 @@ import pytest
 
 from helmdd.assembly import AssemblyCoefficients, assemble_system
 from helmdd.decomposition import (build_block_decomposition, build_coarse_interpolation,
-                                  build_decomposition, build_ras_weights,
-                                  dump_decomposition, prolong, restrict)
+                                  build_decomposition, dump_decomposition)
 from helmdd.mesh import build_fine_mesh, build_wavespeed, layout_from_blocks
 
 from oracles import dense_coarse_interp
@@ -16,6 +15,17 @@ def make(m, M):
     mesh = build_fine_mesh(1, "explicit", m=m)
     layout = layout_from_blocks(mesh, M)
     return mesh, layout
+
+
+def owners(dec, j):
+    """Ids of the subdomains owning node j, and their weights there."""
+    subs, wts = [], []
+    for s in dec.subdomains:
+        hit = np.flatnonzero(s.own_nodes == j)
+        if len(hit):
+            subs.append(s.id)
+            wts.append(s.own_weights[hit[0]])
+    return np.array(subs, dtype=int), np.array(wts)
 
 
 def test_generous_overlap_160_10():
@@ -38,7 +48,7 @@ def test_single_subdomain_degenerate_to_whole_domain():
     s = dec.subdomains[0]
     assert np.array_equal(s.interior_nodes, np.arange(mesh.n))
     assert np.array_equal(s.closed_nodes, np.arange(mesh.n))
-    nodes, w = dec.ras.by_subdomain[0]
+    nodes, w = s.own_nodes, s.own_weights
     assert np.array_equal(nodes, np.arange(mesh.n))
     assert np.all(w == 1.0)
 
@@ -85,56 +95,44 @@ def test_degenerate_overlap_warns():
 def test_ras_weights_values_and_partition_of_unity():
     m, M = 12, 3
     mesh, layout = make(m, M)
-    w = build_ras_weights(mesh, layout)
+    dec = build_decomposition(mesh, layout)
     g = 4  # coarse cell width in fine cells
     # strict interior of a coarse cell: single owner, weight 1
-    subs, wt = w.owners(mesh.node_id(1, 1))
+    subs, wt = owners(dec, mesh.node_id(1, 1))
     assert len(subs) == 1 and wt[0] == 1.0
     # interior coarse edge node (not corner): two owners at 1/2
-    subs, wt = w.owners(mesh.node_id(g, 1))
+    subs, wt = owners(dec, mesh.node_id(g, 1))
     assert sorted(subs) == [0, 1] and np.all(wt == 0.5)
     # interior coarse corner: four owners at 1/4
-    subs, wt = w.owners(mesh.node_id(g, g))
+    subs, wt = owners(dec, mesh.node_id(g, g))
     assert sorted(subs) == [0, 1, 3, 4] and np.all(wt == 0.25)
     # partition of unity at every node, boundary included
     total = np.zeros(mesh.n)
     for j in range(mesh.n):
-        _, wt = w.owners(j)
+        _, wt = owners(dec, j)
         total[j] = wt.sum()
     assert np.allclose(total, 1.0, atol=1e-15)
 
 
 def test_ras_weights_match_slow_reference():
-    m, M = 14, 4
-    mesh, layout = make(m, M)
-    w = build_ras_weights(mesh, layout)
-    bx = layout.breaks_x
-    by = layout.breaks_y
-    for j in range(mesh.n):
-        ix, iy = j % (m + 1), j // (m + 1)
-        cells = []
-        for ci in range(M):
-            for cj in range(M):
-                if bx[ci] <= ix <= bx[ci + 1] and by[cj] <= iy <= by[cj + 1]:
-                    cells.append(cj * M + ci)
-        subs, wt = w.owners(j)
-        assert sorted(subs.tolist()) == sorted(cells)
-        assert np.allclose(wt, 1.0 / len(cells))
-
-
-def test_restrict_prolong():
-    rng = np.random.default_rng(0)
-    n = 30
-    idx = np.array([2, 3, 11, 29])
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    w = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-    ones = np.ones(n)
-    ind = prolong(restrict(ones, idx), idx, n)
-    assert np.array_equal(ind, np.isin(np.arange(n), idx).astype(float))
-    # transpose pair
-    assert np.vdot(prolong(w, idx, n), v) == pytest.approx(np.vdot(w, restrict(v, idx)))
-    with pytest.raises(IndexError):
-        restrict(v, np.array([n + 5]))
+    mesh, layout = make(14, 4)
+    covers = [(mesh, build_decomposition(mesh, layout), layout.breaks_x, layout.breaks_y)]
+    # a block region off the origin with nbx != nby; nodes outside it have no owner
+    mesh = build_fine_mesh(1, "explicit", m=20)
+    covers.append((mesh, build_block_decomposition(mesh, (4, 16, 6, 20), 3, 2),
+                   (4, 8, 12, 16), (6, 13, 20)))
+    for mesh, dec, bx, by in covers:
+        m, mx, my = mesh.m, len(bx) - 1, len(by) - 1
+        for j in range(mesh.n):
+            ix, iy = j % (m + 1), j // (m + 1)
+            cells = []
+            for ci in range(mx):
+                for cj in range(my):
+                    if bx[ci] <= ix <= bx[ci + 1] and by[cj] <= iy <= by[cj + 1]:
+                        cells.append(cj * mx + ci)
+            subs, wt = owners(dec, j)
+            assert sorted(subs.tolist()) == sorted(cells)
+            assert np.allclose(wt, 1.0 / max(len(cells), 1))
 
 
 def test_minor_extraction_matches_dense():
@@ -207,7 +205,7 @@ def test_block_decomposition_region():
     # partition of unity over region nodes
     total = np.zeros(mesh.n)
     for j in all_nodes:
-        _, wt = dec.ras.owners(j)
+        _, wt = owners(dec, j)
         total[j] = wt.sum()
     assert np.allclose(total[all_nodes], 1.0)
 
