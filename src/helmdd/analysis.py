@@ -27,6 +27,9 @@ from .precond import build_preconditioner
 
 SIZE_CAP = 4096
 DENSE_EIG_CUTOFF = 600
+_REFINE_ROUNDS, _REFINE_POINTS = 3, 16  # theta refinements near the minimum, angles each
+_CERTIFY_RTOL = 1e-6  # an estimate is certified when dist > this * norm
+_ENVELOPE_SLACK = 1e-10  # residual excess over sin^m(beta) still counted as ok
 
 ANALYSIS_COLUMNS = ("tag", "k", "eps", "H", "dist", "norm", "beta", "certified",
                     "max_ratio")
@@ -257,8 +260,7 @@ def _hull_distance(points):
     return best
 
 
-def fov_distance(C, D=None, *, weight="D", tag="", angles=256, refine_rounds=3,
-                 refine_points=16, rel_tol=1e-6, size_cap=SIZE_CAP):
+def fov_distance(C, D=None, *, weight="D", tag="", angles=256, size_cap=SIZE_CAP):
     """FovEstimate for dist(0, W_D(C)) and ||C||_D via boundary tracing."""
     C = np.asarray(C, dtype=complex)
     n = C.shape[0]
@@ -280,24 +282,24 @@ def fov_distance(C, D=None, *, weight="D", tag="", angles=256, refine_rounds=3,
     else:
         results = _subspace_converge(sweep, thetas, eta_tol)
     spacing = 2.0 * math.pi / len(thetas)
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         t_best = min(results, key=lambda t: results[t][0])
         local = [float(t % (2.0 * math.pi))
-                 for t in np.linspace(t_best - spacing, t_best + spacing, refine_points)]
+                 for t in np.linspace(t_best - spacing, t_best + spacing, _REFINE_POINTS)]
         new = [t for t in local if t not in results]
         thetas.extend(new)
         if dense:
             results.update(_dense_angle_results(Ct, F, G, new))
         else:
             results = _subspace_converge(sweep, thetas, eta_tol)
-        spacing /= refine_points / 2.0
+        spacing /= _REFINE_POINTS / 2.0
 
     support = max(-(lam + eta) for lam, eta, _ in results.values())
     dist = max(0.0, support)
     hull = _hull_distance(np.array([z for _, _, z in results.values()]))
     cosb = min(dist / norm, 1.0) if norm > 0 else 0.0
     return FovEstimate(tag=tag, dist_to_origin=dist, norm=norm,
-                       beta=math.acos(cosb), certified=dist > rel_tol * norm,
+                       beta=math.acos(cosb), certified=dist > _CERTIFY_RTOL * norm,
                        angles_used=len(results), hull_dist=hull)
 
 
@@ -312,8 +314,7 @@ def rayleigh_samples(C, D=None, *, weight="D", num=10000, seed=0):
     return np.abs(num_q / den_q)
 
 
-def check_gmres_bound(C, D, b=None, *, est=None, max_iters=None, slack=1e-10,
-                      seed=0, tag=""):
+def check_gmres_bound(C, D, b=None, *, est=None, max_iters=None, seed=0, tag=""):
     """Runs weighted GMRES on C x = b and tests the sin^m(beta) envelope."""
     C = np.asarray(C, dtype=complex)
     n = C.shape[0]
@@ -334,7 +335,7 @@ def check_gmres_bound(C, D, b=None, *, est=None, max_iters=None, slack=1e-10,
     bounds = sinb ** np.arange(len(hist))
     excess = hist - bounds
     ratios = hist[1:] / np.maximum(bounds[1:], 1e-300)
-    ok = bool(np.all(excess <= slack))
+    ok = bool(np.all(excess <= _ENVELOPE_SLACK))
     return {"status": "ok" if ok else "violated", "estimate": est,
             "max_excess": float(excess.max()), "max_ratio": float(ratios.max()),
             "iterations": rep.iterations, "history": hist, "bounds": bounds}
@@ -375,15 +376,13 @@ def analysis_mesh_cells(k):
     return 3 * ceil_snapped(k)
 
 
-def preconditioned_operator(k, *, eps, alpha=1.0, kind="AS", cells=None,
-                            size_cap=SIZE_CAP):
+def preconditioned_operator(k, *, eps, alpha=1.0, kind="AS"):
     """Dense preconditioned matrices of the absorbed problem: returns a dict
     with B (preconditioner action), A (A_eps, sparse), D (energy matrix), and
     the left/right products B@A and A@B."""
-    m = cells(k) if callable(cells) else (cells or analysis_mesh_cells(k))
-    mesh = build_fine_mesh(k, "explicit", m=m)
-    if mesh.n > size_cap:
-        raise AnalysisSizeError(f"k={k} needs n={mesh.n} > cap {size_cap}")
+    mesh = build_fine_mesh(k, "explicit", m=analysis_mesh_cells(k))
+    if mesh.n > SIZE_CAP:
+        raise AnalysisSizeError(f"k={k} needs n={mesh.n} > cap {SIZE_CAP}")
     ws = build_wavespeed(mesh, "constant")
     coeff = AssemblyCoefficients(omega=float(k), wavespeed=ws,
                                  shift_mode="additive_eps", shift_value=float(eps))
@@ -400,8 +399,7 @@ def preconditioned_operator(k, *, eps, alpha=1.0, kind="AS", cells=None,
 
 
 def scaling_sweep(k_list, *, beta=None, eps_rule="k^beta", alpha=1.0, kind="AS",
-                  cells=None, sides=("left", "right"), angles=256,
-                  envelope=False, size_cap=SIZE_CAP):
+                  sides=("left", "right"), angles=256, envelope=False):
     """Tabulates norm and origin distance of the preconditioned operators in
     the energy inner products across k, with log-log trend slopes against the
     theoretical k^2/eps scaling."""
@@ -417,8 +415,7 @@ def scaling_sweep(k_list, *, beta=None, eps_rule="k^beta", alpha=1.0, kind="AS",
             eps = float(k) ** beta
         else:
             eps = float(eps_rule(k))
-        ops = preconditioned_operator(k, eps=eps, alpha=alpha, kind=kind,
-                                      cells=cells, size_cap=size_cap)
+        ops = preconditioned_operator(k, eps=eps, alpha=alpha, kind=kind)
         for side in sides:
             C = ops["left"] if side == "left" else ops["right"]
             wt = "D" if side == "left" else "Dinv"

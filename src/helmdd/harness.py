@@ -151,6 +151,13 @@ def _shift_values(cfg):
     raise ValueError(f"unknown shift family {cfg.shift_family!r}")
 
 
+def _scenario_columns(cfg):
+    """The scenario and c_star columns of a configuration's result row, the
+    same whether it ran or recorded an error: constant whenever c_star = 1."""
+    scenario = "constant" if cfg.c_star == 1.0 else cfg.scenario.replace("_", "-")
+    return dict(scenario=scenario, c_star=cfg.c_star if scenario != "constant" else 1.0)
+
+
 @dataclass
 class Problem:
     """The objects one configuration is solved with; scenario is the
@@ -179,7 +186,7 @@ def build_problem(cfg):
         layout = build_coarse_layout(mesh, k, cfg.alpha)
     decomp = build_decomposition(mesh, layout)
 
-    scenario = "constant" if cfg.c_star == 1.0 else cfg.scenario.replace("-", "_")
+    scenario = _scenario_columns(cfg)["scenario"].replace("-", "_")
     # the shifted square moves north-west by the overlap
     offset = decomp.overlap_layers if scenario == "shifted_square" else 0
     ws = build_wavespeed(mesh, scenario, c_star=cfg.c_star, offset=offset)
@@ -229,9 +236,7 @@ def solve_problem(cfg, problem):
     err = "; ".join(notes) or None
     return ResultRow(
         preset=cfg.preset, k=k, n=mesh.n, mesh_rule=cfg.mesh_rule,
-        precond=cfg.precond, alpha=cfg.alpha, beta=cfg.beta,
-        scenario=problem.scenario.replace("_", "-"),
-        c_star=cfg.c_star if problem.scenario != "constant" else 1.0,
+        precond=cfg.precond, alpha=cfg.alpha, beta=cfg.beta, **_scenario_columns(cfg),
         outer_iters=rep.iterations if rep.converged else -1,
         inner_iters_avg=inner_avg, converged=rep.converged,
         time_total_s=elapsed,
@@ -338,7 +343,7 @@ def run_table(preset, k_values, progress=None, **overrides):
             rows.append(ResultRow(
                 preset=cfg.preset, k=cfg.k, n=0, mesh_rule=cfg.mesh_rule,
                 precond=cfg.precond, alpha=cfg.alpha, beta=cfg.beta,
-                scenario=cfg.scenario, c_star=cfg.c_star, outer_iters=-1,
+                **_scenario_columns(cfg), outer_iters=-1,
                 inner_iters_avg=None, converged=False, time_total_s=0.0,
                 time_per_iter_s=0.0, final_relres=float("nan"),
                 error=f"{type(exc).__name__}: {exc}"))

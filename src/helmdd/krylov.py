@@ -16,6 +16,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 _BLOCK = 32  # Krylov basis growth increment (columns)
+# a second Gram-Schmidt pass runs when the first leaves a component above this
+# fraction of the new vector's norm
+_REORTH_THRESHOLD = 1e-8
 
 
 class GmresBreakdown(RuntimeError):
@@ -29,7 +32,6 @@ class KrylovConfig:
     rel_tol: float = 1e-6
     max_iters: int = 200
     weight: object = None   # HPD matrix, weighted_gmres only
-    reorth_threshold: float = 1e-8
 
     def __post_init__(self):
         if self.variant not in ("gmres", "weighted_gmres", "fgmres"):
@@ -154,7 +156,7 @@ def _solve(A, M, b, cfg):
         t = wdot(w) if wdot else w
         corr = V[:, :j + 1].conj().T @ t
         hh = np.sqrt(max(wnorm_sq(w, t), 0.0))
-        if np.linalg.norm(corr) > cfg.reorth_threshold * max(hh, 1e-300):
+        if np.linalg.norm(corr) > _REORTH_THRESHOLD * max(hh, 1e-300):
             w = w - V[:, :j + 1] @ corr
             h = h + corr
             t = wdot(w) if wdot else w

@@ -2,7 +2,7 @@
 and piecewise-constant wave-speed fields."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,7 +128,6 @@ class CoarseLayout:
     breaks_x: np.ndarray  # fine gridline indices, length M+1
     breaks_y: np.ndarray
     mesh: FineMesh
-    _coarse_mesh: FineMesh = field(default=None, repr=False, compare=False)
 
     @property
     def widths_x(self):
@@ -144,11 +143,7 @@ class CoarseLayout:
 
     def as_mesh(self):
         """The coarse triangulation as a mesh of its own (gridlines snapped)."""
-        if self._coarse_mesh is None:
-            self._coarse_mesh = FineMesh(self.M,
-                                         xs=self.mesh.xs[self.breaks_x],
-                                         ys=self.mesh.ys[self.breaks_y])
-        return self._coarse_mesh
+        return FineMesh(self.M, xs=self.mesh.xs[self.breaks_x], ys=self.mesh.ys[self.breaks_y])
 
 
 def snap_breakpoints(m, M, anchors=()):

@@ -10,13 +10,14 @@ apply takes a vector (n,) or a block (n, c) of columns; to_dense is apply on
 identity column blocks, so the analysis studies the operator GMRES applies.
 
 The coarse solve, the local impedance solves, or both may be nested: an inner
-GMRES (NestedSolver) preconditioned by a one-level ImpRAS1 over subdomains of
-diameter ~k^-alpha_inner.  build_preconditioner takes either nesting as a
-dict of the same keywords (k, alpha_inner, tol, max_iters).  The operator
-lists its nested solvers in one place, PreconditionerOperator.nested; they
-hold its inner iteration counts and failures, and any of them makes the
-operator vary per application (flexible), so it must sit under flexible
-outer GMRES.
+GMRES (NestedSolver, one per column) preconditioned by a one-level ImpRAS1
+over subdomains of diameter ~k^-alpha_inner.  build_preconditioner takes
+either nesting as a dict of the same keywords (k, alpha_inner, tol,
+max_iters).  A nested local solve is per class of equal local matrices, as a
+factorisation is.  The operator lists its nested solvers in one place,
+PreconditionerOperator.nested; they hold its inner iteration counts and
+failures, and any of them makes the operator vary per application
+(flexible), so it must sit under flexible outer GMRES.
 """
 
 import contextlib
@@ -35,6 +36,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import assemble_local_impedance, csr_diagonal_blocks
 from .decomposition import build_block_decomposition, build_decomposition
+from .krylov import KrylovConfig, gmres
 from .mesh import ceil_snapped, layout_from_blocks, round_half_up
 
 DENSE_SOLVE_CUTOFF = 200  # below this, dense LAPACK beats SuperLU call overhead
@@ -145,31 +147,29 @@ class DirectFactorization:
 class NestedSolver:
     """Inexact solve: right-preconditioned GMRES run to a loose tolerance.
 
-    Divergence at the iteration cap is recorded as a failure status on the
-    solver (the current iterate is still returned), never raised.
+    solve takes a vector (s,) or a block (s, G) and runs one inner GMRES, and
+    records one iteration count, per column.  Divergence at the iteration cap
+    is recorded as a failure status on the solver (the current iterate is
+    still returned), never raised.
     """
 
     def __init__(self, matrix, inner_precond, inner_tol=0.5, inner_max_iters=200):
         self.matrix = matrix.tocsr() if sp.issparse(matrix) else matrix
         self.inner_precond = inner_precond
-        self.inner_tol = float(inner_tol)
-        self.inner_max_iters = int(inner_max_iters)
-        self.n = self.matrix.shape[0]
+        self.config = KrylovConfig(variant="gmres", side="right", rel_tol=float(inner_tol),
+                                   max_iters=int(inner_max_iters))
         self.inner_counts = []
         self.failures = 0
 
     def solve(self, rhs):
-        from .krylov import KrylovConfig, gmres
-
-        if np.ndim(rhs) == 2 and np.shape(rhs)[1] > 1:
-            raise ValueError("a nested solve takes one right-hand side")
-        cfg = KrylovConfig(variant="gmres", side="right", rel_tol=self.inner_tol,
-                           max_iters=self.inner_max_iters)
-        x, rep = gmres(self.matrix, self.inner_precond, rhs, cfg)
-        self.inner_counts.append(rep.iterations)
-        if not rep.converged:
-            self.failures += 1
-        return x
+        rhs = np.asarray(rhs)
+        cols = rhs.reshape(len(rhs), -1)
+        x = np.empty(cols.shape, dtype=np.complex128)
+        for j in range(cols.shape[1]):
+            x[:, j], rep = gmres(self.matrix, self.inner_precond, cols[:, j], self.config)
+            self.inner_counts.append(rep.iterations)
+            self.failures += not rep.converged
+        return x.reshape(rhs.shape)
 
 
 def _class_key(matrix):
@@ -196,18 +196,20 @@ def _same_matrix(a, rep):
 class LocalSolves:
     """Batched local solves with plain (AS) or RAS-weighted recombination.
 
-    Built from one entry per subdomain: (local, solve_set, own_nodes,
-    own_weights), where local is the local matrix or an inexact solver
-    (NestedSolver), solve_set the sorted index set it acts on (interior nodes
-    for Dirichlet local problems, closed nodes for impedance ones), and
-    own_nodes/own_weights the subdomain's RAS partition of unity.
+    Built from one entry per subdomain: (matrix, solve_set, own_nodes,
+    own_weights), where matrix is the local matrix, solve_set the sorted index
+    set it acts on (interior nodes for Dirichlet local problems, closed nodes
+    for impedance ones), and own_nodes/own_weights the subdomain's RAS
+    partition of unity.
 
-    Local matrices are grouped into classes that share one factorisation: a
-    matrix joins a class when it has the class representative's pattern and
-    its entries agree to round-off (_same_matrix), so translated copies of one
-    subdomain share a factor while differing coefficients never do.  An
-    inexact solver is a class of its own.  apply takes a vector or a block of
-    c columns: it gathers every restriction with one index array, runs one
+    Local matrices are grouped into classes that share one solver: a matrix
+    joins a class when it has the class representative's pattern and its
+    entries agree to round-off (_same_matrix), so translated copies of one
+    subdomain share a solver while differing coefficients never do.
+    class_solver(matrix, first) builds a class's solver from its
+    representative and the index of its first entry (default: a
+    DirectFactorization of the matrix).  apply takes a vector or a block of c
+    columns: it gathers every restriction with one index array, runs one
     multi-right-hand-side solve per class on the (s, G*c) block of its G
     subdomains, and recombines all local solutions with one sparse matrix:
     R_w^T (RAS weights) when weighted, else R^T.
@@ -216,29 +218,24 @@ class LocalSolves:
     persistent thread pool; results are identical to the serial ones.
     """
 
-    def __init__(self, n, entries, weighted, threads=1):
-        self.n = n
-        reps, members, keys = [], [], {}
-        for local, solve_set, own_nodes, own_w in entries:
-            solve_set = np.asarray(solve_set, dtype=np.int64)
-            if isinstance(local, NestedSolver):
-                reps.append(local)
+    def __init__(self, n, entries, weighted, threads=1, class_solver=None):
+        reps, firsts, members, keys = [], [], [], {}
+        for i, (local, solve_set, own_nodes, own_w) in enumerate(entries):
+            mat = sp.csr_matrix(local, dtype=np.complex128)
+            mat.sum_duplicates()
+            bucket = keys.setdefault(_class_key(mat), [])
+            cls = next((c for c in bucket if _same_matrix(mat, reps[c])), None)
+            if cls is None:
+                cls = len(reps)
+                reps.append(mat)
+                firsts.append(i)
                 members.append([])
-                cls = len(reps) - 1
-            else:
-                mat = sp.csr_matrix(local, dtype=np.complex128)
-                mat.sum_duplicates()
-                bucket = keys.setdefault(_class_key(mat), [])
-                cls = next((c for c in bucket if _same_matrix(mat, reps[c])), None)
-                if cls is None:
-                    reps.append(mat)
-                    members.append([])
-                    cls = len(reps) - 1
-                    bucket.append(cls)
-            members[cls].append((solve_set, np.asarray(own_nodes), np.asarray(own_w)))
+                bucket.append(cls)
+            members[cls].append((np.asarray(solve_set, dtype=np.int64),
+                                 np.asarray(own_nodes), np.asarray(own_w)))
+        class_solver = class_solver or (lambda matrix, first: DirectFactorization(matrix))
         with _one_blas_thread():
-            self.solvers = [r if isinstance(r, NestedSolver) else DirectFactorization(r)
-                            for r in reps]
+            self.solvers = [class_solver(mat, first) for mat, first in zip(reps, firsts)]
 
         # classes occupy consecutive segments [lo, hi) of the gathered vector,
         # each laid out subdomain after subdomain
@@ -411,8 +408,9 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     nested_coarse and nested_local take the same keywords: k (required),
     alpha_inner, tol and max_iters of the inner GMRES.  nested_coarse replaces
     the direct coarse factorization by build_nested_coarse_solver; nested_local
-    makes every local impedance solve an inner GMRES preconditioned by a block
-    ImpRAS1 on the subdomain (_nested_local_solver).
+    solves every class of equal local impedance matrices by an inner GMRES
+    preconditioned by a block ImpRAS1 on the class's first subdomain
+    (_nested_local_solver), shared by all members as a factorisation is.
     """
     impedance = kind in _IMPEDANCE_KINDS
     if nested_coarse is not None and kind not in _COARSE_KINDS:
@@ -421,6 +419,7 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
         raise ValueError(f"{kind} has no impedance local solves to nest")
     subs = [sub for sub in decomp.subdomains
             if len(sub.closed_nodes if impedance else sub.interior_nodes)]
+    class_solver = None
     if impedance:
         sets = [sub.closed_nodes for sub in subs]
         # one batch per subdomain: one batch of all of them would hold every
@@ -429,14 +428,15 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
         locals_iter = (assemble_local_impedance(mesh, [sub.element_ids], coeff_prec)[0]
                        for sub in subs)
         if nested_local is not None:
-            locals_iter = (_nested_local_solver(mesh, sub, mat, coeff_prec, **nested_local)
-                           for sub, mat in zip(subs, locals_iter))
+            class_solver = lambda matrix, first: _nested_local_solver(  # noqa: E731
+                mesh, subs[first], matrix, coeff_prec, **nested_local)
     else:
         sets = [sub.interior_nodes for sub in subs]
         locals_iter = _principal_submatrices(A_prec, sets)
     entries = ((local, solve_set, sub.own_nodes, sub.own_weights)
                for local, solve_set, sub in zip(locals_iter, sets, subs))
-    locals_ = LocalSolves(mesh.n, entries, kind in _WEIGHTED_KINDS, threads=threads)
+    locals_ = LocalSolves(mesh.n, entries, kind in _WEIGHTED_KINDS, threads=threads,
+                          class_solver=class_solver)
 
     coarse = None
     if kind in _COARSE_KINDS:
@@ -485,5 +485,4 @@ def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, *, k, alpha_inner=0.
     entries = ((mat, np.searchsorted(sub.closed_nodes, blk.closed_nodes),
                 np.searchsorted(sub.closed_nodes, blk.own_nodes), blk.own_weights)
                for mat, blk in zip(blocks, bdec.subdomains))
-    inner = PreconditionerOperator("ImpRAS1", nloc, LocalSolves(nloc, entries, True))
-    return NestedSolver(imp_matrix, inner, tol, max_iters)
+    return NestedSolver(imp_matrix, LocalSolves(nloc, entries, True), tol, max_iters)

@@ -182,6 +182,20 @@ def test_run_table_records_row_errors_and_continues():
     assert all((not r.converged) and r.outer_iters == -1 and r.error for r in rows)
 
 
+def test_error_rows_name_the_configuration_as_run_rows_do():
+    # every row fails at the size guard; its scenario and c_star columns are
+    # those the configuration reports when it runs (constant at c_star = 1,
+    # hyphenated names)
+    rows = run_table("table6_variable", [70])
+    assert len(rows) == 20 and all(r.error and r.outer_iters == -1 for r in rows)
+    assert {(r.scenario, r.c_star) for r in rows} == {
+        ("centered-square", 1.5), ("shifted-square", 1.5), ("constant", 1.0),
+        ("centered-square", 0.66), ("shifted-square", 0.66)}
+    rows = run_table("table6_variable", [70], scenario="shifted_square")
+    assert {(r.scenario, r.c_star) for r in rows} == {
+        ("shifted-square", 1.5), ("constant", 1.0), ("shifted-square", 0.66)}
+
+
 def test_determinism():
     cfg = ExperimentConfig(k=15, mesh_rule="points_per_wavelength", precond="ImpHRAS",
                            alpha=0.5, beta=1.0, rhs="ones")

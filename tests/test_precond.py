@@ -143,11 +143,18 @@ def test_apply_matches_to_dense(kind):
         assert np.linalg.norm(P.apply(v) - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_block_apply_matches_column_applies(kind):
-    mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
+@pytest.mark.parametrize("kind, nested", [pytest.param(kind, False, id=kind) for kind in KINDS]
+                         + [pytest.param("ImpRAS1", True, id="ImpRAS1-nested")])
+def test_block_apply_matches_column_applies(kind, nested):
+    # a nested local solve runs one inner GMRES per column of the block
+    if nested:
+        mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
+        nesting = dict(nested_local=dict(k=6.0))
+    else:
+        mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
+        nesting = {}
     P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec,
-                             coeff_prec=coeff, system_matrix=A_sys)
+                             coeff_prec=coeff, system_matrix=A_sys, **nesting)
     rng = np.random.default_rng(13)
     V = rng.standard_normal((mesh.n, 3)) + 1j * rng.standard_normal((mesh.n, 3))
     want = np.column_stack([P.apply(V[:, j]) for j in range(3)])
@@ -155,15 +162,6 @@ def test_block_apply_matches_column_applies(kind):
     assert got.shape == (mesh.n, 3)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert P.apply(V[:, 0]).shape == (mesh.n,)
-
-
-def test_nested_apply_refuses_blocks():
-    # one inner GMRES records one count: a block would be ravelled into one vector
-    mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
-    P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
-                             coeff_prec=coeff, nested_local=dict(k=6.0))
-    with pytest.raises(ValueError, match="one right-hand side"):
-        P.apply(np.ones((mesh.n, 2), complex))
 
 
 @pytest.mark.parametrize("kind, nesting", [("RAS1", "nested_coarse"),
@@ -363,21 +361,29 @@ def _oracle_local_matrices(kind, mesh, decomp, A_prec, coeff):
             for sub in decomp.subdomains if len(sub.interior_nodes)]
 
 
-@pytest.mark.parametrize("kind", ["HRAS", "ImpHRAS"])
+@pytest.mark.parametrize("kind, nested", [
+    pytest.param("HRAS", False, id="HRAS"),
+    pytest.param("ImpHRAS", False, id="ImpHRAS"),
+    pytest.param("ImpHRAS", True, id="ImpHRAS-nested"),
+])
 @pytest.mark.parametrize("setup", [
     dict(m=16, M=4, k=5.0, eps=5.0),
     dict(m=12, M=4, k=4.0, scenario="centered-square", c_star=1.5),
 ])
-def test_local_solves_share_factors_of_equal_matrices_only(kind, setup):
+def test_local_solves_share_factors_of_equal_matrices_only(kind, nested, setup):
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(**setup)
+    nesting = dict(nested_local=dict(k=setup["k"])) if nested else {}
     P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec,
-                             coeff_prec=coeff, system_matrix=A_sys)
+                             coeff_prec=coeff, system_matrix=A_sys, **nesting)
     locals_ = _oracle_local_matrices(kind, mesh, decomp, A_prec, coeff)
-    # one factorisation per distinct local matrix: translated copies share,
-    # matrices with different coefficients never do
+    # one factorisation (or nested solver) per distinct local matrix:
+    # translated copies share, matrices with different coefficients never do
     assert len(P.locals_.solvers) == _distinct_count(locals_)
     if setup.get("scenario") is None:
         assert len(P.locals_.solvers) < len(decomp.subdomains)
+    if nested:
+        assert len(P.nested) == _distinct_count(locals_)
+        return
     Bd = dense_preconditioner(kind, mesh, decomp, A_sys, A_prec, coeff)
     rng = np.random.default_rng(8)
     for _ in range(3):
@@ -420,7 +426,8 @@ def test_local_solves_restore_blas_thread_count():
 
     nested = NestedSolver(A_prec, record, inner_tol=1e-14, inner_max_iters=2)
     own = np.arange(mesh.n)
-    probe = LocalSolves(mesh.n, [(nested, own, own, np.ones(mesh.n))], weighted=True)
+    probe = LocalSolves(mesh.n, [(A_prec, own, own, np.ones(mesh.n))], weighted=True,
+                        class_solver=lambda matrix, first: nested)
     v = np.ones(mesh.n, complex)
     before = get()
     try:
@@ -441,7 +448,8 @@ def test_local_solves_restore_blas_thread_count():
 
 def test_nested_inner_counts_pinned():
     # inner iteration counts of the per-subdomain implementation, which
-    # batching and shared factorisations must reproduce exactly
+    # batching and shared solvers must reproduce exactly; the 4 subdomains
+    # form one class, whose solver records apply by apply, member by member
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
     P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
                              coeff_prec=coeff,
@@ -449,7 +457,8 @@ def test_nested_inner_counts_pinned():
     b = np.ones(mesh.n, complex)
     x, rep = fgmres(A_sys, P, b, KrylovConfig(variant="fgmres", rel_tol=1e-8))
     assert rep.iterations == 19
-    assert P.inner_counts() == [  # subdomain by subdomain
+    assert len(P.nested) == 1
+    assert np.reshape(P.inner_counts(), (19, 4)).T.ravel().tolist() == [  # by subdomain
         3, 2, 1, 2, 2, 2, 1, 2, 1, 1, 1, 1, 2, 2, 1, 1, 2, 1, 1,
         3, 2, 1, 2, 2, 2, 1, 2, 1, 1, 1, 1, 2, 2, 2, 1, 1, 1, 1,
         3, 2, 1, 2, 2, 2, 1, 2, 1, 1, 1, 1, 2, 2, 2, 1, 1, 1, 1,
