@@ -7,15 +7,25 @@ D-norm; with D = I it reproduces standard GMRES iterate for iterate.  FGMRES
 stores the preconditioned directions and therefore tolerates preconditioners
 that change between applications (nested inner solves); it requires right
 preconditioning.
+
+The right-hand side is a vector (n,) or a block (n, G) of independent
+columns.  The G columns run in lockstep through one Arnoldi loop: each step
+makes one block product with the operator and one block preconditioner apply
+on the columns still active, while Gram-Schmidt, the Givens rotations and the
+convergence test are per column.  A column freezes once it converges or
+reaches max_iters (then it counts as not converged).  A vector hands (n,)
+vectors to the operator and preconditioner, a block hands (n, g) blocks of
+its active columns.  The basis is stored as rows, (G, m, n), so that
+h = V^H w is (V @ w.conj()).conj() with no conjugate copy of V; it is
+allocated _FIRST_ROWS rows deep and doubles whenever the iterations fill it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
-_BLOCK = 32  # Krylov basis growth increment (columns)
+_FIRST_ROWS = 8  # basis depth (vectors per column) allocated at the start
 # a second Gram-Schmidt pass runs when the first leaves a component above this
 # fraction of the new vector's norm
 _REORTH_THRESHOLD = 1e-8
@@ -67,16 +77,10 @@ def _as_apply(M):
     return M
 
 
-def _grow(V, j, n, dtype):
-    if V is None or j >= V.shape[1]:
-        extra = np.zeros((n, _BLOCK), dtype=dtype)
-        V = extra if V is None else np.concatenate([V, extra], axis=1)
-    return V
-
-
 def gmres(A, preconditioner, b, config=None):
-    """GMRES of the config's variant (standard, weighted or flexible); returns
-    (solution, KrylovReport)."""
+    """GMRES of the config's variant (standard, weighted or flexible).  For a
+    vector b returns (x, KrylovReport); for a block b of G columns returns
+    (X, list of G KrylovReports), one per column."""
     return _solve(A, preconditioner, b, config or KrylovConfig())
 
 
@@ -89,6 +93,18 @@ def fgmres(A, preconditioner, b, config=None):
     return _solve(A, preconditioner, b, config)
 
 
+def _rowdots(x, y):
+    """Row-wise x^H y of two (g, n) blocks."""
+    return np.matmul(x.conj()[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _enlarged(a, shape):
+    """a in the leading corner of a zero array of the given shape."""
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(slice(0, s) for s in a.shape)] = a
+    return out
+
+
 def _solve(A, M, b, cfg):
     flexible = cfg.variant == "fgmres"
     matvec = _as_matvec(A)
@@ -98,106 +114,136 @@ def _solve(A, M, b, cfg):
     if getattr(M, "flexible", False) and not flexible:
         raise ValueError("preconditioner varies per application: use fgmres")
     weight = cfg.weight if cfg.variant == "weighted_gmres" else None
-    wdot = (lambda v: weight @ v) if weight is not None else None
+    right = apply_m is not None and cfg.side == "right"
+    left = apply_m is not None and cfg.side == "left"
+    keep_z = flexible and apply_m is not None  # store the directions M v
 
-    b = np.asarray(b, dtype=np.complex128).ravel()
-    n = b.shape[0]
-    bnorm = np.linalg.norm(b)
+    b = np.asarray(b, dtype=np.complex128)
+    vector = b.ndim == 1
+    B = b[None] if vector else np.ascontiguousarray(b.T)  # rows (G, n)
+    G, n = B.shape
 
-    def wnorm_sq(v, wv):
-        return float(np.real(np.vdot(wv, v))) if weight is not None \
-            else float(np.real(np.vdot(v, v)))
+    def call(f, rows):
+        """f on a block of rows (g, n), as (n,) for a vector, else as (n, g)."""
+        if vector:
+            return np.asarray(f(rows[0]), dtype=np.complex128)[None]
+        return np.ascontiguousarray(np.asarray(f(rows.T), dtype=np.complex128).T)
 
-    def report(x, converged, iters, hist, basis_bytes):
-        res = b - matvec(x)
-        true_rel = float(np.linalg.norm(res) / bnorm) if bnorm > 0 else 0.0
-        return x, KrylovReport(converged, iters, np.asarray(hist), true_rel, basis_bytes)
+    def wdot(w):
+        return call(lambda v: weight @ v, w) if weight is not None else w
 
-    r0 = apply_m(b) if (apply_m is not None and cfg.side == "left") else b
-    t0 = wdot(r0) if wdot else r0
-    beta = np.sqrt(wnorm_sq(r0, t0))
-    if beta == 0.0 or bnorm == 0.0:
-        return report(np.zeros(n, np.complex128), True, 0, [0.0], 0)
+    def wnorms(w, t):
+        return np.sqrt(np.maximum(_rowdots(w, t).real, 0.0))
+
+    bnorm = np.linalg.norm(B, axis=1)
+    R0 = call(apply_m, B) if left else B
+    beta = wnorms(R0, wdot(R0))
+    act = np.flatnonzero((beta > 0) & (bnorm > 0))  # columns still iterating
 
     mx = cfg.max_iters
-    H = np.zeros((mx + 1, mx), dtype=np.complex128)
-    giv = np.zeros((mx, 2), dtype=np.complex128)  # rows (conj(a)/r, b/r)
-    g = np.zeros(mx + 1, dtype=np.complex128)
-    g[0] = beta
-    V = None
-    Z = None
-    V = _grow(V, 0, n, np.complex128)
-    V[:, 0] = r0 / beta
-    hist = [1.0]
-    converged = False
-    m = 0
+    Y = np.zeros((G, n), dtype=np.complex128)  # V y (Z y if flexible) per column
+    iters = np.zeros(G, dtype=np.int64)
+    converged = np.ones(G, dtype=bool)
+    hist = np.zeros((G, mx + 1))
+    hist[:, 0] = 1.0
+    basis_bytes = np.zeros(G, dtype=np.int64)
 
-    for j in range(mx):
-        V = _grow(V, j + 1, n, np.complex128)
+    # state of the active columns, row i for column act[i]
+    cap = min(mx, _FIRST_ROWS)
+    V = np.empty((len(act), cap, n), dtype=np.complex128)
+    Z = np.empty_like(V) if keep_z else None
+    R = np.zeros((len(act), cap, cap), dtype=np.complex128)  # rotated Hessenberg
+    giv = np.zeros((len(act), mx, 2), dtype=np.complex128)  # (conj(a)/r, b/r)
+    g = np.zeros((len(act), mx + 1), dtype=np.complex128)
+    beta_a = beta[act]
+    g[:, 0] = beta_a
+    V[:, 0] = R0[act] / beta_a[:, None]
+
+    for j in range(mx if len(act) else 0):
         u = V[:, j]
-        if flexible and apply_m is not None:
-            Z = _grow(Z, j, n, np.complex128)
-            Z[:, j] = apply_m(u)
-            w = matvec(Z[:, j])
-        elif apply_m is not None and cfg.side == "right":
-            w = matvec(apply_m(u))
-        elif apply_m is not None and cfg.side == "left":
-            w = apply_m(matvec(u))
+        if keep_z:
+            Z[:, j] = call(apply_m, u)
+            w = call(matvec, Z[:, j])
+        elif right:
+            w = call(matvec, call(apply_m, u))
+        elif left:
+            w = call(apply_m, call(matvec, u))
         else:
-            w = matvec(u)
-        w = np.asarray(w, dtype=np.complex128)
+            w = call(matvec, u)
 
         # classical Gram-Schmidt in the weighted inner product, with one
-        # re-orthogonalisation pass when orthogonality loss exceeds the
-        # threshold (CGS2)
-        t = wdot(w) if wdot else w
-        h = V[:, :j + 1].conj().T @ t
-        w = w - V[:, :j + 1] @ h
-        t = wdot(w) if wdot else w
-        corr = V[:, :j + 1].conj().T @ t
-        hh = np.sqrt(max(wnorm_sq(w, t), 0.0))
-        if np.linalg.norm(corr) > _REORTH_THRESHOLD * max(hh, 1e-300):
-            w = w - V[:, :j + 1] @ corr
+        # re-orthogonalisation pass for the columns whose orthogonality loss
+        # exceeds the threshold (CGS2); the others subtract exact zeros
+        Vj = V[:, :j + 1]
+        h = np.matmul(Vj, wdot(w).conj()[:, :, None])[:, :, 0].conj()
+        w = w - np.matmul(h[:, None, :], Vj)[:, 0]
+        t = wdot(w)
+        corr = np.matmul(Vj, t.conj()[:, :, None])[:, :, 0].conj()
+        hh = wnorms(w, t)
+        redo = np.linalg.norm(corr, axis=1) > _REORTH_THRESHOLD * np.maximum(hh, 1e-300)
+        if redo.any():
+            corr[~redo] = 0.0
+            w = w - np.matmul(corr[:, None, :], Vj)[:, 0]
             h = h + corr
-            t = wdot(w) if wdot else w
-            hh = np.sqrt(max(wnorm_sq(w, t), 0.0))
+            hh = wnorms(w, wdot(w))
 
-        H[:j + 1, j] = h
-        H[j + 1, j] = hh
-        # previously accumulated Givens rotations
+        # previously accumulated Givens rotations, then this step's
         for i in range(j):
-            ca, sb = giv[i]
-            hi, hi1 = H[i, j], H[i + 1, j]
-            H[i, j] = ca * hi + sb * hi1
-            H[i + 1, j] = -sb * hi + np.conj(ca) * hi1
-        a = H[j, j]
+            ca, sb = giv[:, i, 0], giv[:, i, 1]
+            hi, hi1 = h[:, i], h[:, i + 1]
+            h[:, i], h[:, i + 1] = ca * hi + sb * hi1, -sb * hi + np.conj(ca) * hi1
+        a = h[:, j]
         r = np.sqrt(np.abs(a) ** 2 + hh ** 2)
-        if r == 0.0:
+        if np.any(r == 0.0):
             raise GmresBreakdown("zero column in Hessenberg update")
-        giv[j, 0] = np.conj(a) / r
-        giv[j, 1] = hh / r
-        H[j, j] = r
-        H[j + 1, j] = 0.0
-        g[j + 1] = -giv[j, 1] * g[j]
-        g[j] = giv[j, 0] * g[j]
-        rel = float(np.abs(g[j + 1]) / beta)
-        hist.append(rel)
-        m = j + 1
-        if rel <= cfg.rel_tol:
-            converged = True
-            break
-        breakdown = hh <= 1e-14 * beta
-        if breakdown:
-            raise GmresBreakdown(
-                f"Arnoldi breakdown at iteration {m} with residual {rel:.3e}")
-        V[:, j + 1] = w / hh
+        giv[:, j, 0] = np.conj(a) / r
+        giv[:, j, 1] = hh / r
+        h[:, j] = r
+        R[:, :j + 1, j] = h
+        g[:, j + 1] = -giv[:, j, 1] * g[:, j]
+        g[:, j] = giv[:, j, 0] * g[:, j]
+        rel = np.abs(g[:, j + 1]) / beta_a
+        hist[act, j + 1] = rel
+        done = rel <= cfg.rel_tol
+        broken = np.flatnonzero(~done & (hh <= 1e-14 * beta_a))
+        if len(broken):
+            raise GmresBreakdown(f"Arnoldi breakdown at iteration {j + 1} "
+                                 f"with residual {rel[broken[0]]:.3e}")
+        converged[act] = done
+        if j + 1 == mx:
+            done[:] = True
 
-    y = sla.solve_triangular(H[:m, :m], g[:m], lower=False)
-    if flexible and apply_m is not None:
-        x = Z[:, :m] @ y
-    else:
-        x = V[:, :m] @ y
-        if apply_m is not None and cfg.side == "right":
-            x = apply_m(x)
-    basis_bytes = V.nbytes + (Z.nbytes if Z is not None else 0)
-    return report(x, converged, m, hist, basis_bytes)
+        # freeze the finished columns: their iterates, then drop their state
+        if done.any():
+            fin = slice(None) if done.all() else np.flatnonzero(done)
+            y = np.linalg.solve(R[fin, :j + 1, :j + 1], g[fin, :j + 1, None])
+            Y[act[fin]] = np.matmul(y.transpose(0, 2, 1), (Z if keep_z else V)[fin, :j + 1])[:, 0]
+            iters[act[fin]] = j + 1
+            basis_bytes[act[fin]] = V[0].nbytes * (2 if keep_z else 1)
+            if done.all():
+                break
+            keep = ~done
+            act, beta_a, w, hh = act[keep], beta_a[keep], w[keep], hh[keep]
+            V, R, giv, g = V[keep], R[keep], giv[keep], g[keep]
+            Z = Z[keep] if keep_z else None
+        if j + 1 == cap:  # the basis is full: double its depth
+            cap = min(mx, 2 * cap)
+            V = _enlarged(V, (len(act), cap, n))
+            Z = _enlarged(Z, V.shape) if keep_z else None
+            R = _enlarged(R, (len(act), cap, cap))
+        V[:, j + 1] = w / hh[:, None]
+
+    ran = np.flatnonzero(iters > 0)
+    X = Y
+    if right and not flexible and len(ran):
+        X = np.zeros((G, n), dtype=np.complex128)
+        X[ran] = call(apply_m, Y[ran])
+    res = B - call(matvec, X)
+    true_rel = np.linalg.norm(res, axis=1) / np.where(bnorm > 0, bnorm, np.inf)
+    reports = [KrylovReport(bool(converged[c]), int(iters[c]),
+                            hist[c, :iters[c] + 1].copy() if iters[c] else np.array([0.0]),
+                            float(true_rel[c]), int(basis_bytes[c]))
+               for c in range(G)]
+    if vector:
+        return X[0], reports[0]
+    return np.ascontiguousarray(X.T), reports

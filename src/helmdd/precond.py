@@ -10,14 +10,16 @@ apply takes a vector (n,) or a block (n, c) of columns; to_dense is apply on
 identity column blocks, so the analysis studies the operator GMRES applies.
 
 The coarse solve, the local impedance solves, or both may be nested: an inner
-GMRES (NestedSolver, one per column) preconditioned by a one-level ImpRAS1
-over subdomains of diameter ~k^-alpha_inner.  build_preconditioner takes
-either nesting as a dict of the same keywords (k, alpha_inner, tol,
-max_iters).  A nested local solve is per class of equal local matrices, as a
-factorisation is.  The operator lists its nested solvers in one place,
-PreconditionerOperator.nested; they hold its inner iteration counts and
-failures, and any of them makes the operator vary per application
-(flexible), so it must sit under flexible outer GMRES.
+GMRES (NestedSolver) preconditioned by a one-level ImpRAS1 over subdomains of
+diameter ~k^-alpha_inner.  A nested solver takes the block of columns of one
+class call and solves them in one lockstep GMRES, whose columns stop one by
+one.  build_preconditioner takes either nesting as a dict of the same
+keywords (k, alpha_inner, tol, max_iters).  A nested local solve is per class
+of equal local matrices, as a factorisation is, and the classes share the
+factorisations of their equal inner blocks.  The operator lists its nested
+solvers in one place, PreconditionerOperator.nested; they hold its inner
+iteration counts and failures, and any of them makes the operator vary per
+application (flexible), so it must sit under flexible outer GMRES.
 """
 
 import contextlib
@@ -147,10 +149,12 @@ class DirectFactorization:
 class NestedSolver:
     """Inexact solve: right-preconditioned GMRES run to a loose tolerance.
 
-    solve takes a vector (s,) or a block (s, G) and runs one inner GMRES, and
-    records one iteration count, per column.  Divergence at the iteration cap
-    is recorded as a failure status on the solver (the current iterate is
-    still returned), never raised.
+    solve takes a vector (s,) or a block (s, G) and runs one GMRES on it: the
+    G columns run in lockstep (one block product and one block preconditioner
+    apply per iteration), each stopping on its own, and each records its own
+    iteration count.  A column that reaches the iteration cap is recorded as a
+    failure on the solver (its current iterate is still returned), never
+    raised.
     """
 
     def __init__(self, matrix, inner_precond, inner_tol=0.5, inner_max_iters=200):
@@ -162,14 +166,11 @@ class NestedSolver:
         self.failures = 0
 
     def solve(self, rhs):
-        rhs = np.asarray(rhs)
-        cols = rhs.reshape(len(rhs), -1)
-        x = np.empty(cols.shape, dtype=np.complex128)
-        for j in range(cols.shape[1]):
-            x[:, j], rep = gmres(self.matrix, self.inner_precond, cols[:, j], self.config)
-            self.inner_counts.append(rep.iterations)
-            self.failures += not rep.converged
-        return x.reshape(rhs.shape)
+        x, reps = gmres(self.matrix, self.inner_precond, rhs, self.config)
+        reps = [reps] if np.ndim(rhs) == 1 else reps
+        self.inner_counts += [rep.iterations for rep in reps]
+        self.failures += sum(not rep.converged for rep in reps)
+        return x
 
 
 def _class_key(matrix):
@@ -191,6 +192,39 @@ def _same_matrix(a, rep):
         return True
     tol = _SHARE_TOLERANCE_EPS * np.finfo(np.float64).eps * np.abs(rep.data).max()
     return bool(np.abs(a.data - rep.data).max() <= tol)
+
+
+class _MatrixClasses:
+    """Classes of equal matrices in order of appearance: a matrix joins the
+    first class whose representative (its first matrix) it equals under
+    _same_matrix, looked up by _class_key."""
+
+    def __init__(self):
+        self.reps = []
+        self._keys = {}
+
+    def index(self, mat):
+        """The class of a CSR matrix, a new one after the last if none fits."""
+        bucket = self._keys.setdefault(_class_key(mat), [])
+        cls = next((c for c in bucket if _same_matrix(mat, self.reps[c])), None)
+        if cls is None:
+            cls = len(self.reps)
+            self.reps.append(mat)
+            bucket.append(cls)
+        return cls
+
+
+def _shared_factorizations():
+    """A class_solver for several LocalSolves that factorises each distinct
+    matrix once across all of them."""
+    classes, factors = _MatrixClasses(), []
+
+    def factor(matrix, first):
+        cls = classes.index(matrix)
+        if cls == len(factors):
+            factors.append(DirectFactorization(matrix))
+        return factors[cls]
+    return factor
 
 
 class LocalSolves:
@@ -219,23 +253,20 @@ class LocalSolves:
     """
 
     def __init__(self, n, entries, weighted, threads=1, class_solver=None):
-        reps, firsts, members, keys = [], [], [], {}
+        classes, firsts, members = _MatrixClasses(), [], []
         for i, (local, solve_set, own_nodes, own_w) in enumerate(entries):
             mat = sp.csr_matrix(local, dtype=np.complex128)
             mat.sum_duplicates()
-            bucket = keys.setdefault(_class_key(mat), [])
-            cls = next((c for c in bucket if _same_matrix(mat, reps[c])), None)
-            if cls is None:
-                cls = len(reps)
-                reps.append(mat)
+            cls = classes.index(mat)
+            if cls == len(members):
                 firsts.append(i)
                 members.append([])
-                bucket.append(cls)
             members[cls].append((np.asarray(solve_set, dtype=np.int64),
                                  np.asarray(own_nodes), np.asarray(own_w)))
         class_solver = class_solver or (lambda matrix, first: DirectFactorization(matrix))
         with _one_blas_thread():
-            self.solvers = [class_solver(mat, first) for mat, first in zip(reps, firsts)]
+            self.solvers = [class_solver(mat, first)
+                            for mat, first in zip(classes.reps, firsts)]
 
         # classes occupy consecutive segments [lo, hi) of the gathered vector,
         # each laid out subdomain after subdomain
@@ -410,7 +441,8 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     the direct coarse factorization by build_nested_coarse_solver; nested_local
     solves every class of equal local impedance matrices by an inner GMRES
     preconditioned by a block ImpRAS1 on the class's first subdomain
-    (_nested_local_solver), shared by all members as a factorisation is.
+    (_nested_local_solver), shared by all members as a factorisation is; the
+    block factorisations are shared across classes (_shared_factorizations).
     """
     impedance = kind in _IMPEDANCE_KINDS
     if nested_coarse is not None and kind not in _COARSE_KINDS:
@@ -428,8 +460,10 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
         locals_iter = (assemble_local_impedance(mesh, [sub.element_ids], coeff_prec)[0]
                        for sub in subs)
         if nested_local is not None:
+            # the classes' inner block solves share their factorisations
+            block_solver = _shared_factorizations()
             class_solver = lambda matrix, first: _nested_local_solver(  # noqa: E731
-                mesh, subs[first], matrix, coeff_prec, **nested_local)
+                mesh, subs[first], matrix, coeff_prec, block_solver, **nested_local)
     else:
         sets = [sub.interior_nodes for sub in subs]
         locals_iter = _principal_submatrices(A_prec, sets)
@@ -469,10 +503,11 @@ def build_nested_coarse_solver(decomp, A_prec, coeff_prec, *, k, alpha_inner=0.5
     return NestedSolver(A0, inner, tol, max_iters)
 
 
-def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, *, k, alpha_inner=0.8,
-                         tol=0.5, max_iters=200):
+def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, block_solver, *, k,
+                         alpha_inner=0.8, tol=0.5, max_iters=200):
     """Inexact local impedance solve: inner GMRES on the subdomain system,
-    preconditioned by ImpRAS1 over blocks of diameter ~k^-alpha_inner."""
+    preconditioned by ImpRAS1 over blocks of diameter ~k^-alpha_inner, whose
+    classes are solved by block_solver (a LocalSolves class_solver)."""
     x0, x1, y0, y1 = sub.cell_rect
     wx = float(mesh.xs[x1] - mesh.xs[x0])
     wy = float(mesh.ys[y1] - mesh.ys[y0])
@@ -485,4 +520,5 @@ def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, *, k, alpha_inner=0.
     entries = ((mat, np.searchsorted(sub.closed_nodes, blk.closed_nodes),
                 np.searchsorted(sub.closed_nodes, blk.own_nodes), blk.own_weights)
                for mat, blk in zip(blocks, bdec.subdomains))
-    return NestedSolver(imp_matrix, LocalSolves(nloc, entries, True), tol, max_iters)
+    return NestedSolver(imp_matrix, LocalSolves(nloc, entries, True, class_solver=block_solver),
+                        tol, max_iters)

@@ -6,7 +6,7 @@ from helmdd.assembly import AssemblyCoefficients, assemble_energy_matrix, assemb
 from helmdd.decomposition import build_decomposition
 from helmdd.krylov import GmresBreakdown, KrylovConfig, fgmres, gmres
 from helmdd.mesh import build_fine_mesh, build_wavespeed, layout_from_blocks
-from helmdd.precond import DirectFactorization, build_preconditioner
+from helmdd.precond import DirectFactorization, NestedSolver, build_preconditioner
 
 from oracles import gmres_residual_oracle
 
@@ -175,3 +175,126 @@ def test_true_residual_reported():
     assert rep.true_relres == pytest.approx(
         np.linalg.norm(b - A @ x) / np.linalg.norm(b), rel=1e-8)
     assert rep.true_relres <= 2e-9
+
+
+# block right-hand sides: G columns in lockstep against G vector solves
+
+def _jacobi(A):
+    dinv = 1.0 / np.diag(A)
+    return lambda v: (v.T * dinv).T  # (n,) or (n, g)
+
+
+def _block_case(variant, side):
+    """(A, M, config, B): a block whose columns converge at different steps
+    (a random column, two in invariant subspaces of 2 and 5 dimensions of the
+    preconditioned operator, and a zero column)."""
+    n = 40
+    A, b = random_system(n, 7, diag=25.0)
+    M = _jacobi(A) if side != "none" else None
+    weight = None
+    if variant == "weighted_gmres":
+        weight = np.diag(np.linspace(1.0, 3.0, n))
+    cfg = KrylovConfig(variant=variant, side=side, rel_tol=1e-10, max_iters=n,
+                       weight=weight)
+    Md = M(np.eye(n)) if M is not None else np.eye(n)
+    K = Md @ A if side == "left" else A @ Md
+    _, W = np.linalg.eig(K)
+    rng = np.random.default_rng(8)
+    B = np.zeros((n, 4), dtype=complex)
+    B[:, 0] = b
+    for c, d in ((1, 2), (2, 5)):
+        r0 = W[:, :d] @ (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        B[:, c] = np.linalg.solve(Md, r0) if side == "left" else r0
+    return A, M, cfg, B
+
+
+BLOCK_VARIANTS = [("gmres", "left"), ("gmres", "right"), ("gmres", "none"),
+                  ("weighted_gmres", "none"), ("weighted_gmres", "left"),
+                  ("fgmres", "right")]
+
+
+@pytest.mark.parametrize("variant, side", BLOCK_VARIANTS)
+def test_block_matches_column_solves(variant, side):
+    A, M, cfg, B = _block_case(variant, side)
+    X, reps = gmres(A, M, B, cfg)
+    assert X.shape == B.shape and len(reps) == B.shape[1]
+    for c in range(B.shape[1]):
+        x, rep = gmres(A, M, B[:, c], cfg)
+        assert reps[c].iterations == rep.iterations
+        assert reps[c].converged == rep.converged
+        assert np.linalg.norm(X[:, c] - x) <= 1e-12 * max(np.linalg.norm(x), 1e-300)
+        assert np.allclose(reps[c].residual_history, rep.residual_history,
+                           rtol=1e-10, atol=1e-14)
+    iters = [r.iterations for r in reps]
+    # frozen columns stay frozen: each column stops at its own step
+    assert iters[1] < iters[2] < iters[0] and iters[3] == 0
+    assert all(r.converged for r in reps)
+    assert np.all(X[:, 3] == 0) and reps[3].true_relres == 0.0
+
+
+def test_block_column_at_cap_beside_converging_ones():
+    A, b = random_system(40, 9, diag=0.0)
+    _, W = np.linalg.eig(A)
+    B = np.stack([W[:, :2] @ np.array([1.0, 2.0j]), b, np.zeros(40), 2 * b + 1j], axis=1)
+    nested = NestedSolver(A, None, inner_tol=1e-10, inner_max_iters=5)
+    X = nested.solve(B)
+    assert nested.inner_counts == [2, 5, 0, 5]
+    assert nested.failures == 2  # exactly the capped columns
+    _, reps = gmres(A, None, B, KrylovConfig(side="none", rel_tol=1e-10, max_iters=5))
+    for c, rep in enumerate(reps):
+        x, want = gmres(A, None, B[:, c], KrylovConfig(side="none", rel_tol=1e-10,
+                                                       max_iters=5))
+        assert (rep.converged, rep.iterations) == (want.converged, want.iterations)
+        assert np.allclose(X[:, c], x, rtol=1e-12, atol=0)
+
+
+# failures: happy breakdown, zero right-hand sides, capped nested solves
+
+def test_happy_breakdown_in_invariant_subspace_converges():
+    A, b = random_system(12, 11)
+    A[2:, :2] = 0.0  # span(e0, e1) is invariant
+    inv = np.zeros(12, dtype=complex)
+    inv[:2] = (1.0, 2.0j)
+    x, rep = gmres(A, None, inv, KrylovConfig(side="none", rel_tol=1e-12))
+    assert rep.converged and rep.iterations <= 2
+    assert rep.true_relres < 1e-12
+    # in a block, the breakdown column freezes while the other one runs on
+    X, reps = gmres(A, None, np.stack([inv, b], axis=1),
+                    KrylovConfig(side="none", rel_tol=1e-12))
+    assert reps[0].iterations == rep.iterations and reps[0].converged
+    assert reps[1].converged and reps[1].iterations > rep.iterations
+    assert np.allclose(X[:, 0], x, rtol=1e-12, atol=0)
+
+
+def test_zero_rhs_under_fgmres():
+    A, b = random_system(10, 12)
+    M = _jacobi(A)
+    cfg = KrylovConfig(variant="fgmres", rel_tol=1e-10)
+    x, rep = fgmres(A, M, np.zeros(10), cfg)
+    assert rep.converged and rep.iterations == 0 and np.all(x == 0)
+    X, reps = fgmres(A, M, np.stack([np.zeros(10), b], axis=1), cfg)
+    assert reps[0].converged and reps[0].iterations == 0 and np.all(X[:, 0] == 0)
+    assert reps[1].converged and reps[1].iterations > 0
+
+
+def test_capped_nested_local_solves_under_fgmres():
+    mesh = build_fine_mesh(1, "explicit", m=16)
+    ws = build_wavespeed(mesh, "constant")
+    k = 6.0
+    A = assemble_system(mesh, AssemblyCoefficients(omega=k, wavespeed=ws,
+                                                   shift_mode="additive_eps",
+                                                   shift_value=0.0))
+    coeff = AssemblyCoefficients(omega=k, wavespeed=ws, shift_mode="additive_eps",
+                                 shift_value=k)
+    A_prec = assemble_system(mesh, coeff)
+    decomp = build_decomposition(mesh, layout_from_blocks(mesh, 2))
+    P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff,
+                             nested_local=dict(k=k, alpha_inner=0.8, tol=1e-12,
+                                               max_iters=1))
+    b = np.ones(mesh.n, dtype=complex)
+    x, rep = fgmres(A, P, b, KrylovConfig(variant="fgmres", rel_tol=1e-8))
+    assert rep.converged and rep.true_relres <= 2e-8
+    counts = P.inner_counts()
+    assert len(counts) == 4 * rep.iterations and set(counts) == {1}
+    assert P.inner_failures() == len(counts)  # every inner solve hit its cap

@@ -393,6 +393,19 @@ def test_local_solves_share_factors_of_equal_matrices_only(kind, nested, setup):
     assert np.abs(P.to_dense() - Bd).max() < 1e-10 * np.abs(Bd).max()
 
 
+def test_nested_local_classes_share_block_factorisations():
+    # the inner block solves of all classes hold one factorisation per
+    # distinct block matrix
+    # (4 classes with 1, 3, 3 and 9 blocks, of 9 distinct block matrices)
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(24, 3, k=8.0, eps=8.0)
+    P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, nested_local=dict(k=12.0, alpha_inner=0.8))
+    factors = {id(f): f for s in P.nested for f in s.inner_precond.solvers}
+    lus = [f._lu[0] for f in factors.values()]
+    assert [len(s.inner_precond.solvers) for s in P.nested] == [1, 3, 3, 9]
+    assert len(lus) == _distinct_count(lus) == 9
+
+
 def test_local_solves_share_only_within_round_off():
     # all three round to the same 12 decimals; only the round-off copy shares
     base = np.array([[4.0, 0.5, 0.0], [0.5, 4.0, 0.5], [0.0, 0.5, 4.0]], dtype=complex)
