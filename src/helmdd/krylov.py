@@ -216,8 +216,8 @@ def _solve(A, M, b, cfg):
         # freeze the finished columns: their iterates, then drop their state
         if done.any():
             fin = slice(None) if done.all() else np.flatnonzero(done)
-            y = np.linalg.solve(R[fin, :j + 1, :j + 1], g[fin, :j + 1, None])
-            Y[act[fin]] = np.matmul(y.transpose(0, 2, 1), (Z if keep_z else V)[fin, :j + 1])[:, 0]
+            y = np.linalg.solve(R[fin, :j + 1, :j + 1], g[fin, :j + 1, None])[..., 0]
+            Y[act[fin]] = np.matmul(y[:, None, :], (Z if keep_z else V)[fin, :j + 1])[:, 0]
             iters[act[fin]] = j + 1
             basis_bytes[act[fin]] = V[0].nbytes * (2 if keep_z else 1)
             if done.all():
@@ -233,11 +233,7 @@ def _solve(A, M, b, cfg):
             R = _enlarged(R, (len(act), cap, cap))
         V[:, j + 1] = w / hh[:, None]
 
-    ran = np.flatnonzero(iters > 0)
-    X = Y
-    if right and not flexible and len(ran):
-        X = np.zeros((G, n), dtype=np.complex128)
-        X[ran] = call(apply_m, Y[ran])
+    X = call(apply_m, Y) if right and not flexible and iters.any() else Y
     res = B - call(matvec, X)
     true_rel = np.linalg.norm(res, axis=1) / np.where(bnorm > 0, bnorm, np.inf)
     reports = [KrylovReport(bool(converged[c]), int(iters[c]),

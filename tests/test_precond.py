@@ -146,7 +146,7 @@ def test_apply_matches_to_dense(kind):
 @pytest.mark.parametrize("kind, nested", [pytest.param(kind, False, id=kind) for kind in KINDS]
                          + [pytest.param("ImpRAS1", True, id="ImpRAS1-nested")])
 def test_block_apply_matches_column_applies(kind, nested):
-    # a nested local solve runs one inner GMRES per column of the block
+    # a nested local solve runs one lockstep inner GMRES over the block's columns
     if nested:
         mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
         nesting = dict(nested_local=dict(k=6.0))
