@@ -395,8 +395,7 @@ def test_local_solves_share_factors_of_equal_matrices_only(kind, nested, setup):
 
 def test_nested_local_classes_share_block_factorisations():
     # the inner block solves of all classes hold one factorisation per
-    # distinct block matrix
-    # (4 classes with 1, 3, 3 and 9 blocks, of 9 distinct block matrices)
+    # distinct block matrix: 4 classes with 1, 3, 3 and 9 blocks, 9 in all
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(24, 3, k=8.0, eps=8.0)
     P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
                              coeff_prec=coeff, nested_local=dict(k=12.0, alpha_inner=0.8))
