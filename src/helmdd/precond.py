@@ -26,7 +26,6 @@ import contextlib
 import ctypes
 import functools
 import glob
-import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -48,7 +47,6 @@ DENSE_SOLVE_CUTOFF = 200  # below this, dense LAPACK beats SuperLU call overhead
 # of one subdomain differ by coordinate round-off of up to about 26 epsilons
 # on the uniform benchmark meshes
 _SHARE_TOLERANCE_EPS = 64
-_KEY_DECIMALS = 12  # rounding of the class key; a match is then checked exactly
 
 # to_dense applies the identity this many columns at a time: an apply holds
 # several (n, columns) temporaries (HRAS, n=3721: 566 MB peak, 1.1 GB at 2048)
@@ -173,21 +171,9 @@ class NestedSolver:
         return x
 
 
-def _class_key(matrix):
-    """Digest of shape, pattern and entries rounded to _KEY_DECIMALS."""
-    h = hashlib.blake2b(repr(matrix.shape).encode(), digest_size=16)
-    for arr in (matrix.indptr, matrix.indices,
-                np.round(matrix.data, _KEY_DECIMALS) + 0.0):  # + 0.0: no -0.0
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.digest()
-
-
 def _same_matrix(a, rep):
-    """a equals rep up to round-off: identical pattern, entries within
-    _SHARE_TOLERANCE_EPS epsilons of rep's largest entry."""
-    if a.shape != rep.shape or not (np.array_equal(a.indptr, rep.indptr)
-                                    and np.array_equal(a.indices, rep.indices)):
-        return False
+    """a equals rep up to round-off: entries within _SHARE_TOLERANCE_EPS
+    epsilons of rep's largest entry (a has rep's shape and pattern)."""
     if a.nnz == 0:
         return True
     tol = _SHARE_TOLERANCE_EPS * np.finfo(np.float64).eps * np.abs(rep.data).max()
@@ -195,36 +181,32 @@ def _same_matrix(a, rep):
 
 
 class _MatrixClasses:
-    """Classes of equal matrices in order of appearance: a matrix joins the
-    first class whose representative (its first matrix) it equals under
-    _same_matrix, looked up by _class_key."""
+    """Classes of equal matrices in order of first appearance, each with one
+    solver.  A canonical CSR matrix is bucketed by its shape and exact pattern
+    and joins the first class of its bucket whose representative (the class's
+    first matrix) it equals under _same_matrix.  A new class's solver is built
+    once, with scipy's BLAS on one thread, as build(matrix, first), where first
+    is the position the caller gave the matrix (default build: a
+    DirectFactorization of the matrix)."""
 
-    def __init__(self):
-        self.reps = []
-        self._keys = {}
+    def __init__(self, build=None):
+        self.build = build or (lambda matrix, first: DirectFactorization(matrix))
+        self.reps, self.solvers = [], []
+        self._buckets = {}
 
-    def index(self, mat):
-        """The class of a CSR matrix, a new one after the last if none fits."""
-        bucket = self._keys.setdefault(_class_key(mat), [])
+    def index(self, mat, position):
+        """The class of a canonical CSR matrix, a new one after the last if
+        none fits."""
+        key = (mat.shape, mat.indptr.tobytes(), mat.indices.tobytes())
+        bucket = self._buckets.setdefault(key, [])
         cls = next((c for c in bucket if _same_matrix(mat, self.reps[c])), None)
         if cls is None:
             cls = len(self.reps)
+            with _one_blas_thread():
+                self.solvers.append(self.build(mat, position))
             self.reps.append(mat)
             bucket.append(cls)
         return cls
-
-
-def _shared_factorizations():
-    """A class_solver for several LocalSolves that factorises each distinct
-    matrix once across all of them."""
-    classes, factors = _MatrixClasses(), []
-
-    def factor(matrix, first):
-        cls = classes.index(matrix)
-        if cls == len(factors):
-            factors.append(DirectFactorization(matrix))
-        return factors[cls]
-    return factor
 
 
 class LocalSolves:
@@ -239,11 +221,13 @@ class LocalSolves:
     Local matrices are grouped into classes that share one solver: a matrix
     joins a class when it has the class representative's pattern and its
     entries agree to round-off (_same_matrix), so translated copies of one
-    subdomain share a solver while differing coefficients never do.
-    class_solver(matrix, first) builds a class's solver from its
-    representative and the index of its first entry (default: a
-    DirectFactorization of the matrix).  apply takes a vector or a block of c
-    columns: it gathers every restriction with one index array, runs one
+    subdomain share a solver while differing coefficients never do.  The
+    entries are classified, each with its index as position, into the registry
+    classes (a _MatrixClasses, which builds each class's solver; by default a
+    fresh one of direct factorisations), and solvers lists the solvers of the
+    classes met here in order of first appearance; several LocalSolves given
+    one registry share one solver per class.  apply takes a vector or a block
+    of c columns: it gathers every restriction with one index array, runs one
     multi-right-hand-side solve per class on the (s, G*c) block of its G
     subdomains, and recombines all local solutions with one sparse matrix:
     R_w^T (RAS weights) when weighted, else R^T.
@@ -252,28 +236,23 @@ class LocalSolves:
     persistent thread pool; results are identical to the serial ones.
     """
 
-    def __init__(self, n, entries, weighted, threads=1, class_solver=None):
-        classes, firsts, members = _MatrixClasses(), [], []
+    def __init__(self, n, entries, weighted, threads=1, classes=None):
+        classes = classes or _MatrixClasses()
+        members = {}  # class -> its entries, in order of first appearance
         for i, (local, solve_set, own_nodes, own_w) in enumerate(entries):
             mat = sp.csr_matrix(local, dtype=np.complex128)
             mat.sum_duplicates()
-            cls = classes.index(mat)
-            if cls == len(members):
-                firsts.append(i)
-                members.append([])
-            members[cls].append((np.asarray(solve_set, dtype=np.int64),
-                                 np.asarray(own_nodes), np.asarray(own_w)))
-        class_solver = class_solver or (lambda matrix, first: DirectFactorization(matrix))
-        with _one_blas_thread():
-            self.solvers = [class_solver(mat, first)
-                            for mat, first in zip(classes.reps, firsts)]
+            members.setdefault(classes.index(mat, i), []).append(
+                (np.asarray(solve_set, dtype=np.int64), np.asarray(own_nodes),
+                 np.asarray(own_w)))
+        self.solvers = [classes.solvers[c] for c in members]
 
         # classes occupy consecutive segments [lo, hi) of the gathered vector,
         # each laid out subdomain after subdomain
         none = np.zeros(0, dtype=np.int64)
         gather, rows, cols, vals, self._segments = [none], [none], [none], [none], []
         lo = 0
-        for sets in members:
+        for sets in members.values():
             hi = lo
             for solve_set, own_nodes, own_w in sets:
                 gather.append(solve_set)
@@ -442,7 +421,8 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     solves every class of equal local impedance matrices by an inner GMRES
     preconditioned by a block ImpRAS1 on the class's first subdomain
     (_nested_local_solver), shared by all members as a factorisation is; the
-    block factorisations are shared across classes (_shared_factorizations).
+    classes' block LocalSolves share one registry, so each distinct block
+    matrix is factorised once.
     """
     impedance = kind in _IMPEDANCE_KINDS
     if nested_coarse is not None and kind not in _COARSE_KINDS:
@@ -451,7 +431,7 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
         raise ValueError(f"{kind} has no impedance local solves to nest")
     subs = [sub for sub in decomp.subdomains
             if len(sub.closed_nodes if impedance else sub.interior_nodes)]
-    class_solver = None
+    classes = None
     if impedance:
         sets = [sub.closed_nodes for sub in subs]
         # one batch per subdomain: one batch of all of them would hold every
@@ -460,17 +440,16 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
         locals_iter = (assemble_local_impedance(mesh, [sub.element_ids], coeff_prec)[0]
                        for sub in subs)
         if nested_local is not None:
-            # the classes' inner block solves share their factorisations
-            block_solver = _shared_factorizations()
-            class_solver = lambda matrix, first: _nested_local_solver(  # noqa: E731
-                mesh, subs[first], matrix, coeff_prec, block_solver, **nested_local)
+            blocks = _MatrixClasses()
+            classes = _MatrixClasses(lambda matrix, first: _nested_local_solver(
+                mesh, subs[first], matrix, coeff_prec, blocks, **nested_local))
     else:
         sets = [sub.interior_nodes for sub in subs]
         locals_iter = _principal_submatrices(A_prec, sets)
     entries = ((local, solve_set, sub.own_nodes, sub.own_weights)
                for local, solve_set, sub in zip(locals_iter, sets, subs))
     locals_ = LocalSolves(mesh.n, entries, kind in _WEIGHTED_KINDS, threads=threads,
-                          class_solver=class_solver)
+                          classes=classes)
 
     coarse = None
     if kind in _COARSE_KINDS:
@@ -503,11 +482,11 @@ def build_nested_coarse_solver(decomp, A_prec, coeff_prec, *, k, alpha_inner=0.5
     return NestedSolver(A0, inner, tol, max_iters)
 
 
-def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, block_solver, *, k,
+def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, blocks, *, k,
                          alpha_inner=0.8, tol=0.5, max_iters=200):
     """Inexact local impedance solve: inner GMRES on the subdomain system,
     preconditioned by ImpRAS1 over blocks of diameter ~k^-alpha_inner, whose
-    classes are solved by block_solver (a LocalSolves class_solver)."""
+    block matrices are classified into the registry blocks (a _MatrixClasses)."""
     x0, x1, y0, y1 = sub.cell_rect
     wx = float(mesh.xs[x1] - mesh.xs[x0])
     wy = float(mesh.ys[y1] - mesh.ys[y0])
@@ -515,10 +494,10 @@ def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, block_solver, *, k,
     nby = max(1, min(round_half_up(wy * k ** alpha_inner), y1 - y0))
     bdec = build_block_decomposition(mesh, sub.cell_rect, nbx, nby)
     nloc = len(sub.closed_nodes)
-    blocks = assemble_local_impedance(mesh, [blk.element_ids for blk in bdec.subdomains],
-                                      coeff_prec)
+    mats = assemble_local_impedance(mesh, [blk.element_ids for blk in bdec.subdomains],
+                                    coeff_prec)
     entries = ((mat, np.searchsorted(sub.closed_nodes, blk.closed_nodes),
                 np.searchsorted(sub.closed_nodes, blk.own_nodes), blk.own_weights)
-               for mat, blk in zip(blocks, bdec.subdomains))
-    return NestedSolver(imp_matrix, LocalSolves(nloc, entries, True, class_solver=block_solver),
+               for mat, blk in zip(mats, bdec.subdomains))
+    return NestedSolver(imp_matrix, LocalSolves(nloc, entries, True, classes=blocks),
                         tol, max_iters)

@@ -9,7 +9,7 @@ from helmdd.assembly import AssemblyCoefficients, assemble_system
 from helmdd.decomposition import build_decomposition
 from helmdd.krylov import KrylovConfig, fgmres, gmres
 from helmdd.mesh import build_fine_mesh, build_wavespeed, layout_from_blocks
-from helmdd import precond
+from helmdd import harness, precond
 from helmdd.precond import (KINDS, DirectFactorization, LocalSolves, NestedSolver,
                             SingularMatrixError, build_preconditioner, coarse_matrix)
 
@@ -405,22 +405,62 @@ def test_nested_local_classes_share_block_factorisations():
     assert len(lus) == _distinct_count(lus) == 9
 
 
+@pytest.mark.parametrize("cfg, classes, factors, blocks", [
+    (harness.ExperimentConfig(k=30, mesh_rule="pollution_free", precond="HRAS",
+                              alpha=1.0, beta=1.0, rhs="ones"), 16, 17, None),
+    (harness.ExperimentConfig(k=100, mesh_rule="points_per_wavelength", precond="ImpHRAS",
+                              alpha=0.5, beta=1.0, rhs="ones"), 4, 5, None),
+    (harness.ExperimentConfig(k=30, preset="table5_multilevel",
+                              mesh_rule="points_per_wavelength", precond="ImpRAS1",
+                              alpha=0.4, beta=1.2, rhs="ones",
+                              nesting=harness.NestingSpec(target="local", alpha_inner=0.8)),
+     4, 9, 9),
+], ids=["hras-pf-k30", "imphras-ppw-k100", "nested-local-ppw-k30"])
+def test_benchmark_class_partitions_pinned(monkeypatch, cfg, classes, factors, blocks):
+    # the local classes and factorisations of the benchmark's solve workloads:
+    # the nested classes share their block factorisations
+    calls = []
+    init = DirectFactorization.__init__
+
+    def counted(self, matrix):
+        calls.append(matrix.shape)
+        init(self, matrix)
+    monkeypatch.setattr(DirectFactorization, "__init__", counted)
+    pb = harness.build_problem(cfg)
+    nested = {} if cfg.nesting is None else {"nested_local": dict(
+        k=float(cfg.k), alpha_inner=cfg.nesting.alpha_inner, tol=cfg.inner_tol,
+        max_iters=cfg.nesting.max_iters)}
+    P = build_preconditioner(cfg.precond, mesh=pb.mesh, decomp=pb.decomp,
+                             A_prec=pb.A_prec, coeff_prec=pb.coeff_prec,
+                             system_matrix=pb.A_sys, **nested)
+    assert len(P.locals_.solvers) == classes
+    assert len(calls) == factors
+    if blocks is not None:
+        assert len(P.nested) == classes
+        assert len({id(f) for s in P.nested for f in s.inner_precond.solvers}) == blocks
+
+
 def test_local_solves_share_only_within_round_off():
-    # all three round to the same 12 decimals; only the round-off copy shares
+    # the first three round to the same 12 decimals, and only the round-off
+    # copy shares; the last two are one ulp apart on either side of a
+    # 12-decimal rounding boundary, and share
     base = np.array([[4.0, 0.5, 0.0], [0.5, 4.0, 0.5], [0.0, 0.5, 4.0]], dtype=complex)
     roundoff = base.copy()
     roundoff[0, 1] += 1e-15
     apart = base.copy()
     apart[0, 1] += 3e-13
-    sets = [np.arange(0, 3), np.arange(3, 6), np.arange(6, 9)]
-    entries = [(sp.csr_matrix(a), idx, idx, np.ones(3))
-               for a, idx in zip((base, roundoff, apart), sets)]
-    L = LocalSolves(9, entries, weighted=True)
-    assert len(L.solvers) == 2
+    below = base.copy()
+    below[0, 1] = 0.5000000000004999
+    above = base.copy()
+    above[0, 1] = np.nextafter(below[0, 1].real, 1.0)
+    mats = (base, roundoff, apart, below, above)
+    sets = [np.arange(3 * i, 3 * i + 3) for i in range(len(mats))]
+    entries = [(sp.csr_matrix(a), idx, idx, np.ones(3)) for a, idx in zip(mats, sets)]
+    L = LocalSolves(15, entries, weighted=True)
+    assert len(L.solvers) == 3
     rng = np.random.default_rng(4)
-    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    want = np.concatenate([np.linalg.solve(a, v[idx])
-                           for a, idx in zip((base, roundoff, apart), sets)])
+    v = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+    want = np.concatenate([np.linalg.solve(a, v[idx]) for a, idx in zip(mats, sets)])
     assert np.abs(L.apply(v) - want).max() < 1e-14
 
 
@@ -439,7 +479,7 @@ def test_local_solves_restore_blas_thread_count():
     nested = NestedSolver(A_prec, record, inner_tol=1e-14, inner_max_iters=2)
     own = np.arange(mesh.n)
     probe = LocalSolves(mesh.n, [(A_prec, own, own, np.ones(mesh.n))], weighted=True,
-                        class_solver=lambda matrix, first: nested)
+                        classes=precond._MatrixClasses(lambda matrix, first: nested))
     v = np.ones(mesh.n, complex)
     before = get()
     try:
