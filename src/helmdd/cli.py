@@ -22,8 +22,6 @@ def _add_common(p):
     p.add_argument("--tol", type=float, default=1e-6, help="outer relative tolerance")
     p.add_argument("--inner-tol", type=float, default=0.5, help="nested-solve tolerance")
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--threads", type=int, default=1,
-                   help="thread pool for concurrent local solves")
     p.add_argument("--allow-large", action="store_true",
                    help="lift the desk-scale size caps")
 
@@ -79,8 +77,7 @@ def build_parser():
 def _cmd_run(args):
     ks = _parse_k_list(args.k)
     rows = run_table(args.preset, ks, rel_tol=args.tol, inner_tol=args.inner_tol,
-                     max_iters=args.max_iters, threads=args.threads,
-                     allow_large=args.allow_large,
+                     max_iters=args.max_iters, allow_large=args.allow_large,
                      progress=lambda c: print(
                          f"running {c.preset} k={c.k} {c.precond} alpha={c.alpha} "
                          f"beta={c.beta}", file=sys.stderr))
@@ -108,8 +105,7 @@ def _cmd_solve(args):
         scenario=args.scenario, c_star=args.c_star, shift_family=family,
         eps_prob_beta=args.eps_prob_beta, precond=args.precond, alpha=args.alpha,
         beta=args.beta, nesting=nesting, rhs=args.rhs, rel_tol=args.tol,
-        inner_tol=args.inner_tol, max_iters=args.max_iters, threads=args.threads,
-        allow_large=args.allow_large)
+        inner_tol=args.inner_tol, max_iters=args.max_iters, allow_large=args.allow_large)
     problem = build_problem(cfg)
     if args.dump_mesh:
         with open(args.dump_mesh, "w") as f:

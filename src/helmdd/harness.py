@@ -14,6 +14,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,7 +67,9 @@ class ExperimentConfig:
     rel_tol: float = 1e-6
     inner_tol: float = 0.5
     max_iters: int = 200
-    threads: int = 1
+    # local solves run on one thread; kept only for perfbench/workloads.build_solve,
+    # which reads it (a ClassVar, so not a constructor argument)
+    threads: ClassVar[int] = 1
     allow_large: bool = False
 
 
@@ -217,7 +220,7 @@ def solve_problem(cfg, problem):
 
     P = build_preconditioner(cfg.precond, mesh=mesh, decomp=problem.decomp,
                              A_prec=problem.A_prec, coeff_prec=problem.coeff_prec,
-                             system_matrix=A_sys, threads=cfg.threads, **nested)
+                             system_matrix=A_sys, **nested)
     b = build_rhs(mesh, cfg.rhs, k, system=A_sys)
 
     kcfg = KrylovConfig(variant="fgmres" if P.flexible else "gmres", side="right",

@@ -10,10 +10,11 @@ apply takes a vector (n,) or a block (n, c) of columns; to_dense is apply on
 identity column blocks, so the analysis studies the operator GMRES applies.
 
 The coarse solve, the local impedance solves, or both may be nested: an inner
-GMRES (NestedSolver) preconditioned by a one-level ImpRAS1 over subdomains of
-diameter ~k^-alpha_inner.  A nested solver takes the block of columns of one
-class call and solves them in one lockstep GMRES, whose columns stop one by
-one.  build_preconditioner takes either nesting as a dict of the same
+GMRES (NestedSolver) preconditioned by a one-level ImpRAS1 over blocks of
+diameter ~k^-alpha_inner of a cell rectangle (the subdomain's, or the whole
+coarse mesh), both built by _nested_solver.  A nested solver takes the block
+of columns of one class call and solves them in one lockstep GMRES, whose
+columns stop one by one.  build_preconditioner takes either nesting as a dict of the same
 keywords (k, alpha_inner, tol, max_iters).  A nested local solve is per class
 of equal local matrices, as a factorisation is, and the classes share the
 factorisations of their equal inner blocks.  The operator lists its nested
@@ -26,7 +27,6 @@ import contextlib
 import ctypes
 import functools
 import glob
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +36,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_local_impedance, csr_diagonal_blocks
-from .decomposition import build_block_decomposition, build_decomposition
+from .decomposition import build_block_decomposition
 from .krylov import KrylovConfig, gmres
-from .mesh import ceil_snapped, layout_from_blocks, round_half_up
+from .mesh import ceil_snapped, round_half_up
 
 DENSE_SOLVE_CUTOFF = 200  # below this, dense LAPACK beats SuperLU call overhead
 
@@ -87,8 +87,8 @@ def _one_blas_thread():
     """Run scipy's BLAS on one thread inside the block, then restore the
     previous count.  Small triangular solves and LU factorisations run several
     times slower on a threaded OpenBLAS.  The count is process-wide: a block
-    entered while the count is already 1 (a nested local solve, or a worker
-    thread of a pinned apply) changes nothing."""
+    entered while the count is already 1 (a nested local solve) changes
+    nothing."""
     fns = _scipy_openblas()
     prev = fns[0]() if fns is not None else 1
     if prev != 1:
@@ -232,11 +232,10 @@ class LocalSolves:
     subdomains, and recombines all local solutions with one sparse matrix:
     R_w^T (RAS weights) when weighted, else R^T.
     Factorisations and solves run with scipy's BLAS on one thread
-    (_one_blas_thread).  With threads > 1 the classes are solved on a
-    persistent thread pool; results are identical to the serial ones.
+    (_one_blas_thread).
     """
 
-    def __init__(self, n, entries, weighted, threads=1, classes=None):
+    def __init__(self, n, entries, weighted, classes=None):
         classes = classes or _MatrixClasses()
         members = {}  # class -> its entries, in order of first appearance
         for i, (local, solve_set, own_nodes, own_w) in enumerate(entries):
@@ -272,14 +271,6 @@ class LocalSolves:
         self._recombine = sp.csr_matrix(
             (np.concatenate(vals).astype(np.complex128),
              (np.concatenate(rows), np.concatenate(cols))), shape=(n, lo))
-        self._pool = ThreadPoolExecutor(max_workers=threads) \
-            if threads > 1 and len(self.solvers) > 1 else None
-
-    def _solve_class(self, c, vg, ug):
-        lo, hi, g = self._segments[c]
-        # (s, c*G): one column per input column and subdomain
-        x = self.solvers[c].solve(vg[..., lo:hi].reshape(-1, (hi - lo) // g).T)
-        ug[..., lo:hi] = x.T.reshape(-1, hi - lo)
 
     def apply(self, v):
         # every restriction of each column of v: (len,) for a vector, (c, len)
@@ -287,14 +278,10 @@ class LocalSolves:
         vg = v.T.take(self._gather, -1)
         ug = np.empty(vg.shape, dtype=np.complex128)
         with _one_blas_thread():
-            if self._pool is not None:
-                # the count is pinned here, in the calling thread, for the
-                # workers; each writes a disjoint segment of ug
-                list(self._pool.map(lambda c: self._solve_class(c, vg, ug),
-                                    range(len(self.solvers))))
-            else:
-                for c in range(len(self.solvers)):
-                    self._solve_class(c, vg, ug)
+            for solver, (lo, hi, g) in zip(self.solvers, self._segments):
+                # (s, c*G): one column per input column and subdomain
+                x = solver.solve(vg[..., lo:hi].reshape(-1, (hi - lo) // g).T)
+                ug[..., lo:hi] = x.T.reshape(-1, hi - lo)
         return self._recombine @ ug.T
 
 
@@ -423,7 +410,13 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     (_nested_local_solver), shared by all members as a factorisation is; the
     classes' block LocalSolves share one registry, so each distinct block
     matrix is factorised once.
+
+    Local solves run on one thread.  threads is kept only for the call in
+    perfbench/workloads.build_solve, which passes threads=1; any other value
+    raises ValueError.
     """
+    if threads != 1:  # shim for perfbench/workloads.build_solve only
+        raise ValueError("local solves run on one thread: threads must be 1")
     impedance = kind in _IMPEDANCE_KINDS
     if nested_coarse is not None and kind not in _COARSE_KINDS:
         raise ValueError(f"{kind} has no coarse solve to nest")
@@ -448,16 +441,14 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
         locals_iter = _principal_submatrices(A_prec, sets)
     entries = ((local, solve_set, sub.own_nodes, sub.own_weights)
                for local, solve_set, sub in zip(locals_iter, sets, subs))
-    locals_ = LocalSolves(mesh.n, entries, kind in _WEIGHTED_KINDS, threads=threads,
-                          classes=classes)
+    locals_ = LocalSolves(mesh.n, entries, kind in _WEIGHTED_KINDS, classes=classes)
 
     coarse = None
     if kind in _COARSE_KINDS:
         if decomp.coarse_interp is None:
             raise ValueError("decomposition carries no coarse interpolation")
         if nested_coarse is not None:
-            solver = build_nested_coarse_solver(decomp, A_prec, coeff_prec,
-                                                threads=threads, **nested_coarse)
+            solver = build_nested_coarse_solver(decomp, A_prec, coeff_prec, **nested_coarse)
         else:
             solver = DirectFactorization(coarse_matrix(decomp.coarse_interp, A_prec))
         coarse = CoarseSolve(decomp.coarse_interp, solver)
@@ -466,38 +457,42 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
 
 
 def build_nested_coarse_solver(decomp, A_prec, coeff_prec, *, k, alpha_inner=0.5,
-                               tol=0.5, max_iters=200, threads=1):
+                               tol=0.5, max_iters=200):
     """Inexact coarse solve: the coarse-grid problem (Galerkin matrix with the
-    decomposition's R0), solved by GMRES with a one-level ImpRAS1
-    preconditioner re-discretised on the coarse triangulation of the
-    decomposition's layout, over a second-level decomposition of diameter
-    ~k^-alpha_inner.  The Galerkin matrix is the solver's matrix."""
+    decomposition's R0) on the coarse triangulation of the decomposition's
+    layout, nested over Mi x Mi blocks of the whole coarse mesh (diameter
+    ~k^-alpha_inner).  The Galerkin matrix is the solver's matrix."""
     A0 = coarse_matrix(decomp.coarse_interp, A_prec)
     cmesh = decomp.layout.as_mesh()
-    ccoeff = coeff_prec.on_mesh(cmesh)
     Mi = min(ceil_snapped(k ** alpha_inner), cmesh.m)
-    cdecomp = build_decomposition(cmesh, layout_from_blocks(cmesh, Mi))
-    inner = build_preconditioner("ImpRAS1", mesh=cmesh, decomp=cdecomp, A_prec=A0,
-                                 coeff_prec=ccoeff, threads=threads)
-    return NestedSolver(A0, inner, tol, max_iters)
+    return _nested_solver(cmesh, (0, cmesh.m, 0, cmesh.m), np.arange(cmesh.n), A0,
+                          coeff_prec.on_mesh(cmesh), _MatrixClasses(), Mi, Mi,
+                          tol, max_iters)
 
 
 def _nested_local_solver(mesh, sub, imp_matrix, coeff_prec, blocks, *, k,
                          alpha_inner=0.8, tol=0.5, max_iters=200):
-    """Inexact local impedance solve: inner GMRES on the subdomain system,
-    preconditioned by ImpRAS1 over blocks of diameter ~k^-alpha_inner, whose
-    block matrices are classified into the registry blocks (a _MatrixClasses)."""
+    """Inexact local impedance solve of one subdomain, nested over blocks of
+    diameter ~k^-alpha_inner of its cell rectangle."""
     x0, x1, y0, y1 = sub.cell_rect
     wx = float(mesh.xs[x1] - mesh.xs[x0])
     wy = float(mesh.ys[y1] - mesh.ys[y0])
     nbx = max(1, min(round_half_up(wx * k ** alpha_inner), x1 - x0))
     nby = max(1, min(round_half_up(wy * k ** alpha_inner), y1 - y0))
-    bdec = build_block_decomposition(mesh, sub.cell_rect, nbx, nby)
-    nloc = len(sub.closed_nodes)
+    return _nested_solver(mesh, sub.cell_rect, sub.closed_nodes, imp_matrix, coeff_prec,
+                          blocks, nbx, nby, tol, max_iters)
+
+
+def _nested_solver(mesh, rect, closed_nodes, matrix, coeff, blocks, nbx, nby, tol,
+                   max_iters):
+    """Inner GMRES on matrix, the system of the closed nodes of the cell
+    rectangle rect, preconditioned by ImpRAS1 over its nbx x nby blocks, whose
+    block matrices are classified into the registry blocks (a _MatrixClasses)."""
+    bdec = build_block_decomposition(mesh, rect, nbx, nby)
     mats = assemble_local_impedance(mesh, [blk.element_ids for blk in bdec.subdomains],
-                                    coeff_prec)
-    entries = ((mat, np.searchsorted(sub.closed_nodes, blk.closed_nodes),
-                np.searchsorted(sub.closed_nodes, blk.own_nodes), blk.own_weights)
+                                    coeff)
+    entries = ((mat, np.searchsorted(closed_nodes, blk.closed_nodes),
+                np.searchsorted(closed_nodes, blk.own_nodes), blk.own_weights)
                for mat, blk in zip(mats, bdec.subdomains))
-    return NestedSolver(imp_matrix, LocalSolves(nloc, entries, True, classes=blocks),
-                        tol, max_iters)
+    return NestedSolver(matrix, LocalSolves(len(closed_nodes), entries, True,
+                                            classes=blocks), tol, max_iters)

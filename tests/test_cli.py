@@ -120,6 +120,12 @@ def test_analyze_refuses_unknown_side(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_threads_option_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["solve", "--k", "6", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run([sys.executable, "-m", "helmdd.cli", "--help"],
                           capture_output=True, text=True)

@@ -137,6 +137,13 @@ def test_nesting_the_kind_cannot_use_is_refused():
                                         nesting=NestingSpec("coarse", 0.5)))
 
 
+def test_threads_is_not_a_config_field():
+    # local solves run on one thread; the class attribute stays 1
+    with pytest.raises(TypeError):
+        ExperimentConfig(k=6, threads=2)
+    assert ExperimentConfig(k=6).threads == 1
+
+
 def test_preset_arities():
     assert len(expand_preset("table3", [20])) == 7
     assert len(expand_preset("table4", [60, 80])) == 8

@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,7 +6,7 @@ import scipy.sparse as sp
 from helmdd.assembly import AssemblyCoefficients, assemble_system
 from helmdd.decomposition import build_decomposition
 from helmdd.krylov import KrylovConfig, fgmres, gmres
-from helmdd.mesh import build_fine_mesh, build_wavespeed, layout_from_blocks
+from helmdd.mesh import build_fine_mesh, build_wavespeed, ceil_snapped, layout_from_blocks
 from helmdd import harness, precond
 from helmdd.precond import (KINDS, DirectFactorization, LocalSolves, NestedSolver,
                             SingularMatrixError, build_preconditioner, coarse_matrix)
@@ -264,39 +262,6 @@ def test_nested_local_preconditioner():
     assert len(P.inner_counts()) == 4 * rep.iterations  # one per subdomain per apply
 
 
-def test_threaded_local_solves_deterministic():
-    mesh, decomp, A_sys, A_prec, coeff = setup_problem(12, 3, k=6.0, eps=6.0)
-    rng = np.random.default_rng(21)
-    v = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
-    outs = []
-    for threads in (1, 3):
-        P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
-                                 coeff_prec=coeff, threads=threads)
-        outs.append(P.apply(v))
-    assert np.array_equal(outs[0], outs[1])
-
-
-def test_threaded_nested_local_solves_deterministic():
-    # inner GMRES solves on worker threads of a pinned apply, switching often
-    mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
-    rng = np.random.default_rng(22)
-    v = rng.standard_normal(mesh.n) + 1j * rng.standard_normal(mesh.n)
-    interval = sys.getswitchinterval()
-    outs, counts = [], []
-    try:
-        sys.setswitchinterval(1e-6)
-        for threads in (1, 3):
-            P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
-                                     coeff_prec=coeff, threads=threads,
-                                     nested_local=dict(k=6.0, alpha_inner=0.8, tol=0.5))
-            outs.append([P.apply(v) for _ in range(3)])
-            counts.append(P.inner_counts())
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(np.array_equal(a, b) for a, b in zip(*outs))
-    assert counts[0] == counts[1] and len(counts[0]) == 3 * 4
-
-
 def test_reset_stats():
     mesh, decomp, A_sys, A_prec, coeff = setup_problem(12, 3, k=6.0, eps=6.0)
     P = build_preconditioner("HRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
@@ -440,6 +405,52 @@ def test_benchmark_class_partitions_pinned(monkeypatch, cfg, classes, factors, b
         assert len({id(f) for s in P.nested for f in s.inner_precond.solvers}) == blocks
 
 
+def test_threads_other_than_one_refused_before_any_work(monkeypatch):
+    # the table5 nested-local configuration, whose classes share their block
+    # factorisations
+    cfg = harness.ExperimentConfig(k=12, preset="table5_multilevel",
+                                   mesh_rule="points_per_wavelength", precond="ImpRAS1",
+                                   alpha=0.4, beta=1.2, rhs="ones")
+    pb = harness.build_problem(cfg)
+    calls = []
+    monkeypatch.setattr(precond, "assemble_local_impedance",
+                        lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="threads"):
+        build_preconditioner(cfg.precond, mesh=pb.mesh, decomp=pb.decomp,
+                             A_prec=pb.A_prec, coeff_prec=pb.coeff_prec,
+                             nested_local=dict(k=12.0, alpha_inner=0.8), threads=2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("cfg", [
+    harness.ExperimentConfig(k=12, preset="table3", precond="HRAS", alpha=1.0, beta=1.0,
+                             rhs="plane_wave",
+                             nesting=harness.NestingSpec("coarse", 0.5)),
+    harness.ExperimentConfig(k=16, preset="table6_variable", scenario="shifted-square",
+                             c_star=0.66, anchor_square=True,
+                             shift_family="multiplicative", precond="HRAS", alpha=1.0,
+                             beta=1.6, rhs="ones",
+                             nesting=harness.NestingSpec("coarse", 0.5)),
+], ids=["table3-k12", "table6-shifted-k16"])
+def test_nested_coarse_inner_precond_is_one_level_impras1(cfg):
+    # the nested coarse solve's inner preconditioner equals ImpRAS1 built by
+    # build_preconditioner over a whole-mesh decomposition of the coarse mesh
+    pb = harness.build_problem(cfg)
+    nested = dict(k=float(cfg.k), alpha_inner=cfg.nesting.alpha_inner)
+    inner = precond.build_nested_coarse_solver(pb.decomp, pb.A_prec, pb.coeff_prec,
+                                               **nested).inner_precond
+    A0 = coarse_matrix(pb.decomp.coarse_interp, pb.A_prec)
+    cmesh = pb.decomp.layout.as_mesh()
+    Mi = min(ceil_snapped(cfg.k ** cfg.nesting.alpha_inner), cmesh.m)
+    ref = build_preconditioner("ImpRAS1", mesh=cmesh,
+                               decomp=build_decomposition(cmesh, layout_from_blocks(cmesh, Mi)),
+                               A_prec=A0, coeff_prec=pb.coeff_prec.on_mesh(cmesh))
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((cmesh.n, 3)) + 1j * rng.standard_normal((cmesh.n, 3))
+    assert np.array_equal(inner.apply(v[:, 0]), ref.apply(v[:, 0]))
+    assert np.array_equal(inner.apply(v), ref.apply(v))
+
+
 def test_local_solves_share_only_within_round_off():
     # the first three round to the same 12 decimals, and only the round-off
     # copy shares; the last two are one ulp apart on either side of a
@@ -484,13 +495,11 @@ def test_local_solves_restore_blas_thread_count():
     before = get()
     try:
         set_(2)
-        for threads in (1, 3):
-            P = build_preconditioner("ImpHRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
-                                     coeff_prec=coeff, system_matrix=A_sys,
-                                     threads=threads)
-            assert get() == 2
-            P.apply(v)
-            assert get() == 2
+        P = build_preconditioner("ImpHRAS", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                                 coeff_prec=coeff, system_matrix=A_sys)
+        assert get() == 2
+        P.apply(v)
+        assert get() == 2
         probe.apply(v)
         assert get() == 2
     finally:
