@@ -9,6 +9,12 @@ lower bound dist >= max_theta(-lambda_max(theta) - eta_theta), eta being the
 eigenpair residual, so under-converged eigensolves can only weaken the
 estimate, never inflate it.  The distance to the convex hull of the traced
 boundary points is kept as an upper cross-check.
+
+Each angle needs only the top eigenpair, and only that pair is solved.  Above
+DENSE_EIG_CUTOFF the angles share one growing Rayleigh-Ritz subspace
+(_SubspaceSweep), which solves the pair of each angle's projected matrix once
+per basis size and caches it.  These solves and ARPACK's norm estimate run on
+one BLAS thread.
 """
 
 import csv
@@ -23,7 +29,7 @@ from .assembly import AssemblyCoefficients, assemble_energy_matrix, assemble_sys
 from .decomposition import build_decomposition
 from .krylov import KrylovConfig, gmres
 from .mesh import build_fine_mesh, build_wavespeed, ceil_snapped, layout_from_blocks
-from .precond import build_preconditioner
+from .precond import _one_blas_thread, build_preconditioner
 
 SIZE_CAP = 4096
 DENSE_EIG_CUTOFF = 600
@@ -86,75 +92,84 @@ class _SubspaceSweep:
     Ritz values underestimate lambda_max, so each angle yields the valid
     support lower bound -(lam + eta) with eta the explicit residual norm;
     enrichment drives eta to zero exactly where the maximum is attained.
+
+    The basis U and its images FU, GU, CU live in arrays of max_basis columns
+    allocated once; the properties are views of the first size columns.  The
+    basis only grows, so the top Ritz pair of an angle is solved once per
+    basis size (_pair) and reused until the next append.
     """
 
     def __init__(self, Ct, F, G, rng, max_basis=260):
         self.Ct, self.F, self.G = Ct, F, G
         self.n = Ct.shape[0]
-        self.max_basis = max_basis
         X = rng.standard_normal((self.n, 6)) + 1j * rng.standard_normal((self.n, 6))
         U, _ = np.linalg.qr(np.hstack([X, F @ X, G @ X]))
-        self.U = U
-        self.FU = F @ U
-        self.GU = G @ U
-        self.CU = Ct @ U
-        self.Fs = U.conj().T @ self.FU
-        self.Gs = U.conj().T @ self.GU
-        self.Cs = U.conj().T @ self.CU
+        s = U.shape[1]
+        self.max_basis = max(max_basis, s)
+        cols = np.zeros((4, self.n, self.max_basis), dtype=complex)
+        self._U, self._FU, self._GU, self._CU = cols
+        projected = np.zeros((3, self.max_basis, self.max_basis), dtype=complex)
+        self._Fs, self._Gs, self._Cs = projected
+        self._U[:, :s] = U
+        self._FU[:, :s] = F @ U
+        self._GU[:, :s] = G @ U
+        self._CU[:, :s] = Ct @ U
+        self._Fs[:s, :s] = _adjoint_times(U, self._FU[:, :s])
+        self._Gs[:s, :s] = _adjoint_times(U, self._GU[:, :s])
+        self._Cs[:s, :s] = _adjoint_times(U, self._CU[:, :s])
+        self.size = s
+        self._pairs = {}  # theta -> (basis size, lam, y)
 
-    @property
-    def size(self):
-        return self.U.shape[1]
+    U = property(lambda self: self._U[:, :self.size])
+    FU = property(lambda self: self._FU[:, :self.size])
+    GU = property(lambda self: self._GU[:, :self.size])
+    CU = property(lambda self: self._CU[:, :self.size])
+    Fs = property(lambda self: self._Fs[:self.size, :self.size])
+    Gs = property(lambda self: self._Gs[:self.size, :self.size])
+    Cs = property(lambda self: self._Cs[:self.size, :self.size])
 
     def append(self, u):
-        if self.size >= self.max_basis:
+        s = self.size
+        if s >= self.max_basis:
             return False
+        U = self.U
         for _ in range(2):
-            u = u - self.U @ (self.U.conj().T @ u)
+            u = u - U @ _adjoint_times(U, u)
         nu = np.linalg.norm(u)
         if nu < 1e-12:
             return False
         u = u / nu
         Fu, Gu, Cu = self.F @ u, self.G @ u, self.Ct @ u
-
-        def border(S, col, row, corner):
-            s = S.shape[0]
-            out = np.empty((s + 1, s + 1), dtype=complex)
-            out[:s, :s] = S
-            out[:s, s] = col
-            out[s, :s] = row
-            out[s, s] = corner
-            return out
-
-        col_f = self.U.conj().T @ Fu
-        col_g = self.U.conj().T @ Gu
-        col_c = self.U.conj().T @ Cu
-        self.Fs = border(self.Fs, col_f, col_f.conj(), np.vdot(u, Fu))
-        self.Gs = border(self.Gs, col_g, col_g.conj(), np.vdot(u, Gu))
-        self.Cs = border(self.Cs, col_c, u.conj() @ self.CU, np.vdot(u, Cu))
-        self.U = np.hstack([self.U, u[:, None]])
-        self.FU = np.hstack([self.FU, Fu[:, None]])
-        self.GU = np.hstack([self.GU, Gu[:, None]])
-        self.CU = np.hstack([self.CU, Cu[:, None]])
+        for S, image in ((self._Fs, Fu), (self._Gs, Gu), (self._Cs, Cu)):
+            S[:s, s] = _adjoint_times(U, image)
+            S[s, s] = np.vdot(u, image)
+        self._Fs[s, :s] = self._Fs[:s, s].conj()  # Fs and Gs are Hermitian
+        self._Gs[s, :s] = self._Gs[:s, s].conj()
+        self._Cs[s, :s] = u.conj() @ self.CU
+        self._U[:, s] = u
+        self._FU[:, s] = Fu
+        self._GU[:, s] = Gu
+        self._CU[:, s] = Cu
+        self.size = s + 1
         return True
+
+    def _pair(self, theta):
+        """(lam, y): the top eigenpair of the projected H(theta), solved once
+        per angle and basis size."""
+        hit = self._pairs.get(theta)
+        if hit is None or hit[0] != self.size:
+            Hs = math.cos(theta) * self.Fs + math.sin(theta) * self.Gs
+            hit = (self.size, *_top_eigenpair(Hs))
+            self._pairs[theta] = hit
+        return hit[1], hit[2]
 
     def lam_batch(self, thetas):
         """Ritz lambda_max for every angle (values only)."""
-        out = np.empty(len(thetas))
-        chunk = max(1, int(2e7 / (self.size ** 2)))
-        for i in range(0, len(thetas), chunk):
-            ts = np.asarray(thetas[i:i + chunk])
-            Hs = (np.cos(ts)[:, None, None] * self.Fs[None]
-                  + np.sin(ts)[:, None, None] * self.Gs[None])
-            out[i:i + chunk] = np.linalg.eigvalsh(Hs)[:, -1]
-        return out
+        return np.array([self._pair(t)[0] for t in thetas])
 
     def ritz(self, theta):
         """(lam, Ritz vector y, residual norm eta, boundary point z)."""
-        Hs = math.cos(theta) * self.Fs + math.sin(theta) * self.Gs
-        w, v = np.linalg.eigh(Hs)
-        lam = float(w[-1])
-        y = v[:, -1]
+        lam, y = self._pair(theta)
         z = complex(y.conj() @ (self.Cs @ y))
         return lam, y, float(np.linalg.norm(self.residual_vector(theta, y, lam))), z
 
@@ -163,13 +178,29 @@ class _SubspaceSweep:
                 - lam * (self.U @ y))
 
 
+def _adjoint_times(U, X):
+    """U^H X without forming the conjugate copy of U."""
+    return (X.T.conj() @ U).T.conj()
+
+
+def _top_eigenpair(H):
+    """(lambda_max, unit eigenvector) of a Hermitian matrix.  LAPACK computes
+    this one pair alone, on one BLAS thread: these matrices are small.  Its
+    subset solver can return no pair for a matrix whose eigenvalues agree to
+    round-off (a multiple of the identity); such a matrix gets the full solve."""
+    s = H.shape[0]
+    with _one_blas_thread():
+        w, v = sla.eigh(H, subset_by_index=[s - 1, s - 1], check_finite=False)
+        if w.size == 0:
+            w, v = sla.eigh(H, check_finite=False)
+    return float(w[-1]), v[:, -1]
+
+
 def _dense_angle_results(Ct, F, G, thetas):
     out = {}
     for t in thetas:
-        H = math.cos(t) * F + math.sin(t) * G
-        w, v = np.linalg.eigh(H)
-        vec = v[:, -1]
-        out[t] = (float(w[-1]), 0.0, complex(np.vdot(vec, Ct @ vec)))
+        lam, vec = _top_eigenpair(math.cos(t) * F + math.sin(t) * G)
+        out[t] = (lam, 0.0, complex(np.vdot(vec, Ct @ vec)))
     return out
 
 
@@ -211,16 +242,24 @@ def _subspace_converge(sweep, thetas, eta_tol, max_phases=400, batch_every=8):
 
 
 def _norm2_upper(Ct):
-    """||C||_2 of the transformed matrix, never an underestimate."""
+    """||C||_2 of the transformed matrix, never an underestimate.  ARPACK
+    starts from a fixed vector, so the value repeats bit for bit, and runs on
+    one BLAS thread: its own vector operations are small."""
     n = Ct.shape[0]
     if n <= DENSE_EIG_CUTOFF:
         return float(sla.svdvals(Ct)[0])
-    gram = spla.LinearOperator((n, n), matvec=lambda x: Ct.conj().T @ (Ct @ x),
-                               dtype=complex)
-    w, v = spla.eigsh(gram, k=1, which="LM", tol=1e-11, maxiter=20000)
-    vec = v[:, 0] / np.linalg.norm(v[:, 0])
-    lam = float(np.real(w[0]))
-    eta = float(np.linalg.norm(Ct.conj().T @ (Ct @ vec) - lam * vec))
+
+    def gram(x):  # Ct^H Ct x without forming Ct^H
+        return (Ct.T @ (Ct @ x).conj()).conj()
+
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    op = spla.LinearOperator((n, n), matvec=gram, dtype=complex)
+    with _one_blas_thread():
+        w, v = spla.eigsh(op, k=1, which="LM", tol=1e-11, maxiter=20000, v0=v0)
+        vec = v[:, 0] / np.linalg.norm(v[:, 0])
+        lam = float(np.real(w[0]))
+        eta = float(np.linalg.norm(gram(vec) - lam * vec))
     return math.sqrt(max(lam + eta, 0.0))
 
 

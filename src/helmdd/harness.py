@@ -13,7 +13,7 @@ lockstep, each with its own count).
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -325,6 +325,9 @@ _PRESET_BUILDERS = {
 def expand_preset(preset, k_values, **overrides):
     if preset not in _PRESET_BUILDERS:
         raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
+    unknown = sorted(set(overrides) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown ExperimentConfig field(s) {unknown}")
     cfgs = []
     for k in k_values:
         for cfg in _PRESET_BUILDERS[preset](float(k)):

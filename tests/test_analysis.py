@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from helmdd import analysis, precond
 from helmdd.analysis import (AnalysisSizeError, check_adjoint_identity,
                              check_gmres_bound, fov_distance,
                              preconditioned_operator, rayleigh_samples,
@@ -165,3 +166,95 @@ def test_scaling_sweep_norm_slope_trend():
     assert slope <= 1.3
     ratios = [r["norm"] / (r["k"] ** 2 / r["eps"]) for r in sweep["rows"]]
     assert max(ratios) / min(ratios) < 3.0  # bounded prefactor over the sweep
+
+
+def _random_sweep(n=80, seed=11):
+    rng = np.random.default_rng(seed)
+    Ct = np.diag(rng.uniform(1, 3, n)) + 0.3 * (rng.standard_normal((n, n))
+                                                + 1j * rng.standard_normal((n, n)))
+    F = 0.5 * (Ct + Ct.conj().T)
+    G = 0.5j * (Ct - Ct.conj().T)
+    return analysis._SubspaceSweep(Ct, F, G, rng)
+
+
+def _reference_ritz(sweep, theta):
+    U = sweep.U
+    H = math.cos(theta) * sweep.F + math.sin(theta) * sweep.G
+    w, v = np.linalg.eigh(U.conj().T @ H @ U)
+    return w[-1], v[:, -1]
+
+
+def test_ritz_matches_full_eigh_of_projected_matrix():
+    sweep = _random_sweep()
+    for theta in (0.0, 1.1, 4.0):
+        lam, y, eta, _ = sweep.ritz(theta)
+        lam_ref, y_ref = _reference_ritz(sweep, theta)
+        assert lam == pytest.approx(lam_ref, rel=1e-12)
+        assert abs(abs(np.vdot(y, y_ref)) - 1.0) <= 1e-10
+        assert sweep.lam_batch([theta])[0] == lam
+        assert eta > 0.0
+
+
+def test_ritz_recomputed_after_append():
+    sweep = _random_sweep()
+    theta = 0.7
+    lam, y, _, _ = sweep.ritz(theta)
+    size = sweep.size
+    assert sweep.append(sweep.residual_vector(theta, y, lam))
+    assert sweep.size == size + 1
+    lam_new, y_new, _, _ = sweep.ritz(theta)
+    assert len(y_new) == size + 1
+    lam_ref, y_ref = _reference_ritz(sweep, theta)
+    assert lam_new == pytest.approx(lam_ref, rel=1e-12)
+    assert abs(abs(np.vdot(y_new, y_ref)) - 1.0) <= 1e-10
+    assert lam_new >= lam - 1e-12 * abs(lam)  # Ritz values grow with the basis
+    # the stored columns are the basis and its images
+    assert np.allclose(sweep.FU, sweep.F @ sweep.U)
+    assert np.allclose(sweep.Cs, sweep.U.conj().T @ sweep.Ct @ sweep.U)
+
+
+def _sweep_sized_matrix(seed=12):
+    n = analysis.DENSE_EIG_CUTOFF + 1  # the ARPACK path
+    rng = np.random.default_rng(seed)
+    d = np.r_[3.0, rng.uniform(1, 2, n - 1)]
+    return np.diag(d) + 0.01 * (rng.standard_normal((n, n))
+                                + 1j * rng.standard_normal((n, n)))
+
+
+def test_norm_is_deterministic():
+    Ct = _sweep_sized_matrix()
+    first = analysis._norm2_upper(Ct)
+    assert analysis._norm2_upper(Ct) == first
+    assert first == pytest.approx(sla.svdvals(Ct)[0], rel=1e-9)
+    assert first >= sla.svdvals(Ct)[0] * (1 - 1e-14)
+
+
+def test_norm_and_ritz_restore_blas_thread_count(monkeypatch):
+    fns = precond._scipy_openblas()
+    if fns is None:
+        pytest.skip("scipy does not bundle OpenBLAS here")
+    get, set_ = fns
+    seen = []
+
+    def recording(solver):
+        def call(*args, **kwargs):
+            seen.append(get())
+            return solver(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(analysis.sla, "eigh", recording(analysis.sla.eigh))
+    monkeypatch.setattr(analysis.spla, "eigsh", recording(analysis.spla.eigsh))
+    sweep = _random_sweep()
+    Ct = _sweep_sized_matrix()
+    before = get()
+    try:
+        set_(2)
+        sweep.ritz(0.3)
+        assert get() == 2
+        sweep.lam_batch([0.5, 0.9])
+        assert get() == 2
+        analysis._norm2_upper(Ct)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen == [1, 1, 1, 1]  # three projected eigensolves, one ARPACK run

@@ -155,6 +155,13 @@ def test_preset_arities():
         expand_preset("table9", [20])
 
 
+def test_expand_preset_refuses_unknown_override():
+    assert {c.max_iters for c in expand_preset("table1", [20], max_iters=5)} == {5}
+    for bad in ({"max_iter": 5}, {"threads": 2}):
+        with pytest.raises(ValueError, match="unknown ExperimentConfig field"):
+            expand_preset("table1", [20], **bad)
+
+
 def test_table2_preset_band_k40():
     rows = run_table("table2", [40])
     two, one = rows
