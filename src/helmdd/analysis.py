@@ -2,8 +2,9 @@
 convergence theory on dense desk-scale instances.
 
 The numerical range is traced through the extremal eigenvalues of the rotated
-Hermitian parts H(theta) = cos(theta)*F + sin(theta)*G of the similarity-
-transformed matrix, on a theta grid (>= 256 angles) adaptively refined near
+Hermitian parts H(theta) = (e^{i theta} C + e^{-i theta} C^H) / 2 of the
+similarity-transformed matrix C, the only dense matrix of the analysis
+(_hermitian_part), on a theta grid (>= 256 angles) adaptively refined near
 the minimum of lambda_max.  Each supporting halfplane gives the certified
 lower bound dist >= max_theta(-lambda_max(theta) - eta_theta), eta being the
 eigenpair residual, so under-converged eigensolves can only weaken the
@@ -17,6 +18,7 @@ per basis size and caches it.  These solves and ARPACK's norm estimate run on
 one BLAS thread.
 """
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -71,7 +73,10 @@ def to_euclidean(C, D=None, weight="D"):
 
     weight "D":    Ctilde = L^H C L^-H  with D = L L^H
     weight "Dinv": Ctilde = L^-1 C L
+    weight "I", or no D: Ctilde = C
     """
+    if weight not in ("D", "Dinv", "I"):
+        raise ValueError(f"unknown weight tag {weight!r}")
     C = np.asarray(C, dtype=complex)
     if D is None or weight == "I":
         return C.copy()
@@ -79,53 +84,44 @@ def to_euclidean(C, D=None, weight="D"):
     if weight == "D":
         X = L.conj().T @ C
         return sla.solve_triangular(L.conj(), X.T, lower=True).T
-    if weight == "Dinv":
-        X = sla.solve_triangular(L, C, lower=True)
-        return X @ L
-    raise ValueError(f"unknown weight tag {weight!r}")
+    X = sla.solve_triangular(L, C, lower=True)
+    return X @ L
 
 
 class _SubspaceSweep:
-    """Rayleigh-Ritz evaluation of lambda_max(cos(t) F + sin(t) G) over many
-    angles through one shared subspace, enriched by Ritz residuals.
+    """Rayleigh-Ritz evaluation of lambda_max(H(t)) over many angles through
+    one shared subspace, enriched by Ritz residuals.
 
     Ritz values underestimate lambda_max, so each angle yields the valid
     support lower bound -(lam + eta) with eta the explicit residual norm;
     enrichment drives eta to zero exactly where the maximum is attained.
 
-    The basis U and its images FU, GU, CU live in arrays of max_basis columns
-    allocated once; the properties are views of the first size columns.  The
-    basis only grows, so the top Ritz pair of an angle is solved once per
-    basis size (_pair) and reused until the next append.
+    It stores the basis U, its images CU = Ct U and CHU = Ct^H U, and
+    Cs = U^H Ct U, whose Hermitian part is the projected H(t), in arrays of
+    max_basis columns allocated once; the properties are views of the first
+    size columns.  The basis only grows, so the top Ritz pair of an angle is
+    solved once per basis size (_pair) and reused until the next append.
     """
 
-    def __init__(self, Ct, F, G, rng, max_basis=260):
-        self.Ct, self.F, self.G = Ct, F, G
+    def __init__(self, Ct, rng, max_basis=260):
+        self.Ct = Ct
         self.n = Ct.shape[0]
         X = rng.standard_normal((self.n, 6)) + 1j * rng.standard_normal((self.n, 6))
-        U, _ = np.linalg.qr(np.hstack([X, F @ X, G @ X]))
+        U, _ = np.linalg.qr(np.hstack([X, Ct @ X, _adjoint_times(Ct, X)]))
         s = U.shape[1]
         self.max_basis = max(max_basis, s)
-        cols = np.zeros((4, self.n, self.max_basis), dtype=complex)
-        self._U, self._FU, self._GU, self._CU = cols
-        projected = np.zeros((3, self.max_basis, self.max_basis), dtype=complex)
-        self._Fs, self._Gs, self._Cs = projected
+        self._U, self._CU, self._CHU = np.zeros((3, self.n, self.max_basis), dtype=complex)
+        self._Cs = np.zeros((self.max_basis, self.max_basis), dtype=complex)
         self._U[:, :s] = U
-        self._FU[:, :s] = F @ U
-        self._GU[:, :s] = G @ U
         self._CU[:, :s] = Ct @ U
-        self._Fs[:s, :s] = _adjoint_times(U, self._FU[:, :s])
-        self._Gs[:s, :s] = _adjoint_times(U, self._GU[:, :s])
+        self._CHU[:, :s] = _adjoint_times(Ct, U)
         self._Cs[:s, :s] = _adjoint_times(U, self._CU[:, :s])
         self.size = s
         self._pairs = {}  # theta -> (basis size, lam, y)
 
     U = property(lambda self: self._U[:, :self.size])
-    FU = property(lambda self: self._FU[:, :self.size])
-    GU = property(lambda self: self._GU[:, :self.size])
     CU = property(lambda self: self._CU[:, :self.size])
-    Fs = property(lambda self: self._Fs[:self.size, :self.size])
-    Gs = property(lambda self: self._Gs[:self.size, :self.size])
+    CHU = property(lambda self: self._CHU[:, :self.size])
     Cs = property(lambda self: self._Cs[:self.size, :self.size])
 
     def append(self, u):
@@ -139,17 +135,13 @@ class _SubspaceSweep:
         if nu < 1e-12:
             return False
         u = u / nu
-        Fu, Gu, Cu = self.F @ u, self.G @ u, self.Ct @ u
-        for S, image in ((self._Fs, Fu), (self._Gs, Gu), (self._Cs, Cu)):
-            S[:s, s] = _adjoint_times(U, image)
-            S[s, s] = np.vdot(u, image)
-        self._Fs[s, :s] = self._Fs[:s, s].conj()  # Fs and Gs are Hermitian
-        self._Gs[s, :s] = self._Gs[:s, s].conj()
+        Cu, CHu = self.Ct @ u, _adjoint_times(self.Ct, u)
+        self._Cs[:s, s] = _adjoint_times(U, Cu)
         self._Cs[s, :s] = u.conj() @ self.CU
+        self._Cs[s, s] = np.vdot(u, Cu)
         self._U[:, s] = u
-        self._FU[:, s] = Fu
-        self._GU[:, s] = Gu
         self._CU[:, s] = Cu
+        self._CHU[:, s] = CHu
         self.size = s + 1
         return True
 
@@ -158,8 +150,7 @@ class _SubspaceSweep:
         per angle and basis size."""
         hit = self._pairs.get(theta)
         if hit is None or hit[0] != self.size:
-            Hs = math.cos(theta) * self.Fs + math.sin(theta) * self.Gs
-            hit = (self.size, *_top_eigenpair(Hs))
+            hit = (self.size, *_top_eigenpair(_hermitian_part(self.Cs, theta)))
             self._pairs[theta] = hit
         return hit[1], hit[2]
 
@@ -174,8 +165,9 @@ class _SubspaceSweep:
         return lam, y, float(np.linalg.norm(self.residual_vector(theta, y, lam))), z
 
     def residual_vector(self, theta, y, lam):
-        return (math.cos(theta) * (self.FU @ y) + math.sin(theta) * (self.GU @ y)
-                - lam * (self.U @ y))
+        """H(theta) U y - lam U y, from the stored images of U."""
+        e = 0.5 * cmath.exp(1j * theta)
+        return e * (self.CU @ y) + e.conjugate() * (self.CHU @ y) - lam * (self.U @ y)
 
 
 def _adjoint_times(U, X):
@@ -196,10 +188,18 @@ def _top_eigenpair(H):
     return float(w[-1]), v[:, -1]
 
 
-def _dense_angle_results(Ct, F, G, thetas):
+def _hermitian_part(X, theta):
+    """H(theta) = (e^{i theta} X + (e^{i theta} X)^H) / 2, exactly Hermitian,
+    formed with one scaled copy of X."""
+    Y = (0.5 * cmath.exp(1j * theta)) * X
+    Y += Y.conj().T
+    return Y
+
+
+def _dense_angle_results(Ct, thetas):
     out = {}
     for t in thetas:
-        lam, vec = _top_eigenpair(math.cos(t) * F + math.sin(t) * G)
+        lam, vec = _top_eigenpair(_hermitian_part(Ct, t))
         out[t] = (lam, 0.0, complex(np.vdot(vec, Ct @ vec)))
     return out
 
@@ -306,18 +306,16 @@ def fov_distance(C, D=None, *, weight="D", tag="", angles=256, size_cap=SIZE_CAP
     if n > size_cap:
         raise AnalysisSizeError(f"dense analysis refused for dimension {n} > {size_cap}")
     Ct = to_euclidean(C, D, weight)
-    F = 0.5 * (Ct + Ct.conj().T)
-    G = 0.5j * (Ct - Ct.conj().T)  # H(theta) = cos(t) F + sin(t) G, both Hermitian
     norm = _norm2_upper(Ct)
     dense = n <= DENSE_EIG_CUTOFF
     rng = np.random.default_rng(2357)
     eta_tol = max(1e-8 * norm, 1e-14)
-    sweep = None if dense else _SubspaceSweep(Ct, F, G, rng)
+    sweep = None if dense else _SubspaceSweep(Ct, rng)
 
     thetas = [float(t) for t in
               np.linspace(0.0, 2.0 * math.pi, max(angles, 256), endpoint=False)]
     if dense:
-        results = _dense_angle_results(Ct, F, G, thetas)
+        results = _dense_angle_results(Ct, thetas)
     else:
         results = _subspace_converge(sweep, thetas, eta_tol)
     spacing = 2.0 * math.pi / len(thetas)
@@ -328,7 +326,7 @@ def fov_distance(C, D=None, *, weight="D", tag="", angles=256, size_cap=SIZE_CAP
         new = [t for t in local if t not in results]
         thetas.extend(new)
         if dense:
-            results.update(_dense_angle_results(Ct, F, G, new))
+            results.update(_dense_angle_results(Ct, new))
         else:
             results = _subspace_converge(sweep, thetas, eta_tol)
         spacing /= _REFINE_POINTS / 2.0
@@ -444,6 +442,8 @@ def scaling_sweep(k_list, *, beta=None, eps_rule="k^beta", alpha=1.0, kind="AS",
     theoretical k^2/eps scaling."""
     if not set(sides) <= {"left", "right"}:
         raise ValueError(f"sides must be 'left' or 'right', got {list(sides)}")
+    if eps_rule not in ("ksq", "k^beta") and not callable(eps_rule):
+        raise ValueError(f"eps_rule must be 'ksq', 'k^beta' or a callable, got {eps_rule!r}")
     rows = []
     for k in k_list:
         if eps_rule == "ksq":

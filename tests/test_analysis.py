@@ -50,6 +50,10 @@ def test_invalid_weight_rejected():
         fov_distance(C, np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         to_euclidean(C, np.eye(3), weight="bogus")
+    with pytest.raises(ValueError):
+        to_euclidean(C, None, weight="bogus")
+    with pytest.raises(ValueError):
+        fov_distance(C, weight="Dnv")
 
 
 def test_size_cap_refused():
@@ -158,7 +162,7 @@ def test_scaling_sweep_ksq_certified_and_csv(tmp_path):
     assert len(text) == 5
 
 
-def test_scaling_sweep_norm_slope_trend():
+def test_scaling_sweep_norm_slope_trend(monkeypatch):
     # ||B^-1 A_eps||_D grows at most like k^2/eps (fitted slope <= 1.3)
     sweep = scaling_sweep([4, 6, 8, 10], beta=1.0, eps_rule="k^beta", alpha=1.0,
                           kind="AS", sides=("left",))
@@ -166,20 +170,30 @@ def test_scaling_sweep_norm_slope_trend():
     assert slope <= 1.3
     ratios = [r["norm"] / (r["k"] ** 2 / r["eps"]) for r in sweep["rows"]]
     assert max(ratios) / min(ratios) < 3.0  # bounded prefactor over the sweep
+    # an unknown rule is refused before any operator is built
+    monkeypatch.setattr(analysis, "preconditioned_operator",
+                        lambda *a, **kw: pytest.fail("operator built"))
+    with pytest.raises(ValueError, match=r"'ksq', 'k\^beta'"):
+        scaling_sweep([4], eps_rule="k2")
 
 
 def _random_sweep(n=80, seed=11):
     rng = np.random.default_rng(seed)
     Ct = np.diag(rng.uniform(1, 3, n)) + 0.3 * (rng.standard_normal((n, n))
                                                 + 1j * rng.standard_normal((n, n)))
+    return analysis._SubspaceSweep(Ct, rng)
+
+
+def _rotated_hermitian_part(Ct, theta):
+    # cos(t) F + sin(t) G with the Hermitian F and G of Ct = F + iG
     F = 0.5 * (Ct + Ct.conj().T)
     G = 0.5j * (Ct - Ct.conj().T)
-    return analysis._SubspaceSweep(Ct, F, G, rng)
+    return math.cos(theta) * F + math.sin(theta) * G
 
 
 def _reference_ritz(sweep, theta):
     U = sweep.U
-    H = math.cos(theta) * sweep.F + math.sin(theta) * sweep.G
+    H = _rotated_hermitian_part(sweep.Ct, theta)
     w, v = np.linalg.eigh(U.conj().T @ H @ U)
     return w[-1], v[:, -1]
 
@@ -209,7 +223,8 @@ def test_ritz_recomputed_after_append():
     assert abs(abs(np.vdot(y_new, y_ref)) - 1.0) <= 1e-10
     assert lam_new >= lam - 1e-12 * abs(lam)  # Ritz values grow with the basis
     # the stored columns are the basis and its images
-    assert np.allclose(sweep.FU, sweep.F @ sweep.U)
+    assert np.allclose(sweep.CU, sweep.Ct @ sweep.U)
+    assert np.allclose(sweep.CHU, sweep.Ct.conj().T @ sweep.U)
     assert np.allclose(sweep.Cs, sweep.U.conj().T @ sweep.Ct @ sweep.U)
 
 
@@ -258,3 +273,25 @@ def test_norm_and_ritz_restore_blas_thread_count(monkeypatch):
     finally:
         set_(before)
     assert seen == [1, 1, 1, 1]  # three projected eigensolves, one ARPACK run
+
+
+def test_dense_branch_and_sweep_agree(monkeypatch):
+    rng = np.random.default_rng(13)
+    n = 100
+    C = np.diag(rng.uniform(1, 3, n)) + 0.02 * (rng.standard_normal((n, n))
+                                                + 1j * rng.standard_normal((n, n)))
+    D = random_spd(n, 4)
+    dense = fov_distance(C, D)
+    monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", 0)  # the sweep and ARPACK
+    swept = fov_distance(C, D)
+    assert dense.certified and swept.certified
+    # the sweep stops refining at a residual of 1e-8 * norm, which bounds
+    # how far below the dense value its certified distance may fall
+    assert swept.dist_to_origin == pytest.approx(dense.dist_to_origin,
+                                                 abs=1e-8 * dense.norm)
+    assert swept.norm == pytest.approx(dense.norm, rel=1e-8)
+    Ct = to_euclidean(C, D)
+    for theta in (0.0, 2.0, 5.5):
+        lam, _, _ = analysis._dense_angle_results(Ct, [theta])[theta]
+        ref = np.linalg.eigvalsh(_rotated_hermitian_part(Ct, theta))[-1]
+        assert lam == pytest.approx(ref, rel=1e-12)
