@@ -5,16 +5,19 @@ The numerical range is traced through the extremal eigenvalues of the rotated
 Hermitian parts H(theta) = (e^{i theta} C + e^{-i theta} C^H) / 2 of the
 similarity-transformed matrix C, the only dense matrix of the analysis
 (_hermitian_part), on a theta grid (>= 256 angles) adaptively refined near
-the minimum of lambda_max.  Each supporting halfplane gives the certified
-lower bound dist >= max_theta(-lambda_max(theta) - eta_theta), eta being the
-eigenpair residual, so under-converged eigensolves can only weaken the
-estimate, never inflate it.  The distance to the convex hull of the traced
-boundary points is kept as an upper cross-check.
+the minimum of lambda_max.  Every angle gives the lower bound
+dist >= -lambda_max(theta).  The angles share one growing Rayleigh-Ritz
+subspace (_SubspaceSweep), whose Ritz values locate the best angle theta*;
+a Ritz residual bounds the gap to some eigenvalue, not to the top one, so
+the distance is proven at theta* alone: mu = lam + eta is an upper bound of
+lambda_max(H(theta*)) when the Cholesky of mu I - H(theta*) succeeds, and
+otherwise the top pair of the full H(theta*) is solved directly.  A missed
+top eigenvector can thus only cost time, never inflate the estimate.  The
+distance to the convex hull of the traced boundary points is kept as an
+upper cross-check.
 
-Each angle needs only the top eigenpair, and only that pair is solved.  Above
-DENSE_EIG_CUTOFF the angles share one growing Rayleigh-Ritz subspace
-(_SubspaceSweep), which solves the pair of each angle's projected matrix once
-per basis size and caches it.  These solves and ARPACK's norm estimate run on
+Each angle needs only the top eigenpair, and only that pair is solved, once
+per angle and basis size.  These solves and ARPACK's norm estimate run on
 one BLAS thread.
 """
 
@@ -34,7 +37,7 @@ from .mesh import build_fine_mesh, build_wavespeed, ceil_snapped, layout_from_bl
 from .precond import _one_blas_thread, build_preconditioner
 
 SIZE_CAP = 4096
-DENSE_EIG_CUTOFF = 600
+DENSE_EIG_CUTOFF = 600  # the norm by dense SVD up to here (ARPACK needs n > 2)
 _REFINE_ROUNDS, _REFINE_POINTS = 3, 16  # theta refinements near the minimum, angles each
 _CERTIFY_RTOL = 1e-6  # an estimate is certified when dist > this * norm
 _ENVELOPE_SLACK = 1e-10  # residual excess over sin^m(beta) still counted as ok
@@ -92,15 +95,18 @@ class _SubspaceSweep:
     """Rayleigh-Ritz evaluation of lambda_max(H(t)) over many angles through
     one shared subspace, enriched by Ritz residuals.
 
-    Ritz values underestimate lambda_max, so each angle yields the valid
-    support lower bound -(lam + eta) with eta the explicit residual norm;
-    enrichment drives eta to zero exactly where the maximum is attained.
+    Ritz values underestimate lambda_max and only grow with the basis;
+    enrichment drives the residual eta to zero where the minimum of
+    lambda_max is attained.  lam + eta bounds the gap to some eigenvalue of
+    H(t), not necessarily the top one, so the sweep only locates the best
+    angle, and fov_distance proves the bound there.
 
     It stores the basis U, its images CU = Ct U and CHU = Ct^H U, and
     Cs = U^H Ct U, whose Hermitian part is the projected H(t), in arrays of
     max_basis columns allocated once; the properties are views of the first
-    size columns.  The basis only grows, so the top Ritz pair of an angle is
-    solved once per basis size (_pair) and reused until the next append.
+    size columns.  The top Ritz pair of an angle is solved once per basis
+    size (_pair) and cached; the latest pair of each angle stays readable
+    after an append, since appending leaves the first columns unchanged.
     """
 
     def __init__(self, Ct, rng, max_basis=260):
@@ -155,14 +161,25 @@ class _SubspaceSweep:
         return hit[1], hit[2]
 
     def lam_batch(self, thetas):
-        """Ritz lambda_max for every angle (values only)."""
-        return np.array([self._pair(t)[0] for t in thetas])
+        """The latest Ritz lambda_max of each angle, solved only for an angle
+        never solved before.  A value from a smaller basis is a lower bound
+        of the current one."""
+        pairs = self._pairs
+        return np.array([pairs[t][1] if t in pairs else self._pair(t)[0] for t in thetas])
 
     def ritz(self, theta):
-        """(lam, Ritz vector y, residual norm eta, boundary point z)."""
+        """(lam, Ritz vector y, residual norm eta) at the current basis size."""
         lam, y = self._pair(theta)
-        z = complex(y.conj() @ (self.Cs @ y))
-        return lam, y, float(np.linalg.norm(self.residual_vector(theta, y, lam))), z
+        return lam, y, float(np.linalg.norm(self.residual_vector(theta, y, lam)))
+
+    def boundary_points(self, thetas):
+        """Rayleigh quotients x^H Ct x of each angle's latest Ritz vector
+        x = U y, with Ct x = CU y: points of the field of values."""
+        z = np.empty(len(thetas), dtype=complex)
+        for j, t in enumerate(thetas):
+            y = self._pairs[t][2]
+            z[j] = np.vdot(self._U[:, :len(y)] @ y, self._CU[:, :len(y)] @ y)
+        return z
 
     def residual_vector(self, theta, y, lam):
         """H(theta) U y - lam U y, from the stored images of U."""
@@ -197,48 +214,59 @@ def _hermitian_part(X, theta):
 
 
 def _dense_angle_results(Ct, thetas):
+    """{theta: (lambda_max, residual norm)} of the full H(theta), each pair
+    solved directly."""
     out = {}
     for t in thetas:
-        lam, vec = _top_eigenpair(_hermitian_part(Ct, t))
-        out[t] = (lam, 0.0, complex(np.vdot(vec, Ct @ vec)))
+        H = _hermitian_part(Ct, t)
+        lam, vec = _top_eigenpair(H)
+        out[t] = (lam, float(np.linalg.norm(H @ vec - lam * vec)))
     return out
 
 
-def _subspace_converge(sweep, thetas, eta_tol, max_phases=400, batch_every=8):
+def _top_below(Ct, theta, mu):
+    """True when the Cholesky of mu I - H(theta) succeeds, which proves
+    lambda_max(H(theta)) < mu up to the factorisation's round-off.  The
+    matrix is H(theta) negated and shifted in place; its transpose, the
+    conjugate and definite with it, is Fortran-ordered, so LAPACK factors
+    it without a copy."""
+    M = _hermitian_part(Ct, theta)
+    np.negative(M, out=M)
+    M[np.diag_indices_from(M)] += mu
+    try:
+        sla.cho_factor(M.T, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _subspace_converge(sweep, thetas, eta_tol, max_phases=400):
     """Enrich the shared subspace until every angle that could attain the
-    support maximum has a tight Ritz pair.  Ritz values only grow with the
-    basis, so stale cached values scan conservatively."""
-    thetas = list(thetas)
-    lam_cache = sweep.lam_batch(thetas)
-    since_batch = 0
+    support maximum has a tight Ritz pair, and return the latest Ritz value
+    of each angle.  Ritz values only grow with the basis, so the scan reads
+    each angle's latest value as a lower bound and solves it again only when
+    it could still attain the maximum.  A converged scan ends on a phase
+    without an append, so the angle of the smallest returned value has its
+    pair at the final size."""
+    lam = sweep.lam_batch(thetas)
     for _ in range(max_phases):
-        order = np.argsort(lam_cache)
         dist_cand = -np.inf
         target = None
-        for idx in order:
-            if -lam_cache[idx] <= dist_cand:
+        for idx in np.argsort(lam):
+            if -lam[idx] <= dist_cand:
                 break
             t = thetas[idx]
-            l, y, eta, _ = sweep.ritz(t)
-            lam_cache[idx] = l
+            l, y, eta = sweep.ritz(t)
+            lam[idx] = l
             if eta > eta_tol:
                 target = (t, y, l)
                 break
             dist_cand = max(dist_cand, -(l + eta))
         if target is None:
             break
-        t, y, l = target
-        if not sweep.append(sweep.residual_vector(t, y, l)):
-            break  # basis cap: eta-corrected values stay valid, just weaker
-        since_batch += 1
-        if since_batch >= batch_every:
-            lam_cache = sweep.lam_batch(thetas)
-            since_batch = 0
-    results = {}
-    for t in thetas:
-        l, y, eta, z = sweep.ritz(t)
-        results[t] = (l, eta, z)
-    return results
+        if not sweep.append(sweep.residual_vector(*target)):
+            break  # basis cap: the best angle is still proven on its own
+    return lam
 
 
 def _norm2_upper(Ct):
@@ -265,14 +293,14 @@ def _norm2_upper(Ct):
 
 def _hull_distance(points):
     """Distance from the origin to the convex hull of 2-D points (0 if inside)."""
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
     pts = np.column_stack([points.real, points.imag])
     polygon = True
     try:
         hull = ConvexHull(pts)
         verts = pts[hull.vertices]  # counterclockwise
-    except Exception:  # collinear set: no 2-D hull, just a segment of points
+    except QhullError:  # collinear set: no 2-D hull, just a segment of points
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         verts = pts[order]
         polygon = False
@@ -300,44 +328,45 @@ def _hull_distance(points):
 
 
 def fov_distance(C, D=None, *, weight="D", tag="", angles=256, size_cap=SIZE_CAP):
-    """FovEstimate for dist(0, W_D(C)) and ||C||_D via boundary tracing."""
+    """FovEstimate for dist(0, W_D(C)) and ||C||_D via boundary tracing.
+
+    The subspace sweep finds the angle theta* of the smallest Ritz value of
+    lambda_max; the distance is -lambda_max(H(theta*)) bounded from below,
+    by the sweep's lam + eta when one Cholesky proves it an upper bound of
+    lambda_max, else by the top pair of the full H(theta*)."""
     C = np.asarray(C, dtype=complex)
     n = C.shape[0]
     if n > size_cap:
         raise AnalysisSizeError(f"dense analysis refused for dimension {n} > {size_cap}")
     Ct = to_euclidean(C, D, weight)
     norm = _norm2_upper(Ct)
-    dense = n <= DENSE_EIG_CUTOFF
-    rng = np.random.default_rng(2357)
     eta_tol = max(1e-8 * norm, 1e-14)
-    sweep = None if dense else _SubspaceSweep(Ct, rng)
+    sweep = _SubspaceSweep(Ct, np.random.default_rng(2357))
 
     thetas = [float(t) for t in
               np.linspace(0.0, 2.0 * math.pi, max(angles, 256), endpoint=False)]
-    if dense:
-        results = _dense_angle_results(Ct, thetas)
-    else:
-        results = _subspace_converge(sweep, thetas, eta_tol)
+    lam = _subspace_converge(sweep, thetas, eta_tol)
     spacing = 2.0 * math.pi / len(thetas)
     for _ in range(_REFINE_ROUNDS):
-        t_best = min(results, key=lambda t: results[t][0])
+        t_best = thetas[int(np.argmin(lam))]
         local = [float(t % (2.0 * math.pi))
                  for t in np.linspace(t_best - spacing, t_best + spacing, _REFINE_POINTS)]
-        new = [t for t in local if t not in results]
-        thetas.extend(new)
-        if dense:
-            results.update(_dense_angle_results(Ct, new))
-        else:
-            results = _subspace_converge(sweep, thetas, eta_tol)
+        seen = set(thetas)
+        thetas += [t for t in local if t not in seen]
+        lam = _subspace_converge(sweep, thetas, eta_tol)
         spacing /= _REFINE_POINTS / 2.0
 
-    support = max(-(lam + eta) for lam, eta, _ in results.values())
-    dist = max(0.0, support)
-    hull = _hull_distance(np.array([z for _, _, z in results.values()]))
+    t_best = thetas[int(np.argmin(lam))]
+    l, _, eta = sweep.ritz(t_best)
+    hull = _hull_distance(sweep.boundary_points(thetas))
+    del sweep  # freed before the proof allocates its n x n matrices
+    if not _top_below(Ct, t_best, l + eta):  # the subspace missed the top pair
+        l, eta = _dense_angle_results(Ct, [t_best])[t_best]
+    dist = max(0.0, -(l + eta))
     cosb = min(dist / norm, 1.0) if norm > 0 else 0.0
     return FovEstimate(tag=tag, dist_to_origin=dist, norm=norm,
                        beta=math.acos(cosb), certified=dist > _CERTIFY_RTOL * norm,
-                       angles_used=len(results), hull_dist=hull)
+                       angles_used=len(thetas), hull_dist=hull)
 
 
 def rayleigh_samples(C, D=None, *, weight="D", num=10000, seed=0):

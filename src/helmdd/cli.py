@@ -1,7 +1,8 @@
 """Command-line entry point: `helmdd run` executes a table preset, `helmdd
 solve` runs one configuration, `helmdd analyze` runs the field-of-values
-analysis.  Exit code 0 on full success, 2 if any row failed to converge,
-1 on error."""
+analysis.  Exit code 0 on full success, 2 if any row failed to converge
+(analyze: if any distance is not certified or any envelope check is
+violated), 1 on error."""
 
 import argparse
 import sys
@@ -138,7 +139,12 @@ def _cmd_analyze(args):
         rows_to_csv(sweep["rows"], sys.stdout)
     for name, slope in sweep["slopes"].items():
         print(f"slope {name} = {slope:.3f}", file=sys.stderr)
-    return 0
+    failed = [r for r in sweep["rows"] if not r["certified"]
+              or r.get("envelope", {}).get("status") == "violated"]
+    for r in failed:
+        what = "envelope violated" if r["certified"] else "not certified"
+        print(f"{what}: {r['tag']} k={r['k']} eps={r['eps']}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def main(argv=None):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import minimize_scalar
 
 from helmdd import analysis, precond
 from helmdd.analysis import (AnalysisSizeError, check_adjoint_identity,
@@ -201,7 +202,7 @@ def _reference_ritz(sweep, theta):
 def test_ritz_matches_full_eigh_of_projected_matrix():
     sweep = _random_sweep()
     for theta in (0.0, 1.1, 4.0):
-        lam, y, eta, _ = sweep.ritz(theta)
+        lam, y, eta = sweep.ritz(theta)
         lam_ref, y_ref = _reference_ritz(sweep, theta)
         assert lam == pytest.approx(lam_ref, rel=1e-12)
         assert abs(abs(np.vdot(y, y_ref)) - 1.0) <= 1e-10
@@ -212,11 +213,11 @@ def test_ritz_matches_full_eigh_of_projected_matrix():
 def test_ritz_recomputed_after_append():
     sweep = _random_sweep()
     theta = 0.7
-    lam, y, _, _ = sweep.ritz(theta)
+    lam, y, _ = sweep.ritz(theta)
     size = sweep.size
     assert sweep.append(sweep.residual_vector(theta, y, lam))
     assert sweep.size == size + 1
-    lam_new, y_new, _, _ = sweep.ritz(theta)
+    lam_new, y_new, _ = sweep.ritz(theta)
     assert len(y_new) == size + 1
     lam_ref, y_ref = _reference_ritz(sweep, theta)
     assert lam_new == pytest.approx(lam_ref, rel=1e-12)
@@ -275,23 +276,90 @@ def test_norm_and_ritz_restore_blas_thread_count(monkeypatch):
     assert seen == [1, 1, 1, 1]  # three projected eigensolves, one ARPACK run
 
 
-def test_dense_branch_and_sweep_agree(monkeypatch):
+def _eigvalsh_oracle(Ct):
+    """max over theta of -lambda_max(H(theta)), clipped at 0: a grid of 2048
+    angles, refined by a bounded scalar search around the best of them."""
+    def top(theta):
+        return np.linalg.eigvalsh(_rotated_hermitian_part(Ct, theta))[-1]
+
+    grid = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+    tops = [top(t) for t in grid]
+    t0, h = grid[int(np.argmin(tops))], 2.0 * math.pi / 2048
+    res = minimize_scalar(top, bounds=(t0 - h, t0 + h), method="bounded",
+                          options={"xatol": 1e-12})
+    return max(0.0, -min(res.fun, min(tops)))
+
+
+def test_sweep_agrees_with_eigvalsh_oracle():
     rng = np.random.default_rng(13)
     n = 100
     C = np.diag(rng.uniform(1, 3, n)) + 0.02 * (rng.standard_normal((n, n))
                                                 + 1j * rng.standard_normal((n, n)))
     D = random_spd(n, 4)
-    dense = fov_distance(C, D)
-    monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", 0)  # the sweep and ARPACK
-    swept = fov_distance(C, D)
-    assert dense.certified and swept.certified
-    # the sweep stops refining at a residual of 1e-8 * norm, which bounds
-    # how far below the dense value its certified distance may fall
-    assert swept.dist_to_origin == pytest.approx(dense.dist_to_origin,
-                                                 abs=1e-8 * dense.norm)
-    assert swept.norm == pytest.approx(dense.norm, rel=1e-8)
+    est = fov_distance(C, D)
     Ct = to_euclidean(C, D)
+    oracle = _eigvalsh_oracle(Ct)
+    assert est.certified
+    # the sweep stops refining at a residual of 1e-8 * norm, which bounds
+    # how far below the oracle its distance may fall
+    assert est.dist_to_origin == pytest.approx(oracle, abs=1e-8 * est.norm)
+    assert est.dist_to_origin <= oracle + 1e-12 * est.norm
+    assert est.norm == pytest.approx(sla.svdvals(Ct)[0], rel=1e-8)
     for theta in (0.0, 2.0, 5.5):
-        lam, _, _ = analysis._dense_angle_results(Ct, [theta])[theta]
+        lam, eta = analysis._dense_angle_results(Ct, [theta])[theta]
         ref = np.linalg.eigvalsh(_rotated_hermitian_part(Ct, theta))[-1]
         assert lam == pytest.approx(ref, rel=1e-12)
+        assert 0.0 < eta <= 1e-12 * est.norm  # the pair's own residual
+
+
+def test_distance_never_exceeds_oracle_when_ritz_residuals_lie(monkeypatch):
+    # a sweep kept at its starting basis, whose Ritz pairs claim eta = 0:
+    # its Ritz values underestimate lambda_max, and only the proof at the
+    # best angle keeps the distance from being inflated
+    rng = np.random.default_rng(15)
+    n = 60
+    C = np.diag(rng.uniform(1, 3, n)) + 0.05 * (rng.standard_normal((n, n))
+                                                + 1j * rng.standard_normal((n, n)))
+    ritz = analysis._SubspaceSweep.ritz
+
+    def no_residual(self, theta):
+        out = list(ritz(self, theta))
+        out[2] = 0.0  # eta
+        return tuple(out)
+
+    dense = analysis._dense_angle_results
+    fallbacks = []
+
+    def spy(Ct, thetas):
+        fallbacks.append(thetas)
+        return dense(Ct, thetas)
+
+    monkeypatch.setattr(analysis._SubspaceSweep, "ritz", no_residual)
+    monkeypatch.setattr(analysis._SubspaceSweep, "append", lambda self, u: False)
+    monkeypatch.setattr(analysis, "_dense_angle_results", spy)
+    monkeypatch.setattr(analysis, "DENSE_EIG_CUTOFF", 0)  # the ARPACK norm, as for large n
+    est = fov_distance(C)
+    oracle = _eigvalsh_oracle(C)
+    assert oracle > 0.1
+    assert est.dist_to_origin <= oracle + 1e-12 * est.norm
+    assert len(fallbacks) == 1
+
+
+def test_top_below_is_a_cholesky_test_of_lambda_max():
+    rng = np.random.default_rng(16)
+    n = 30
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    Ct = (Q * np.linspace(-2.0, 1.5, n)) @ Q.conj().T  # Hermitian: H(0) = Ct, H(pi) = -Ct
+    for theta, top in ((0.0, 1.5), (math.pi, 2.0)):
+        assert analysis._top_below(Ct, theta, top + 1e-8)
+        assert not analysis._top_below(Ct, theta, top - 1e-8)
+
+
+def test_fov_pins_hras_k8():
+    # the seed-0 FOV distances pinned by the fov-hras-k8 benchmark workload
+    ops = preconditioned_operator(8, eps=64.0, alpha=1.0, kind="HRAS")
+    for side, weight, pin in (("left", "D", 0.7558151584949326),
+                              ("right", "Dinv", 0.7636798477441101)):
+        est = fov_distance(ops[side], ops["D"], weight=weight)
+        assert est.certified
+        assert est.dist_to_origin == pytest.approx(pin, rel=1e-6)

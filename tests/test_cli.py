@@ -6,7 +6,7 @@ import pytest
 from scipy.io import mmread
 
 from helmdd.assembly import AssemblyCoefficients, assemble_system
-from helmdd import cli
+from helmdd import analysis, cli
 from helmdd.cli import main
 from helmdd.harness import parse_results
 from helmdd.mesh import build_fine_mesh, build_wavespeed
@@ -109,6 +109,20 @@ def test_analyze_writes_rows(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "tag,k,eps,H,dist,norm,beta,certified,max_ratio"
     assert lines[1].startswith("AS-left,4")
+
+
+def test_analyze_exit_code_uncertified_or_violated(tmp_path, capsys, monkeypatch):
+    # one-level RAS1 at k=4, eps=1: the origin lies in the field of values
+    code, _, err = run_cli(["analyze", "--k", "4", "--beta", "0", "--precond", "RAS1",
+                            "--sides", "left", "--out", str(tmp_path / "fov.csv")], capsys)
+    assert code == 2
+    assert "not certified: RAS1-left k=4.0" in err
+    monkeypatch.setattr(analysis, "check_gmres_bound",
+                        lambda *a, **kw: {"status": "violated", "max_ratio": 2.0})
+    code, _, err = run_cli(["analyze", "--k", "4", "--sides", "left", "--envelope",
+                            "--out", str(tmp_path / "fov.csv")], capsys)
+    assert code == 2
+    assert "envelope violated: AS-left k=4.0" in err
 
 
 def test_analyze_refuses_unknown_side(tmp_path, capsys):
