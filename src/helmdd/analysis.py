@@ -41,6 +41,7 @@ DENSE_EIG_CUTOFF = 600  # the norm by dense SVD up to here (ARPACK needs n > 2)
 _REFINE_ROUNDS, _REFINE_POINTS = 3, 16  # theta refinements near the minimum, angles each
 _CERTIFY_RTOL = 1e-6  # an estimate is certified when dist > this * norm
 _ENVELOPE_SLACK = 1e-10  # residual excess over sin^m(beta) still counted as ok
+_HERMITIAN_TILE = 256  # _hermitian_part's temporaries are at most this square
 
 ANALYSIS_COLUMNS = ("tag", "k", "eps", "H", "dist", "norm", "beta", "certified",
                     "max_ratio")
@@ -207,9 +208,20 @@ def _top_eigenpair(H):
 
 def _hermitian_part(X, theta):
     """H(theta) = (e^{i theta} X + (e^{i theta} X)^H) / 2, exactly Hermitian,
-    formed with one scaled copy of X."""
+    formed in one scaled copy Y of X.  Y is symmetrised in place, one pair of
+    mirrored tiles of _HERMITIAN_TILE rows at a time, so that no temporary is
+    larger than a tile; each entry is Y[i, j] + conj(Y[j, i]), as in
+    Y + Y^H."""
     Y = (0.5 * cmath.exp(1j * theta)) * X
-    Y += Y.conj().T
+    n, t = len(Y), _HERMITIAN_TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper = Y[i:i + t, j:j + t]
+            lower = Y[j:j + t, i:i + t]  # upper itself on the diagonal
+            mirror = lower.conj().T  # a copy, taken before either tile changes
+            if j > i:
+                lower += upper.conj().T
+            upper += mirror
     return Y
 
 

@@ -116,16 +116,48 @@ def closed_node_set(mesh, element_ids):
     return np.unique(mesh.elements[np.asarray(element_ids)])
 
 
+@dataclass(frozen=True)
+class BlockDiagonal:
+    """Canonical CSR arrays (sorted indices, no duplicates) of a block-diagonal
+    matrix: diagonal block s covers rows and columns [offs[s], offs[s+1]), and
+    no entry lies outside the blocks."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    offs: np.ndarray
+
+    def __len__(self):
+        return len(self.offs) - 1
+
+    def block(self, s):
+        """CSR matrix of diagonal block s; its arrays are views."""
+        lo, hi = self.offs[s], self.offs[s + 1]
+        p, q = self.indptr[lo], self.indptr[hi]
+        return sp.csr_matrix((self.data[p:q], self.indices[p:q] - lo,
+                              self.indptr[lo:hi + 1] - p), shape=(hi - lo, hi - lo))
+
+    @staticmethod
+    def concatenate(parts):
+        """The blocks of several block-diagonal matrices, in order."""
+        rows = np.cumsum([0] + [p.offs[-1] for p in parts])
+        ents = np.cumsum([0] + [p.indptr[-1] for p in parts])
+        return BlockDiagonal(
+            np.concatenate([[0]] + [p.indptr[1:] + e for p, e in zip(parts, ents)]),
+            np.concatenate([p.indices + r for p, r in zip(parts, rows)]),
+            np.concatenate([p.data for p in parts]),
+            np.concatenate([[0]] + [p.offs[1:] + r for p, r in zip(parts, rows)]))
+
+
 def assemble_local_impedance(mesh, element_sets, coeff):
     """Subdomain matrices, one per element set, each over its closed
     subdomain's nodes with the impedance term on the entire subdomain
     boundary (artificial interior boundary and any part on the global
-    boundary alike).
+    boundary alike), as the blocks of one BlockDiagonal.
 
-    The sets may overlap.  All of them are assembled in one batch as one
-    block-diagonal matrix: a node of set s is keyed s*n + node, so its rank
-    among the keys is its row in the block and the sets stay apart.  The
-    diagonal blocks are cut out as per-set CSR matrices; each is bitwise the
+    The sets may overlap.  All of them are assembled in one batch: a node of
+    set s is keyed s*n + node, so its rank among the keys is its row in the
+    block-diagonal matrix and the sets stay apart.  Each block is bitwise the
     one a batch of that set alone gives."""
     sets = [np.asarray(e, dtype=np.int64) for e in element_sets]
     sizes = np.array([len(e) for e in sets], dtype=np.int64)
@@ -153,16 +185,7 @@ def assemble_local_impedance(mesh, element_sets, coeff):
                                              coeff.edge_impedance(adjacent_c))
     block = _to_csr(np.concatenate([r, er]), np.concatenate([c, ec]),
                     np.concatenate([v, -1j * ev]), size)
-    return list(csr_diagonal_blocks(block.indptr, block.indices, block.data, offs))
-
-
-def csr_diagonal_blocks(indptr, indices, data, offs):
-    """CSR matrices of the diagonal blocks [offs[i], offs[i+1])^2 of a
-    block-diagonal CSR matrix given by its arrays; the values are views."""
-    for lo, hi in zip(offs[:-1], offs[1:]):
-        p, q = indptr[lo], indptr[hi]
-        yield sp.csr_matrix((data[p:q], indices[p:q] - lo, indptr[lo:hi + 1] - p),
-                            shape=(hi - lo, hi - lo))
+    return BlockDiagonal(block.indptr, block.indices, block.data, offs)
 
 
 def write_matrix_market(matrix, target):

@@ -10,6 +10,14 @@ at a corner), so the weights of all subdomains sum to one at every node.
 The same machinery runs on a sub-rectangle of the cell grid
 (build_block_decomposition) for nested inner preconditioners; there the
 rectangle's boundary plays the role of the global boundary.
+
+A subdomain's index sets and weights depend on its position only through a
+shift: nodes and elements are numbered row by row, so the sets of a
+rectangle are those of the same rectangle at the origin plus the number of
+its south-west node (or cell).  The subdomains are therefore built in
+whole-array passes from templates, one per distinct extended and core size
+and set of sides on the region (or break) boundary: 16 templates
+serve the 900 subdomains of the k=30 pollution-free mesh.
 """
 
 import warnings
@@ -43,39 +51,35 @@ class Decomposition:
     layout: object = field(default=None, repr=False)
 
 
-def _rect_elements(m, x0, x1, y0, y1):
-    cx = np.arange(x0, x1)
-    cy = np.arange(y0, y1)
-    cells = (cy[:, None] * m + cx[None, :]).ravel()
-    return np.sort(np.concatenate([2 * cells, 2 * cells + 1]))
-
-
-def _rect_nodes(m, x0, x1, y0, y1, interior_of=None):
-    """Node ids of [x0,x1] x [y0,y1] (node-index ranges).  With interior_of =
-    (rx0, rx1, ry0, ry1), keep only nodes of the relatively open rectangle:
-    rectangle sides lying on the region boundary keep their nodes."""
-    ix = np.arange(x0, x1 + 1)
-    iy = np.arange(y0, y1 + 1)
-    if interior_of is not None:
-        rx0, rx1, ry0, ry1 = interior_of
-        ix = ix[((ix > x0) | (x0 == rx0)) & ((ix < x1) | (x1 == rx1))]
-        iy = iy[((iy > y0) | (y0 == ry0)) & ((iy < y1) | (y1 == ry1))]
-    return (iy[:, None] * (m + 1) + ix[None, :]).ravel()
-
-
-def _gridline_weights(breaks):
-    """For each cell between consecutive breaks, the weight of each gridline
-    of its closed range: 1/2 on an interior break, shared with the neighbour."""
-    return [np.where(np.isin(np.arange(lo, hi + 1), breaks[1:-1]), 0.5, 1.0)
-            for lo, hi in zip(breaks[:-1], breaks[1:])]
+def _templates(m, w, h, west, east, south, north, gw, gh, w_shared, e_shared,
+               s_shared, n_shared):
+    """Fields of a subdomain whose extended rectangle of w x h cells has its
+    south-west corner at node 0, as (element_ids, interior_nodes,
+    closed_nodes, own_nodes, own_weights); the owned core of gw x gh cells has
+    its south-west corner at node 0 too.  west..north say which sides of the
+    extended rectangle lie on the region boundary, whose nodes the interior
+    set keeps; w_shared..n_shared say which core sides lie on an interior
+    break, whose nodes are owned with weight 1/2."""
+    ix, iy = np.arange(w + 1), np.arange(h + 1)
+    cells = (iy[:-1, None] * m + ix[:-1]).ravel()
+    elements = (2 * cells[:, None] + np.arange(2)).ravel()
+    closed = (iy[:, None] * (m + 1) + ix).ravel()
+    interior = (iy[1 - south:h + north, None] * (m + 1) + ix[1 - west:w + east]).ravel()
+    own = (np.arange(gh + 1)[:, None] * (m + 1) + np.arange(gw + 1)).ravel()
+    wx, wy = np.ones(gw + 1), np.ones(gh + 1)
+    wx[[0, -1]] = (0.5 if w_shared else 1.0), (0.5 if e_shared else 1.0)
+    wy[[0, -1]] = (0.5 if s_shared else 1.0), (0.5 if n_shared else 1.0)
+    return elements, interior, closed, own, np.outer(wy, wx).ravel()
 
 
 def _decomposition_from_breaks(mesh, bx, by, coarse_interp=None, layout=None):
     """Cover of the rectangle (bx[0], bx[-1], by[0], by[-1]) by the extended
-    cells between the breaks."""
+    cells between the breaks.  Each field of the subdomains sharing a
+    template is one array, the template plus each subdomain's shift, whose
+    rows are their fields."""
     m = mesh.m
-    region = (bx[0], bx[-1], by[0], by[-1])
-    rx0, rx1, ry0, ry1 = region
+    bx, by = np.asarray(bx, dtype=np.int64), np.asarray(by, dtype=np.int64)
+    rx0, rx1, ry0, ry1 = bx[0], bx[-1], by[0], by[-1]
     mx = len(bx) - 1
     my = len(by) - 1
     g_min = int(min(np.diff(bx).min(), np.diff(by).min()))
@@ -85,24 +89,34 @@ def _decomposition_from_breaks(mesh, bx, by, coarse_interp=None, layout=None):
         warnings.warn(f"coarse cells only {g_min} fine cell(s) wide: no overlap "
                       "(subdomain interiors do not cover the mesh)", stacklevel=3)
 
-    wxs, wys = _gridline_weights(bx), _gridline_weights(by)
-    subs = []
-    for cj in range(my):
-        for ci in range(mx):
-            x0 = max(rx0, bx[ci] - l_ov)
-            x1 = min(rx1, bx[ci + 1] + l_ov)
-            y0 = max(ry0, by[cj] - l_ov)
-            y1 = min(ry1, by[cj + 1] + l_ov)
-            subs.append(Subdomain(
-                id=cj * mx + ci,
-                core_cell=(ci, cj),
-                cell_rect=(x0, x1, y0, y1),
-                element_ids=_rect_elements(m, x0, x1, y0, y1),
-                interior_nodes=_rect_nodes(m, x0, x1, y0, y1, interior_of=region),
-                closed_nodes=_rect_nodes(m, x0, x1, y0, y1),
-                own_nodes=_rect_nodes(m, bx[ci], bx[ci + 1], by[cj], by[cj + 1]),
-                own_weights=np.outer(wys[cj], wxs[ci]).ravel(),
-            ))
+    # subdomain id = cj * mx + ci
+    ci = np.tile(np.arange(mx), my)
+    cj = np.repeat(np.arange(my), mx)
+    cx0, cx1, cy0, cy1 = bx[:-1][ci], bx[1:][ci], by[:-1][cj], by[1:][cj]
+    x0, x1 = np.maximum(rx0, cx0 - l_ov), np.minimum(rx1, cx1 + l_ov)
+    y0, y1 = np.maximum(ry0, cy0 - l_ov), np.minimum(ry1, cy1 + l_ov)
+    keys = np.column_stack([x1 - x0, y1 - y0, x0 == rx0, x1 == rx1, y0 == ry0, y1 == ry1,
+                            cx1 - cx0, cy1 - cy0, ci > 0, ci < mx - 1, cj > 0, cj < my - 1])
+    node_shift = y0 * (m + 1) + x0
+    # one shift per field of _templates; the weights are not translated
+    shifts = (2 * (y0 * m + x0), node_shift, node_shift, cy0 * (m + 1) + cx0, None)
+
+    groups = {}
+    for i, key in enumerate(map(tuple, keys.tolist())):
+        groups.setdefault(key, []).append(i)
+    fields = [[None] * len(ci) for _ in shifts]
+    for key, members in groups.items():
+        for out, shift, tpl in zip(fields, shifts, _templates(m, *key)):
+            rows = (np.tile(tpl, (len(members), 1)) if shift is None
+                    else shift[members, None] + tpl)
+            for i, row in zip(members, rows):
+                out[i] = row
+
+    rects = np.column_stack([x0, x1, y0, y1]).tolist()
+    subs = [Subdomain(id=i, core_cell=(i % mx, i // mx), cell_rect=tuple(rects[i]),
+                      element_ids=e, interior_nodes=a, closed_nodes=c, own_nodes=o,
+                      own_weights=w)
+            for i, (e, a, c, o, w) in enumerate(zip(*fields))]
     return Decomposition(subs, l_ov, coarse_interp=coarse_interp,
                          degenerate_overlap=degenerate, layout=layout)
 

@@ -28,7 +28,8 @@ from .precond import build_preconditioner
 
 RESULT_COLUMNS = ("preset", "k", "n", "mesh_rule", "precond", "alpha", "beta",
                   "scenario", "c_star", "outer_iters", "inner_iters_avg", "converged",
-                  "time_total_s", "time_per_iter_s", "final_relres")
+                  "time_total_s", "time_per_iter_s", "final_relres",
+                  "degenerate_overlap", "time_setup_s")
 
 PRESETS = ("table1", "table2", "table3", "table4", "table5_multilevel",
            "table6_variable")
@@ -90,6 +91,8 @@ class ResultRow:
     time_total_s: float
     time_per_iter_s: float
     final_relres: float
+    degenerate_overlap: bool         # a decomposition, or a nested one, without overlap
+    time_setup_s: float              # wall time of build_problem + build_preconditioner
     error: str = field(default=None, compare=False)  # not serialised
 
 
@@ -165,7 +168,8 @@ def _scenario_columns(cfg):
 @dataclass
 class Problem:
     """The objects one configuration is solved with; scenario is the
-    normalised wave-speed scenario name."""
+    normalised wave-speed scenario name, build_s the wall time of building
+    them."""
 
     mesh: FineMesh
     decomp: Decomposition
@@ -173,11 +177,13 @@ class Problem:
     coeff_prec: AssemblyCoefficients
     A_sys: object
     A_prec: object
+    build_s: float
 
 
 def build_problem(cfg):
     """Mesh, decomposition (with its coarse layout), wave speed and the system
     and preconditioner matrices of one configuration (after the size guards)."""
+    t0 = time.perf_counter()
     k = float(cfg.k)
     m = cells_for_rule(k, cfg.mesh_rule, m=cfg.mesh_cells)
     _check_budget(cfg, m)
@@ -202,7 +208,8 @@ def build_problem(cfg):
                                       shift_value=shift_prec)
     A_sys = assemble_system(mesh, coeff_prob)
     A_prec = A_sys if shift_prec == shift_prob else assemble_system(mesh, coeff_prec)
-    return Problem(mesh, decomp, scenario, coeff_prec, A_sys, A_prec)
+    return Problem(mesh, decomp, scenario, coeff_prec, A_sys, A_prec,
+                   time.perf_counter() - t0)
 
 
 def solve_problem(cfg, problem):
@@ -218,9 +225,11 @@ def solve_problem(cfg, problem):
         nested["nested_" + target] = dict(k=k, alpha_inner=cfg.nesting.alpha_inner,
                                           tol=cfg.inner_tol, max_iters=cfg.nesting.max_iters)
 
+    t0 = time.perf_counter()
     P = build_preconditioner(cfg.precond, mesh=mesh, decomp=problem.decomp,
                              A_prec=problem.A_prec, coeff_prec=problem.coeff_prec,
                              system_matrix=A_sys, **nested)
+    setup_s = problem.build_s + time.perf_counter() - t0
     b = build_rhs(mesh, cfg.rhs, k, system=A_sys)
 
     kcfg = KrylovConfig(variant="fgmres" if P.flexible else "gmres", side="right",
@@ -245,7 +254,10 @@ def solve_problem(cfg, problem):
         inner_iters_avg=inner_avg, converged=rep.converged,
         time_total_s=elapsed,
         time_per_iter_s=elapsed / max(rep.iterations, 1),
-        final_relres=rep.true_relres, error=err)
+        final_relres=rep.true_relres,
+        degenerate_overlap=problem.decomp.degenerate_overlap or any(
+            s.degenerate_overlap for s in P.nested),
+        time_setup_s=setup_s, error=err)
 
 
 def run_experiment(cfg):
@@ -353,6 +365,7 @@ def run_table(preset, k_values, progress=None, **overrides):
                 **_scenario_columns(cfg), outer_iters=-1,
                 inner_iters_avg=None, converged=False, time_total_s=0.0,
                 time_per_iter_s=0.0, final_relres=float("nan"),
+                degenerate_overlap=False, time_setup_s=0.0,
                 error=f"{type(exc).__name__}: {exc}"))
     return rows
 
@@ -367,7 +380,7 @@ def _row_values(row):
         v = getattr(row, col)
         if col == "inner_iters_avg":
             vals.append("" if v is None else repr(float(v)))
-        elif col == "converged":
+        elif col in ("converged", "degenerate_overlap"):
             vals.append("true" if v else "false")
         elif isinstance(v, float):
             vals.append(repr(v))
@@ -430,8 +443,9 @@ def _rec_to_row(rec):
             return default
         return float(x)
 
-    conv = rec["converged"]
-    conv = conv if isinstance(conv, bool) else conv.lower() == "true"
+    def flag(x):
+        return x if isinstance(x, bool) else x.lower() == "true"
+
     inner = rec["inner_iters_avg"]
     inner = None if inner in (None, "") else float(inner)
     return ResultRow(preset=rec["preset"], k=float(rec["k"]), n=int(rec["n"]),
@@ -439,6 +453,9 @@ def _rec_to_row(rec):
                      alpha=float(rec["alpha"]), beta=float(rec["beta"]),
                      scenario=rec["scenario"], c_star=float(rec["c_star"]),
                      outer_iters=int(rec["outer_iters"]), inner_iters_avg=inner,
-                     converged=conv, time_total_s=fl(rec["time_total_s"]),
+                     converged=flag(rec["converged"]),
+                     time_total_s=fl(rec["time_total_s"]),
                      time_per_iter_s=fl(rec["time_per_iter_s"]),
-                     final_relres=fl(rec["final_relres"]))
+                     final_relres=fl(rec["final_relres"]),
+                     degenerate_overlap=flag(rec["degenerate_overlap"]),
+                     time_setup_s=fl(rec["time_setup_s"]))

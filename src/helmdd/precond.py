@@ -35,7 +35,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_local_impedance, csr_diagonal_blocks
+from .assembly import BlockDiagonal, assemble_local_impedance
 from .decomposition import build_block_decomposition
 from .krylov import KrylovConfig, gmres
 from .mesh import ceil_snapped, round_half_up
@@ -47,6 +47,10 @@ DENSE_SOLVE_CUTOFF = 200  # below this, dense LAPACK beats SuperLU call overhead
 # of one subdomain differ by coordinate round-off of up to about 26 epsilons
 # on the uniform benchmark meshes
 _SHARE_TOLERANCE_EPS = 64
+
+# classification gathers the patterns and entries of local matrices this many
+# entries at a time, so that its temporaries stay small beside the matrices
+_CLASSIFY_CHUNK = 1 << 16
 
 # to_dense applies the identity this many columns at a time: an apply holds
 # several (n, columns) temporaries (HRAS, n=3721: 566 MB peak, 1.1 GB at 2048)
@@ -152,12 +156,15 @@ class NestedSolver:
     apply per iteration), each stopping on its own, and each records its own
     iteration count.  A column that reaches the iteration cap is recorded as a
     failure on the solver (its current iterate is still returned), never
-    raised.
+    raised.  degenerate_overlap records that the block decomposition of the
+    inner preconditioner has no overlap.
     """
 
-    def __init__(self, matrix, inner_precond, inner_tol=0.5, inner_max_iters=200):
+    def __init__(self, matrix, inner_precond, inner_tol=0.5, inner_max_iters=200,
+                 degenerate_overlap=False):
         self.matrix = matrix.tocsr() if sp.issparse(matrix) else matrix
         self.inner_precond = inner_precond
+        self.degenerate_overlap = degenerate_overlap
         self.config = KrylovConfig(variant="gmres", side="right", rel_tol=float(inner_tol),
                                    max_iters=int(inner_max_iters))
         self.inner_counts = []
@@ -171,106 +178,168 @@ class NestedSolver:
         return x
 
 
-def _same_matrix(a, rep):
-    """a equals rep up to round-off: entries within _SHARE_TOLERANCE_EPS
-    epsilons of rep's largest entry (a has rep's shape and pattern)."""
-    if a.nnz == 0:
-        return True
-    tol = _SHARE_TOLERANCE_EPS * np.finfo(np.float64).eps * np.abs(rep.data).max()
-    return bool(np.abs(a.data - rep.data).max() <= tol)
+def _chunks(n, width):
+    """Slices of range(n) of at most _CLASSIFY_CHUNK // width rows: the rows
+    of width entries that classification gathers at a time."""
+    step = max(1, _CLASSIFY_CHUNK // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _within_round_off(rows, rep):
+    """Which rows of entries equal a representative's entries rep up to
+    round-off: within _SHARE_TOLERANCE_EPS epsilons of rep's largest entry
+    (the rows have rep's pattern)."""
+    if rep.size == 0:
+        return np.ones(len(rows), dtype=bool)
+    tol = _SHARE_TOLERANCE_EPS * np.finfo(np.float64).eps * np.abs(rep).max()
+    return np.abs(rows - rep).max(axis=1) <= tol
+
+
+def _keyed_positions(keys, want):
+    """Position of each wanted key among the ascending keys, and whether it
+    is there."""
+    pos = np.searchsorted(keys, want)
+    return pos, np.append(keys, -1)[pos] == want
 
 
 class _MatrixClasses:
     """Classes of equal matrices in order of first appearance, each with one
-    solver.  A canonical CSR matrix is bucketed by its shape and exact pattern
-    and joins the first class of its bucket whose representative (the class's
-    first matrix) it equals under _same_matrix.  A new class's solver is built
-    once, with scipy's BLAS on one thread, as build(matrix, first), where first
-    is the position the caller gave the matrix (default build: a
+    solver.  classify takes a batch of matrices as the blocks of a
+    BlockDiagonal.  A block is bucketed by its shape and exact pattern, and
+    joins the first class of its bucket whose representative (the class's
+    first matrix) it equals up to round-off (_within_round_off).  Within a
+    batch, the blocks of a bucket are compared as (G, nnz) rows of entries
+    against one representative at a time, a chunk of rows at a time; a block
+    that joins no class founds one.  The new classes follow the last one in
+    the order of their first block, which makes the partition and the class
+    order those of classifying the blocks one at a time.  A scipy matrix is
+    made for representatives only, and each new class's solver is built
+    once, with scipy's BLAS on one thread, as build(matrix, first), where
+    first is the representative's block (default build: a
     DirectFactorization of the matrix)."""
 
     def __init__(self, build=None):
         self.build = build or (lambda matrix, first: DirectFactorization(matrix))
-        self.reps, self.solvers = [], []
-        self._buckets = {}
+        self.solvers = []
+        self._reps = []  # data of each class's representative
+        self._buckets = {}  # (size, pattern bytes) -> classes, in order
 
-    def index(self, mat, position):
-        """The class of a canonical CSR matrix, a new one after the last if
-        none fits."""
-        key = (mat.shape, mat.indptr.tobytes(), mat.indices.tobytes())
-        bucket = self._buckets.setdefault(key, [])
-        cls = next((c for c in bucket if _same_matrix(mat, self.reps[c])), None)
-        if cls is None:
-            cls = len(self.reps)
-            with _one_blas_thread():
-                self.solvers.append(self.build(mat, position))
-            self.reps.append(mat)
-            bucket.append(cls)
-        return cls
+    def classify(self, blocks):
+        """The class of each block of a BlockDiagonal of canonical blocks,
+        -1 for an empty block."""
+        offs = blocks.offs
+        sizes = np.diff(offs)
+        ptr = blocks.indptr[offs]
+        nnz = np.diff(ptr)
+        labels = np.full(len(sizes), -1, dtype=np.int64)
+        founders = []  # (first block, bucket, data) of the classes founded here
+        shapes = {}
+        for i, shape in enumerate(zip(sizes.tolist(), nnz.tolist())):
+            if shape[0]:
+                shapes.setdefault(shape, []).append(i)
+        groups = {}  # (size, exact pattern) -> its blocks, in order
+        for (size, count), idx in shapes.items():
+            idx = np.array(idx)
+            for part in _chunks(len(idx), size + 1 + count):
+                i = idx[part]
+                pattern = np.hstack([
+                    blocks.indptr[offs[i, None] + np.arange(size + 1)] - ptr[i, None],
+                    blocks.indices[ptr[i, None] + np.arange(count)] - offs[i, None]])
+                for b, row in zip(i.tolist(), pattern.astype(np.int64)):
+                    groups.setdefault((size, row.tobytes()), []).append(b)
+        for key, same in groups.items():
+            labels[same] = self._join(self._buckets.setdefault(key, []), np.array(same),
+                                      blocks, founders)
+
+        founders.sort(key=lambda fd: fd[0])
+        with _one_blas_thread():
+            for f, bucket, rep in founders:
+                cls = len(self._reps)
+                labels[labels == -2 - f] = cls
+                bucket.append(cls)
+                self._reps.append(rep)
+                self.solvers.append(self.build(blocks.block(f).copy(), f))
+        return labels
+
+    def _join(self, bucket, idx, blocks, founders):
+        """Classes of the blocks idx (ascending) of one bucket: an existing
+        class, or -2 - f for the class that block f founds."""
+        starts = blocks.indptr[blocks.offs[idx]]
+        count = blocks.indptr[blocks.offs[idx[0] + 1]] - starts[0]
+        labels = np.empty(len(idx), dtype=np.int64)
+        left = np.arange(len(idx))
+        reps = [(cls, self._reps[cls]) for cls in bucket]
+        while len(left):
+            if reps:
+                cls, rep = reps.pop(0)
+            else:  # the first block left founds a class
+                f = left[0]
+                cls, rep = -2 - idx[f], blocks.data[starts[f]:starts[f] + count].copy()
+                founders.append((idx[f], bucket, rep))
+            hit = np.concatenate([
+                _within_round_off(blocks.data[starts[left[part], None] + np.arange(count)], rep)
+                for part in _chunks(len(left), count)])
+            labels[left[hit]] = cls
+            left = left[~hit]
+        return labels
 
 
 class LocalSolves:
     """Batched local solves with plain (AS) or RAS-weighted recombination.
 
-    Built from one entry per subdomain: (matrix, solve_set, own_nodes,
-    own_weights), where matrix is the local matrix, solve_set the sorted index
-    set it acts on (interior nodes for Dirichlet local problems, closed nodes
-    for impedance ones), and own_nodes/own_weights the subdomain's RAS
-    partition of unity.
+    Built from the local matrices as the blocks of a BlockDiagonal, rows (the
+    vector index of each block row: each block acts on the sorted index set
+    of its subdomain, interior nodes for Dirichlet local problems, closed
+    nodes for impedance ones), and own, the RAS partition of unity as arrays
+    (block, node, weight) of each owned node, or None for AS.  Empty blocks
+    are skipped.
 
-    Local matrices are grouped into classes that share one solver: a matrix
-    joins a class when it has the class representative's pattern and its
-    entries agree to round-off (_same_matrix), so translated copies of one
-    subdomain share a solver while differing coefficients never do.  The
-    entries are classified, each with its index as position, into the registry
-    classes (a _MatrixClasses, which builds each class's solver; by default a
-    fresh one of direct factorisations), and solvers lists the solvers of the
-    classes met here in order of first appearance; several LocalSolves given
-    one registry share one solver per class.  apply takes a vector or a block
-    of c columns: it gathers every restriction with one index array, runs one
-    multi-right-hand-side solve per class on the (s, G*c) block of its G
-    subdomains, and recombines all local solutions with one sparse matrix:
-    R_w^T (RAS weights) when weighted, else R^T.
+    The blocks are classified in one batch into the registry classes (a
+    _MatrixClasses, which builds each class's solver; by default a fresh one
+    of direct factorisations): translated copies of one subdomain share a
+    solver while differing coefficients never do.  solvers lists the solvers
+    of the classes met here in order of first appearance; several
+    LocalSolves given one registry share one solver per class.  apply takes a
+    vector or a block of c columns: it gathers every restriction with one
+    index array, runs one multi-right-hand-side solve per class on the
+    (s, G*c) block of its G subdomains, and recombines all local solutions
+    with one sparse matrix: R_w^T with the RAS weights of own, else R^T.
     Factorisations and solves run with scipy's BLAS on one thread
     (_one_blas_thread).
     """
 
-    def __init__(self, n, entries, weighted, classes=None):
+    def __init__(self, n, blocks, rows, own=None, classes=None):
         classes = classes or _MatrixClasses()
-        members = {}  # class -> its entries, in order of first appearance
-        for i, (local, solve_set, own_nodes, own_w) in enumerate(entries):
-            mat = sp.csr_matrix(local, dtype=np.complex128)
-            mat.sum_duplicates()
-            members.setdefault(classes.index(mat, i), []).append(
-                (np.asarray(solve_set, dtype=np.int64), np.asarray(own_nodes),
-                 np.asarray(own_w)))
-        self.solvers = [classes.solvers[c] for c in members]
+        labels = classes.classify(blocks)
+        sizes = np.diff(blocks.offs)
+        used = np.flatnonzero(labels >= 0)
+        met, first, of_class = np.unique(labels[used], return_index=True,
+                                         return_inverse=True)
+        rank = np.argsort(np.argsort(first))[of_class]  # by first appearance
+        self.solvers = [classes.solvers[c] for c in met[np.argsort(first)]]
 
         # classes occupy consecutive segments [lo, hi) of the gathered vector,
-        # each laid out subdomain after subdomain
-        none = np.zeros(0, dtype=np.int64)
-        gather, rows, cols, vals, self._segments = [none], [none], [none], [none], []
-        lo = 0
-        for sets in members.values():
-            hi = lo
-            for solve_set, own_nodes, own_w in sets:
-                gather.append(solve_set)
-                if weighted:
-                    pos, inside = _own_positions(solve_set, own_nodes)
-                    rows.append(own_nodes[inside])
-                    cols.append(hi + pos[inside])
-                    vals.append(own_w[inside])
-                else:
-                    rows.append(solve_set)
-                    cols.append(hi + np.arange(len(solve_set)))
-                    vals.append(np.ones(len(solve_set)))
-                hi += len(solve_set)
-            self._segments.append((lo, hi, len(sets)))
-            lo = hi
-        self._gather = np.concatenate(gather)
-        self._recombine = sp.csr_matrix(
-            (np.concatenate(vals).astype(np.complex128),
-             (np.concatenate(rows), np.concatenate(cols))), shape=(n, lo))
+        # each laid out block after block; col is each block row's place there
+        order = used[np.argsort(rank, kind="stable")]
+        ends = np.cumsum(sizes[order])
+        start = np.zeros(len(sizes), dtype=np.int64)
+        start[order] = ends - sizes[order]
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        col = start[block_of] + np.arange(len(rows)) - blocks.offs[block_of]
+        self._gather = np.empty(len(rows), dtype=np.int64)
+        self._gather[col] = rows
+        counts = np.bincount(rank, minlength=len(met))
+        bounds = np.concatenate([[0], ends[np.cumsum(counts) - 1]]).tolist()
+        self._segments = list(zip(bounds[:-1], bounds[1:], counts.tolist()))
+
+        if own is None:
+            r, c, w = rows, col, np.ones(len(rows))
+        else:  # each owned node at its row of its block, if there is one
+            owner, nodes, weights = own
+            pos, hit = _keyed_positions(block_of * n + rows, owner * n + nodes)
+            r, c, w = nodes[hit], col[pos[hit]], weights[hit]
+        self._recombine = sp.csr_matrix((w.astype(np.complex128), (r, c)),
+                                        shape=(n, len(rows)))
 
     def apply(self, v):
         # every restriction of each column of v: (len,) for a vector, (c, len)
@@ -359,34 +428,34 @@ class PreconditionerOperator:
         return out
 
 
-def _own_positions(solve_set, own_nodes):
-    """Positions of owned nodes inside the solve set, and which owned nodes
-    lie in it; owners outside the set (possible only in the degenerate
-    no-overlap case) contribute nothing."""
-    pos = np.searchsorted(solve_set, own_nodes)
-    inside = solve_set[np.minimum(pos, len(solve_set) - 1)] == own_nodes
-    return pos, inside
+def _stacked(arrays):
+    """The arrays end to end, and the offsets where each starts (and the
+    last ends)."""
+    return (np.concatenate(arrays).astype(np.int64, copy=False),
+            np.concatenate([[0], np.cumsum([len(a) for a in arrays])]))
 
 
-def _principal_submatrices(A, index_sets):
-    """A[idx, :][:, idx] as CSR for each sorted index set, from one row
-    gather of A: each gathered row keeps the columns inside its own set."""
+def _ownership(subs):
+    """(subdomain, node, weight) arrays of every owned node of the subdomains."""
+    nodes, offs = _stacked([sub.own_nodes for sub in subs])
+    return (np.repeat(np.arange(len(subs)), np.diff(offs)), nodes,
+            np.concatenate([sub.own_weights for sub in subs]))
+
+
+def _principal_submatrices(A, rows, offs):
+    """The blocks A[idx, :][:, idx] of the sorted index sets idx =
+    rows[offs[s]:offs[s+1]], as one BlockDiagonal from one row gather of A:
+    each gathered row keeps the columns inside its own set."""
     A = sp.csr_matrix(A)
     n = A.shape[0]
-    sizes = np.array([len(idx) for idx in index_sets], dtype=np.int64)
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    gather = np.concatenate(index_sets).astype(np.int64)
-    owner = np.repeat(np.arange(len(index_sets)), sizes)
-    rows = A[gather]
-    row_of = np.repeat(np.arange(len(gather)), np.diff(rows.indptr))
-    # (set, node) pairs in ascending order, since every set is sorted
-    keys = owner * n + gather
-    want = owner[row_of] * n + rows.indices
-    pos = np.searchsorted(keys, want)
-    keep = keys[np.minimum(pos, len(keys) - 1)] == want
+    owner = np.repeat(np.arange(len(offs) - 1), np.diff(offs))
+    gathered = A[rows]
+    row_of = np.repeat(np.arange(len(rows)), np.diff(gathered.indptr))
+    # (set, node) keys ascend, since every set is sorted
+    pos, keep = _keyed_positions(owner * n + rows, owner[row_of] * n + gathered.indices)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(row_of[keep],
-                                                        minlength=len(gather)))])
-    return csr_diagonal_blocks(indptr, pos[keep], rows.data[keep], offs)
+                                                        minlength=len(rows)))])
+    return BlockDiagonal(indptr, pos[keep], gathered.data[keep], offs)
 
 
 def coarse_matrix(R0, A):
@@ -422,26 +491,24 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
         raise ValueError(f"{kind} has no coarse solve to nest")
     if nested_local is not None and not impedance:
         raise ValueError(f"{kind} has no impedance local solves to nest")
-    subs = [sub for sub in decomp.subdomains
-            if len(sub.closed_nodes if impedance else sub.interior_nodes)]
+    subs = decomp.subdomains
+    rows, offs = _stacked([sub.closed_nodes if impedance else sub.interior_nodes
+                           for sub in subs])
     classes = None
     if impedance:
-        sets = [sub.closed_nodes for sub in subs]
         # one batch per subdomain: one batch of all of them would hold every
         # subdomain's triplets at once (2.7x the peak RSS of the assembly at
         # 100 subdomains)
-        locals_iter = (assemble_local_impedance(mesh, [sub.element_ids], coeff_prec)[0]
-                       for sub in subs)
+        blocks = BlockDiagonal.concatenate([
+            assemble_local_impedance(mesh, [sub.element_ids], coeff_prec) for sub in subs])
         if nested_local is not None:
-            blocks = _MatrixClasses()
+            inner = _MatrixClasses()
             classes = _MatrixClasses(lambda matrix, first: _nested_local_solver(
-                mesh, subs[first], matrix, coeff_prec, blocks, **nested_local))
+                mesh, subs[first], matrix, coeff_prec, inner, **nested_local))
     else:
-        sets = [sub.interior_nodes for sub in subs]
-        locals_iter = _principal_submatrices(A_prec, sets)
-    entries = ((local, solve_set, sub.own_nodes, sub.own_weights)
-               for local, solve_set, sub in zip(locals_iter, sets, subs))
-    locals_ = LocalSolves(mesh.n, entries, kind in _WEIGHTED_KINDS, classes=classes)
+        blocks = _principal_submatrices(A_prec, rows, offs)
+    own = _ownership(subs) if kind in _WEIGHTED_KINDS else None
+    locals_ = LocalSolves(mesh.n, blocks, rows, own, classes=classes)
 
     coarse = None
     if kind in _COARSE_KINDS:
@@ -489,10 +556,11 @@ def _nested_solver(mesh, rect, closed_nodes, matrix, coeff, blocks, nbx, nby, to
     rectangle rect, preconditioned by ImpRAS1 over its nbx x nby blocks, whose
     block matrices are classified into the registry blocks (a _MatrixClasses)."""
     bdec = build_block_decomposition(mesh, rect, nbx, nby)
-    mats = assemble_local_impedance(mesh, [blk.element_ids for blk in bdec.subdomains],
-                                    coeff)
-    entries = ((mat, np.searchsorted(closed_nodes, blk.closed_nodes),
-                np.searchsorted(closed_nodes, blk.own_nodes), blk.own_weights)
-               for mat, blk in zip(mats, bdec.subdomains))
-    return NestedSolver(matrix, LocalSolves(len(closed_nodes), entries, True,
-                                            classes=blocks), tol, max_iters)
+    bsubs = bdec.subdomains
+    mats = assemble_local_impedance(mesh, [blk.element_ids for blk in bsubs], coeff)
+    rows = np.searchsorted(closed_nodes, np.concatenate([blk.closed_nodes for blk in bsubs]))
+    owner, nodes, weights = _ownership(bsubs)
+    inner = LocalSolves(len(closed_nodes), mats, rows,
+                        (owner, np.searchsorted(closed_nodes, nodes), weights), classes=blocks)
+    return NestedSolver(matrix, inner, tol, max_iters,
+                        degenerate_overlap=bdec.degenerate_overlap)

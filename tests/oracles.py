@@ -188,3 +188,56 @@ def gmres_residual_oracle(C, b, m_max):
         res.append(np.linalg.norm(b - CQ @ y))
         v = C @ Q[:, m]
     return np.array(res) / np.linalg.norm(b)
+
+
+def _rect_elements(m, x0, x1, y0, y1):
+    cx = np.arange(x0, x1)
+    cy = np.arange(y0, y1)
+    cells = (cy[:, None] * m + cx[None, :]).ravel()
+    return np.sort(np.concatenate([2 * cells, 2 * cells + 1]))
+
+
+def _rect_nodes(m, x0, x1, y0, y1, interior_of=None):
+    """Node ids of [x0,x1] x [y0,y1] (node-index ranges).  With interior_of =
+    (rx0, rx1, ry0, ry1), keep only nodes of the relatively open rectangle:
+    rectangle sides lying on the region boundary keep their nodes."""
+    ix = np.arange(x0, x1 + 1)
+    iy = np.arange(y0, y1 + 1)
+    if interior_of is not None:
+        rx0, rx1, ry0, ry1 = interior_of
+        ix = ix[((ix > x0) | (x0 == rx0)) & ((ix < x1) | (x1 == rx1))]
+        iy = iy[((iy > y0) | (y0 == ry0)) & ((iy < y1) | (y1 == ry1))]
+    return (iy[:, None] * (m + 1) + ix[None, :]).ravel()
+
+
+def slow_subdomains(m, bx, by):
+    """Every subdomain's fields of the cover of (bx[0], bx[-1], by[0], by[-1])
+    by the cells between the breaks, extended by (g_min-1)//2 layers, built
+    rectangle by rectangle: one dict of Subdomain fields per subdomain."""
+    region = (bx[0], bx[-1], by[0], by[-1])
+    rx0, rx1, ry0, ry1 = region
+    mx, my = len(bx) - 1, len(by) - 1
+    l_ov = (int(min(np.diff(bx).min(), np.diff(by).min())) - 1) // 2
+
+    def gridline_weights(breaks):
+        return [np.where(np.isin(np.arange(lo, hi + 1), breaks[1:-1]), 0.5, 1.0)
+                for lo, hi in zip(breaks[:-1], breaks[1:])]
+
+    wxs, wys = gridline_weights(bx), gridline_weights(by)
+    subs = []
+    for cj in range(my):
+        for ci in range(mx):
+            x0 = max(rx0, bx[ci] - l_ov)
+            x1 = min(rx1, bx[ci + 1] + l_ov)
+            y0 = max(ry0, by[cj] - l_ov)
+            y1 = min(ry1, by[cj + 1] + l_ov)
+            subs.append(dict(
+                id=cj * mx + ci,
+                core_cell=(ci, cj),
+                cell_rect=(x0, x1, y0, y1),
+                element_ids=_rect_elements(m, x0, x1, y0, y1),
+                interior_nodes=_rect_nodes(m, x0, x1, y0, y1, interior_of=region),
+                closed_nodes=_rect_nodes(m, x0, x1, y0, y1),
+                own_nodes=_rect_nodes(m, bx[ci], bx[ci + 1], by[cj], by[cj + 1]),
+                own_weights=np.outer(wys[cj], wxs[ci]).ravel()))
+    return subs

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -353,6 +354,21 @@ def test_top_below_is_a_cholesky_test_of_lambda_max():
     for theta, top in ((0.0, 1.5), (math.pi, 2.0)):
         assert analysis._top_below(Ct, theta, top + 1e-8)
         assert not analysis._top_below(Ct, theta, top - 1e-8)
+
+
+@pytest.mark.parametrize("theta", [0.0, 2.1])
+def test_hermitian_part_tiles_equal_whole_matrix_formula(theta):
+    # n = 2 tiles + 45 rows, with some entries equal to their mirror (whose
+    # imaginary parts cancel to a signed zero), and one tile only
+    rng = np.random.default_rng(17)
+    for n in (2 * analysis._HERMITIAN_TILE + 45, 7):
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        X[:5, :5] = X[:5, :5] + X[:5, :5].T
+        Y = (0.5 * cmath.exp(1j * theta)) * X
+        want = Y + Y.conj().T
+        H = analysis._hermitian_part(X, theta)
+        assert H.tobytes() == want.tobytes()  # bitwise, signed zeros included
+        assert np.array_equal(H, H.conj().T) and not np.any(np.diag(H).imag)
 
 
 def test_fov_pins_hras_k8():

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.io import mmread
 
 from helmdd import _kernels
-from helmdd.assembly import (AssemblyCoefficients, assemble_energy_matrix,
+from helmdd.assembly import (AssemblyCoefficients, BlockDiagonal, assemble_energy_matrix,
                              assemble_local_impedance, assemble_mass_matrix,
                              assemble_system, closed_node_set, write_matrix_market)
 from helmdd.mesh import build_fine_mesh, build_wavespeed
@@ -119,7 +119,7 @@ def test_local_impedance_whole_mesh_equals_system():
     mesh = build_fine_mesh(1, "explicit", m=5)
     coeff = constant_coeff(mesh, 5.0, eps=1.0)
     A = assemble_system(mesh, coeff)
-    [L] = assemble_local_impedance(mesh, [np.arange(len(mesh.elements))], coeff)
+    L = assemble_local_impedance(mesh, [np.arange(len(mesh.elements))], coeff).block(0)
     assert np.abs((A - L).toarray()).max() < 1e-13
 
 
@@ -130,7 +130,7 @@ def test_local_impedance_interior_imaginary_part():
     coeff = constant_coeff(mesh, 5.0, eps=eps)
     cells = [2 * (cy * 8 + cx) + t for cx in range(2, 5) for cy in range(3, 6) for t in (0, 1)]
     elems = np.array(sorted(cells))
-    L = assemble_local_impedance(mesh, [elems], coeff)[0].toarray()
+    L = assemble_local_impedance(mesh, [elems], coeff).block(0).toarray()
     nodes = closed_node_set(mesh, elems)
     interior = []
     for i, g in enumerate(nodes):
@@ -153,7 +153,7 @@ def test_local_impedance_matches_dense_oracle():
     coeff = constant_coeff(mesh, 5.0, eps=0.0)
     cells = [2 * (cy * 4 + cx) + t for cx in (1, 2) for cy in (1, 2) for t in (0, 1)]
     elems = np.array(sorted(cells))
-    L = assemble_local_impedance(mesh, [elems], coeff)[0].toarray()
+    L = assemble_local_impedance(mesh, [elems], coeff).block(0).toarray()
     Ld, nodes = dense_system(mesh, coeff, elems, impedance_everywhere=True)
     assert np.array_equal(nodes, closed_node_set(mesh, elems))
     assert np.abs(L - Ld).max() < 1e-12
@@ -186,8 +186,9 @@ def test_local_impedance_batch_equals_one_call_per_set(case):
     mesh, coeff, sets = _batch_cases()[case]
     batch = assemble_local_impedance(mesh, sets, coeff)
     assert len(batch) == len(sets)
-    for elems, L in zip(sets, batch):
-        [single] = assemble_local_impedance(mesh, [elems], coeff)
+    singles = [assemble_local_impedance(mesh, [elems], coeff) for elems in sets]
+    for s, (elems, one) in enumerate(zip(sets, singles)):
+        L, single = batch.block(s), one.block(0)
         assert L.format == "csr" and L.shape == single.shape
         assert np.array_equal(L.indptr, single.indptr)
         assert np.array_equal(L.indices, single.indices)
@@ -195,6 +196,10 @@ def test_local_impedance_batch_equals_one_call_per_set(case):
         Ld, nodes = dense_system(mesh, coeff, elems, impedance_everywhere=True)
         assert np.array_equal(nodes, closed_node_set(mesh, elems))
         assert np.abs(L.toarray() - Ld).max() < 1e-12 * np.abs(Ld).max()
+    # the one-set batches laid end to end are the batch, array for array
+    joined = BlockDiagonal.concatenate(singles)
+    for name in ("indptr", "indices", "data", "offs"):
+        assert np.array_equal(getattr(joined, name), getattr(batch, name))
 
 
 def test_local_impedance_empty_subdomain():

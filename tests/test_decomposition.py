@@ -3,12 +3,13 @@ import io
 import numpy as np
 import pytest
 
+from helmdd import harness
 from helmdd.assembly import AssemblyCoefficients, assemble_system
 from helmdd.decomposition import (build_block_decomposition, build_coarse_interpolation,
                                   build_decomposition, dump_decomposition)
 from helmdd.mesh import build_fine_mesh, build_wavespeed, layout_from_blocks
 
-from oracles import dense_coarse_interp
+from oracles import dense_coarse_interp, slow_subdomains
 
 
 def make(m, M):
@@ -133,6 +134,51 @@ def test_ras_weights_match_slow_reference():
             subs, wt = owners(dec, j)
             assert sorted(subs.tolist()) == sorted(cells)
             assert np.allclose(wt, 1.0 / max(len(cells), 1))
+
+
+def _solve_workload_cover(cfg):
+    pb = harness.build_problem(cfg)
+    layout = pb.decomp.layout
+    return pb.mesh, pb.decomp, layout.breaks_x, layout.breaks_y
+
+
+def _degenerate_cover():
+    mesh, layout = make(7, 4)  # coarse cells 1 or 2 fine cells wide
+    with pytest.warns(UserWarning, match="no overlap"):
+        dec = build_decomposition(mesh, layout)
+    assert dec.degenerate_overlap
+    return mesh, dec, layout.breaks_x, layout.breaks_y
+
+
+def _off_origin_cover():
+    mesh = build_fine_mesh(1, "explicit", m=20)
+    return (mesh, build_block_decomposition(mesh, (4, 16, 6, 20), 3, 2),
+            (4, 8, 12, 16), (6, 13, 20))
+
+
+@pytest.mark.parametrize("cover", [
+    pytest.param(lambda: _solve_workload_cover(harness.ExperimentConfig(
+        k=30, mesh_rule="pollution_free", precond="HRAS", alpha=1.0)), id="hras-pf-k30"),
+    pytest.param(lambda: _solve_workload_cover(harness.ExperimentConfig(
+        k=100, mesh_rule="points_per_wavelength", precond="ImpHRAS", alpha=0.5)),
+        id="imphras-ppw-k100"),
+    pytest.param(lambda: _solve_workload_cover(harness.ExperimentConfig(
+        k=30, preset="table5_multilevel", mesh_rule="points_per_wavelength",
+        precond="ImpRAS1", alpha=0.4, beta=1.2)), id="nested-local-ppw-k30"),
+    pytest.param(_off_origin_cover, id="off-origin-3x2"),
+    pytest.param(_degenerate_cover, id="degenerate"),
+])
+def test_subdomains_equal_rectangle_by_rectangle_oracle(cover):
+    mesh, dec, bx, by = cover()
+    want = slow_subdomains(mesh.m, bx, by)
+    assert len(dec.subdomains) == len(want)
+    for sub, fields in zip(dec.subdomains, want):
+        for name, value in fields.items():
+            got = getattr(sub, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and np.array_equal(got, value), name
+            else:
+                assert got == value, name
 
 
 def test_minor_extraction_matches_dense():

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ def test_run_experiment_variable_speed_resolved_vs_unresolved():
     assert res.scenario == "centered-square" and unres.scenario == "shifted-square"
 
 
+@pytest.mark.parametrize("k, degenerate", [(12, True), (30, False)])
+def test_row_reports_degenerate_nested_overlap(k, degenerate):
+    # table5 nested-local: at k=12 the inner blocks are 2 cells wide, with no
+    # overlap, while the outer decomposition overlaps
+    cfg = expand_preset("table5_multilevel", [k])[0]
+    problem = build_problem(cfg)
+    assert not problem.decomp.degenerate_overlap
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        row = solve_problem(cfg, problem)
+    assert row.degenerate_overlap is degenerate
+    assert row.time_setup_s >= problem.build_s > 0.0
+
+
 def test_scenario_alone_selects_the_shifted_square():
     cfg = ExperimentConfig(k=6, scenario="shifted-square", c_star=1.5,
                            shift_family="multiplicative", precond="RAS1", alpha=0.5,
@@ -224,11 +239,13 @@ def test_emit_parse_roundtrip_csv_and_json(tmp_path):
         ResultRow(preset="table4", k=60.0, n=9409, mesh_rule="points_per_wavelength",
                   precond="ImpRAS1", alpha=0.5, beta=1.0, scenario="constant",
                   c_star=1.0, outer_iters=35, inner_iters_avg=None, converged=True,
-                  time_total_s=1.25, time_per_iter_s=0.036, final_relres=3.1e-7),
+                  time_total_s=1.25, time_per_iter_s=0.036, final_relres=3.1e-7,
+                  degenerate_overlap=False, time_setup_s=0.5),
         ResultRow(preset="table1", k=40.0, n=64516, mesh_rule="pollution_free",
                   precond="RAS1", alpha=1.0, beta=1.0, scenario="constant",
                   c_star=1.0, outer_iters=-1, inner_iters_avg=2.5, converged=False,
-                  time_total_s=10.0, time_per_iter_s=0.05, final_relres=4.4e-3),
+                  time_total_s=10.0, time_per_iter_s=0.05, final_relres=4.4e-3,
+                  degenerate_overlap=True, time_setup_s=3.25),
     ]
     for fmt in ("csv", "json"):
         path = tmp_path / f"rows.{fmt}"
@@ -236,14 +253,18 @@ def test_emit_parse_roundtrip_csv_and_json(tmp_path):
         back = parse_results(str(path), fmt=fmt)
         assert back == rows
     header = (tmp_path / "rows.csv").read_text().splitlines()[0]
-    assert header == ",".join(RESULT_COLUMNS)
+    assert header == ",".join(RESULT_COLUMNS) == (
+        "preset,k,n,mesh_rule,precond,alpha,beta,scenario,c_star,outer_iters,"
+        "inner_iters_avg,converged,time_total_s,time_per_iter_s,final_relres,"
+        "degenerate_overlap,time_setup_s")
 
 
 def test_emit_single_trivial_row():
     row = ResultRow(preset="x", k=1.0, n=4, mesh_rule="explicit", precond="RAS1",
                     alpha=1.0, beta=1.0, scenario="constant", c_star=1.0,
                     outer_iters=1, inner_iters_avg=None, converged=True,
-                    time_total_s=0.0, time_per_iter_s=0.0, final_relres=0.0)
+                    time_total_s=0.0, time_per_iter_s=0.0, final_relres=0.0,
+                    degenerate_overlap=False, time_setup_s=0.0)
     buf = io.StringIO()
     emit_results([row], buf)
     lines = buf.getvalue().strip().splitlines()

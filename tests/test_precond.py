@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from helmdd.assembly import AssemblyCoefficients, assemble_system
+from helmdd.assembly import AssemblyCoefficients, BlockDiagonal, assemble_system
 from helmdd.decomposition import build_decomposition
 from helmdd.krylov import KrylovConfig, fgmres, gmres
 from helmdd.mesh import build_fine_mesh, build_wavespeed, ceil_snapped, layout_from_blocks
@@ -451,6 +451,14 @@ def test_nested_coarse_inner_precond_is_one_level_impras1(cfg):
     assert np.array_equal(inner.apply(v), ref.apply(v))
 
 
+def _block_diagonal(mats):
+    """BlockDiagonal of the matrices (their nonzero entries)."""
+    b = sp.block_diag([sp.csr_matrix(a) for a in mats], format="csr")
+    b.sum_duplicates()
+    offs = np.concatenate([[0], np.cumsum([a.shape[0] for a in mats])])
+    return BlockDiagonal(b.indptr, b.indices, b.data, offs)
+
+
 def test_local_solves_share_only_within_round_off():
     # the first three round to the same 12 decimals, and only the round-off
     # copy shares; the last two are one ulp apart on either side of a
@@ -466,12 +474,86 @@ def test_local_solves_share_only_within_round_off():
     above[0, 1] = np.nextafter(below[0, 1].real, 1.0)
     mats = (base, roundoff, apart, below, above)
     sets = [np.arange(3 * i, 3 * i + 3) for i in range(len(mats))]
-    entries = [(sp.csr_matrix(a), idx, idx, np.ones(3)) for a, idx in zip(mats, sets)]
-    L = LocalSolves(15, entries, weighted=True)
+    own = (np.repeat(np.arange(len(mats)), 3), np.concatenate(sets), np.ones(15))
+    L = LocalSolves(15, _block_diagonal(mats), np.concatenate(sets), own)
     assert len(L.solvers) == 3
     rng = np.random.default_rng(4)
     v = rng.standard_normal(15) + 1j * rng.standard_normal(15)
     want = np.concatenate([np.linalg.solve(a, v[idx]) for a, idx in zip(mats, sets)])
+    assert np.abs(L.apply(v) - want).max() < 1e-14
+
+
+def _one_at_a_time(mats):
+    """Class of each matrix under the one-at-a-time rule: it joins the first
+    earlier class of its shape and pattern whose first matrix it equals to
+    64 epsilons of that matrix's largest entry, or founds a new class."""
+    reps, labels = [], []
+    for a in map(sp.csr_matrix, mats):
+        for cls, r in enumerate(reps):
+            if (r.shape == a.shape and np.array_equal(r.indptr, a.indptr)
+                    and np.array_equal(r.indices, a.indices)
+                    and (a.nnz == 0 or np.abs(a.data - r.data).max()
+                         <= 64 * np.finfo(float).eps * np.abs(r.data).max())):
+                labels.append(cls)
+                break
+        else:
+            labels.append(len(reps))
+            reps.append(a)
+    return labels
+
+
+def _perturbed(base, *entries):
+    out = []
+    for delta in entries:
+        a = base.copy()
+        a[0, 1] += delta
+        out.append(a)
+    return out
+
+
+# the share tolerance of the 3 x 3 matrices below, whose largest entry is 4:
+# 64 eps * 4 = 2^-44, exact beside their 0.5 entries
+_TOL = 2.0 ** -44
+_BASE = np.array([[4.0, 0.5, 0.0], [0.5, 4.0, 0.5], [0.0, 0.5, 4.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("mats, want", [
+    # within tolerance of two representatives: joins the first
+    (_perturbed(_BASE, 0.0, 100 / 64 * _TOL, 50 / 64 * _TOL, 120 / 64 * _TOL), [0, 1, 0, 1]),
+    # just inside (exactly the tolerance) and just outside (one ulp more)
+    (_perturbed(_BASE, 0.0, _TOL, _TOL + 2.0 ** -53, -_TOL, -_TOL - 2.0 ** -53),
+     [0, 0, 1, 0, 2]),
+    # equal nnz and entries, different patterns
+    ([_BASE, _BASE.T.copy(), np.array([[4.0, 0.5, 0.5], [0.5, 4.0, 0.0], [0.0, 0.5, 4.0]]),
+      np.array([[4.0, 0.0, 0.5], [0.5, 4.0, 0.5], [0.0, 0.5, 4.0]])], [0, 0, 1, 2]),
+    # sizes differ
+    ([_BASE, _BASE[:2, :2].copy(), _BASE, _BASE[:2, :2].copy()], [0, 1, 0, 1]),
+], ids=["first-of-two", "tolerance-edge", "patterns", "sizes"])
+def test_batch_classes_equal_one_at_a_time_rule(mats, want):
+    assert _one_at_a_time(mats) == want
+    classes = precond._MatrixClasses()
+    assert classes.classify(_block_diagonal(mats)).tolist() == want
+    assert len(classes.solvers) == max(want) + 1
+    # a second batch given the same registry joins its classes, in the same way
+    assert classes.classify(_block_diagonal(mats[::-1])).tolist() == want[::-1]
+    assert len(classes.solvers) == max(want) + 1
+
+
+def test_batch_classes_skip_empty_blocks():
+    # a subdomain with an empty solve set is an empty block: it has no class,
+    # no place in the gathered vector, and its owned nodes no weight
+    mats = [_BASE, np.zeros((0, 0)), _BASE, np.zeros((0, 0))]
+    bd = _block_diagonal(mats)
+    assert precond._MatrixClasses().classify(bd).tolist() == [0, -1, 0, -1]
+    rows = np.array([0, 1, 2, 3, 4, 5])
+    own = (np.array([0, 0, 0, 1, 2, 2, 2, 3]), np.array([0, 1, 2, 7, 3, 4, 5, 6]),
+           np.ones(8))
+    L = LocalSolves(8, bd, rows, own)
+    assert len(L.solvers) == 1 and L._segments == [(0, 6, 2)]
+    v = np.arange(8.0) + 1j
+    want = np.zeros(8, dtype=complex)
+    want[:3] = np.linalg.solve(_BASE, v[:3])
+    want[3:6] = np.linalg.solve(_BASE, v[3:6])
     assert np.abs(L.apply(v) - want).max() < 1e-14
 
 
@@ -489,7 +571,8 @@ def test_local_solves_restore_blas_thread_count():
 
     nested = NestedSolver(A_prec, record, inner_tol=1e-14, inner_max_iters=2)
     own = np.arange(mesh.n)
-    probe = LocalSolves(mesh.n, [(A_prec, own, own, np.ones(mesh.n))], weighted=True,
+    probe = LocalSolves(mesh.n, _block_diagonal([A_prec]), own,
+                        (np.zeros(mesh.n, dtype=int), own, np.ones(mesh.n)),
                         classes=precond._MatrixClasses(lambda matrix, first: nested))
     v = np.ones(mesh.n, complex)
     before = get()
