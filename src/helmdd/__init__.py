@@ -4,8 +4,7 @@ and their impedance-local variants, with nested inner-outer compositions),
 GMRES/FGMRES solvers, and a field-of-values analysis suite."""
 
 from .assembly import (AssemblyCoefficients, assemble_energy_matrix,
-                       assemble_local_impedance, assemble_mass_matrix,
-                       assemble_system, write_matrix_market)
+                       assemble_local_impedance, assemble_system, write_matrix_market)
 from .decomposition import (Decomposition, Subdomain, build_coarse_interpolation,
                             build_decomposition, dump_decomposition)
 from .krylov import KrylovConfig, KrylovReport, fgmres, gmres

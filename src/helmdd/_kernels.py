@@ -8,13 +8,11 @@ def using_numba():
     return False
 
 
-def element_system_triplets(nodes, elements, shifts):
-    """COO triplets of sum_e (S_e - shift_e * M_e) for P1 triangles.
-
-    S is the exact stiffness block, M the exact (consistent) mass block;
-    both from analytic integration, so no quadrature error enters.
-    Returns (rows, cols, vals) with 9 entries per element.
-    """
+def element_blocks(nodes, elements):
+    """COO rows and columns of the 3 x 3 blocks of P1 triangles (9 entries
+    per element), and their exact stiffness blocks S_e and exact (consistent)
+    mass blocks M_e, each (E, 3, 3), from analytic integration, so no
+    quadrature error enters."""
     p0 = nodes[elements[:, 0]]
     p1 = nodes[elements[:, 1]]
     p2 = nodes[elements[:, 2]]
@@ -25,10 +23,21 @@ def element_system_triplets(nodes, elements, shifts):
     stiff = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area)[:, None, None]
     mass = np.full((1, 3, 3), 1.0) + np.eye(3)[None, :, :]
     mass = mass * (area / 12.0)[:, None, None]
-    vals = stiff.astype(np.complex128) - shifts[:, None, None] * mass
     rows = np.repeat(elements, 3, axis=1).ravel()
     cols = np.tile(elements, (1, 3)).ravel()
-    return rows, cols, vals.ravel()
+    return rows, cols, stiff, mass
+
+
+def element_system_values(stiff, mass, shifts):
+    """Values of S_e - shift_e * M_e, in the order of element_blocks' triplets."""
+    return (stiff.astype(np.complex128) - shifts[:, None, None] * mass).ravel()
+
+
+def element_system_triplets(nodes, elements, shifts):
+    """COO triplets of sum_e (S_e - shift_e * M_e) for P1 triangles
+    (element_blocks); returns (rows, cols, vals)."""
+    rows, cols, stiff, mass = element_blocks(nodes, elements)
+    return rows, cols, element_system_values(stiff, mass, shifts)
 
 
 def edge_mass_triplets(nodes, edges, coeffs):

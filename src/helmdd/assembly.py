@@ -12,7 +12,7 @@ boundary mass matrix weighted per edge by omega/c of the adjacent element.
 No absorption ever enters the boundary term.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,22 +84,35 @@ def _to_csr(rows, cols, vals, n):
 
 def assemble_system(mesh, coeff):
     """A_eps over all mesh nodes; complex symmetric (unconjugated)."""
-    shifts = coeff.element_shifts(mesh)
-    r, c, v = _kernels.element_system_triplets(mesh.nodes, mesh.elements, shifts)
+    return assemble_systems(mesh, coeff, [coeff.shift_value])[0]
+
+
+def assemble_systems(mesh, coeff, shift_values):
+    """A_eps over all mesh nodes for each of the shift values (eps or rho of
+    coeff's shift mode), with coeff's frequency and wave speed.
+
+    The element stiffness and mass blocks and the boundary triplets are
+    computed once; only the element values differ.  Each matrix is bitwise
+    the one assemble_system gives, and all of them share the index arrays of
+    the first (their triplets have the same rows and columns).  An equal
+    shift value gives the same matrix object."""
+    r, c, stiff, mass = _kernels.element_blocks(mesh.nodes, mesh.elements)
     adj_c = coeff.wavespeed.values[mesh.boundary_edge_elements]
     er, ec, ev = _kernels.edge_mass_triplets(mesh.nodes, mesh.boundary_edge_nodes,
                                              coeff.edge_impedance(adj_c))
-    return _to_csr(np.concatenate([r, er]), np.concatenate([c, ec]),
-                   np.concatenate([v, -1j * ev]), mesh.n)
-
-
-def assemble_mass_matrix(mesh):
-    """Consistent P1 mass matrix (real)."""
-    r, c, v = _kernels.element_system_triplets(
-        mesh.nodes, mesh.elements, np.full(len(mesh.elements), -1.0, np.complex128))
-    s = _kernels.element_system_triplets(
-        mesh.nodes, mesh.elements, np.zeros(len(mesh.elements), np.complex128))
-    return _to_csr(r, c, (v - s[2]).real, mesh.n)
+    rows, cols, edge_vals = np.concatenate([r, er]), np.concatenate([c, ec]), -1j * ev
+    out = {}
+    for shift in shift_values:
+        if shift in out:
+            continue
+        shifts = replace(coeff, shift_value=shift).element_shifts(mesh)
+        a = _to_csr(rows, cols, np.concatenate(
+            [_kernels.element_system_values(stiff, mass, shifts), edge_vals]), mesh.n)
+        if out:
+            first = next(iter(out.values()))
+            a.indices, a.indptr = first.indices, first.indptr
+        out[shift] = a
+    return tuple(out[shift] for shift in shift_values)
 
 
 def assemble_energy_matrix(mesh, k):
@@ -109,11 +122,6 @@ def assemble_energy_matrix(mesh, k):
     r, c, v = _kernels.element_system_triplets(
         mesh.nodes, mesh.elements, np.full(len(mesh.elements), -(k * k), np.complex128))
     return _to_csr(r, c, v.real, mesh.n)
-
-
-def closed_node_set(mesh, element_ids):
-    """Sorted global node ids of the closed subdomain spanned by the elements."""
-    return np.unique(mesh.elements[np.asarray(element_ids)])
 
 
 @dataclass(frozen=True)
@@ -136,17 +144,6 @@ class BlockDiagonal:
         p, q = self.indptr[lo], self.indptr[hi]
         return sp.csr_matrix((self.data[p:q], self.indices[p:q] - lo,
                               self.indptr[lo:hi + 1] - p), shape=(hi - lo, hi - lo))
-
-    @staticmethod
-    def concatenate(parts):
-        """The blocks of several block-diagonal matrices, in order."""
-        rows = np.cumsum([0] + [p.offs[-1] for p in parts])
-        ents = np.cumsum([0] + [p.indptr[-1] for p in parts])
-        return BlockDiagonal(
-            np.concatenate([[0]] + [p.indptr[1:] + e for p, e in zip(parts, ents)]),
-            np.concatenate([p.indices + r for p, r in zip(parts, rows)]),
-            np.concatenate([p.data for p in parts]),
-            np.concatenate([[0]] + [p.offs[1:] + r for p, r in zip(parts, rows)]))
 
 
 def assemble_local_impedance(mesh, element_sets, coeff):

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .assembly import AssemblyCoefficients, assemble_system
+from .assembly import AssemblyCoefficients, assemble_systems
 from .decomposition import Decomposition, build_decomposition
 from .krylov import KrylovConfig, gmres
 from .mesh import (DegenerateLayoutError, FineMesh, build_coarse_layout,
@@ -206,8 +206,7 @@ def build_problem(cfg):
                                       shift_value=shift_prob)
     coeff_prec = AssemblyCoefficients(omega=k, wavespeed=ws, shift_mode=family,
                                       shift_value=shift_prec)
-    A_sys = assemble_system(mesh, coeff_prob)
-    A_prec = A_sys if shift_prec == shift_prob else assemble_system(mesh, coeff_prec)
+    A_sys, A_prec = assemble_systems(mesh, coeff_prob, (shift_prob, shift_prec))
     return Problem(mesh, decomp, scenario, coeff_prec, A_sys, A_prec,
                    time.perf_counter() - t0)
 

@@ -30,8 +30,8 @@ class FineMesh:
     triangle (SW, NE, NW), both positively oriented; their element ids are
     2*(cy*m+cx) and 2*(cy*m+cx)+1.  Gridlines are uniform (spacing h=1/m)
     unless explicit coordinates are supplied, which happens when a snapped
-    coarse layout is re-meshed for a nested coarse solve.  Immutable after
-    construction.
+    coarse layout is re-meshed for a nested coarse solve; uniform says which.
+    Immutable after construction.
     """
 
     def __init__(self, m, xs=None, ys=None):
@@ -39,6 +39,7 @@ class FineMesh:
         if m < 1:
             raise ValueError("mesh needs at least one cell per side")
         self.m = m
+        self.uniform = xs is None and ys is None
         self.xs = np.linspace(0.0, 1.0, m + 1) if xs is None else np.asarray(xs, dtype=float)
         self.ys = np.linspace(0.0, 1.0, m + 1) if ys is None else np.asarray(ys, dtype=float)
         for g in (self.xs, self.ys):

@@ -27,6 +27,7 @@ import contextlib
 import ctypes
 import functools
 import glob
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +43,11 @@ from .mesh import ceil_snapped, round_half_up
 
 DENSE_SOLVE_CUTOFF = 200  # below this, dense LAPACK beats SuperLU call overhead
 
-# local matrices share a factorisation when their entries differ by at most
-# this many machine epsilons relative to the largest entry; translated copies
-# of one subdomain differ by coordinate round-off of up to about 26 epsilons
-# on the uniform benchmark meshes
+# the matrix rule shares a solver between matrices whose entries differ by at
+# most this many machine epsilons relative to the largest entry.  It serves
+# the matrices that no key describes: Dirichlet blocks gathered from A_prec,
+# and the blocks on the snapped coarse mesh of a nested coarse solve.  (It
+# would split keyed ones: coordinate round-off grows as about 0.15 m eps.)
 _SHARE_TOLERANCE_EPS = 64
 
 # classification gathers the patterns and entries of local matrices this many
@@ -202,31 +204,51 @@ def _keyed_positions(keys, want):
     return pos, np.append(keys, -1)[pos] == want
 
 
+@dataclass(frozen=True)
+class _KeyedBlocks:
+    """Local matrices known before assembly by a key of everything they
+    depend on: keys[s] is block s's key (bytes), offs the block offsets as a
+    BlockDiagonal's, and assemble(firsts) the BlockDiagonal of the blocks
+    firsts only."""
+
+    keys: list
+    offs: np.ndarray
+    assemble: object
+
+
 class _MatrixClasses:
     """Classes of equal matrices in order of first appearance, each with one
-    solver.  classify takes a batch of matrices as the blocks of a
-    BlockDiagonal.  A block is bucketed by its shape and exact pattern, and
-    joins the first class of its bucket whose representative (the class's
-    first matrix) it equals up to round-off (_within_round_off).  Within a
-    batch, the blocks of a bucket are compared as (G, nnz) rows of entries
-    against one representative at a time, a chunk of rows at a time; a block
-    that joins no class founds one.  The new classes follow the last one in
-    the order of their first block, which makes the partition and the class
-    order those of classifying the blocks one at a time.  A scipy matrix is
-    made for representatives only, and each new class's solver is built
-    once, with scipy's BLAS on one thread, as build(matrix, first), where
-    first is the representative's block (default build: a
-    DirectFactorization of the matrix)."""
+    solver.  classify takes a batch of matrices in one of two forms.
+
+    A _KeyedBlocks is classified by key: a block joins the class of its key,
+    or founds it, and only the founders are assembled.
+
+    The blocks of a BlockDiagonal are classified by the matrix rule.  A block
+    is bucketed by its shape and exact pattern, and joins the first class of
+    its bucket whose representative (the class's first matrix) it equals up
+    to round-off (_within_round_off).  Within a batch, the blocks of a bucket
+    are compared as (G, nnz) rows of entries against one representative at a
+    time, a chunk of rows at a time; a block that joins no class founds one.
+
+    Either way the new classes follow the last one in the order of their
+    first block, which makes the partition and the class order those of
+    classifying the blocks one at a time.  A scipy matrix is made for
+    representatives only, and each new class's solver is built once, with
+    scipy's BLAS on one thread, as build(matrix, first), where first is the
+    representative's block (default build: a DirectFactorization of the
+    matrix)."""
 
     def __init__(self, build=None):
         self.build = build or (lambda matrix, first: DirectFactorization(matrix))
         self.solvers = []
-        self._reps = []  # data of each class's representative
-        self._buckets = {}  # (size, pattern bytes) -> classes, in order
+        self._keys = {}  # key of a _KeyedBlocks block -> class
+        self._buckets = {}  # (size, pattern bytes) -> [(class, representative's data)]
 
     def classify(self, blocks):
-        """The class of each block of a BlockDiagonal of canonical blocks,
-        -1 for an empty block."""
+        """The class of each block of a _KeyedBlocks, or of a BlockDiagonal of
+        canonical blocks (-1 for an empty block)."""
+        if isinstance(blocks, _KeyedBlocks):
+            return self._classify_keyed(blocks)
         offs = blocks.offs
         sizes = np.diff(offs)
         ptr = blocks.indptr[offs]
@@ -254,12 +276,24 @@ class _MatrixClasses:
         founders.sort(key=lambda fd: fd[0])
         with _one_blas_thread():
             for f, bucket, rep in founders:
-                cls = len(self._reps)
+                cls = len(self.solvers)
                 labels[labels == -2 - f] = cls
-                bucket.append(cls)
-                self._reps.append(rep)
+                bucket.append((cls, rep))
                 self.solvers.append(self.build(blocks.block(f).copy(), f))
         return labels
+
+    def _classify_keyed(self, keyed):
+        founders = {}  # key -> first block, of the classes founded here
+        for i, key in enumerate(keyed.keys):
+            if key not in self._keys:
+                founders.setdefault(key, i)
+        if founders:
+            reps = keyed.assemble(list(founders.values()))
+            with _one_blas_thread():
+                for j, (key, f) in enumerate(founders.items()):
+                    self._keys[key] = len(self.solvers)
+                    self.solvers.append(self.build(reps.block(j).copy(), f))
+        return np.array([self._keys[key] for key in keyed.keys], dtype=np.int64)
 
     def _join(self, bucket, idx, blocks, founders):
         """Classes of the blocks idx (ascending) of one bucket: an existing
@@ -268,7 +302,7 @@ class _MatrixClasses:
         count = blocks.indptr[blocks.offs[idx[0] + 1]] - starts[0]
         labels = np.empty(len(idx), dtype=np.int64)
         left = np.arange(len(idx))
-        reps = [(cls, self._reps[cls]) for cls in bucket]
+        reps = list(bucket)
         while len(left):
             if reps:
                 cls, rep = reps.pop(0)
@@ -287,12 +321,13 @@ class _MatrixClasses:
 class LocalSolves:
     """Batched local solves with plain (AS) or RAS-weighted recombination.
 
-    Built from the local matrices as the blocks of a BlockDiagonal, rows (the
-    vector index of each block row: each block acts on the sorted index set
-    of its subdomain, interior nodes for Dirichlet local problems, closed
-    nodes for impedance ones), and own, the RAS partition of unity as arrays
-    (block, node, weight) of each owned node, or None for AS.  Empty blocks
-    are skipped.
+    Built from the local matrices, rows (the vector index of each block row:
+    each block acts on the sorted index set of its subdomain, interior nodes
+    for Dirichlet local problems, closed nodes for impedance ones), and own,
+    the RAS partition of unity as arrays (block, node, weight) of each owned
+    node, or None for AS.  The local matrices come as the blocks of a
+    BlockDiagonal, or as a _KeyedBlocks that assembles only the first block
+    of each new key.  Empty blocks are skipped.
 
     The blocks are classified in one batch into the registry classes (a
     _MatrixClasses, which builds each class's solver; by default a fresh one
@@ -466,15 +501,40 @@ def coarse_matrix(R0, A):
     return A0
 
 
+def _impedance_blocks(mesh, subs, offs, coeff):
+    """The local impedance matrices of the subdomains, for LocalSolves (offs:
+    the offsets of their closed node sets).
+
+    On a uniform mesh a subdomain's matrix depends only on the cell counts
+    (w, h) of its extended rectangle and the wave speed of its elements in
+    local order: the impedance term lies on every side, so the sides on the
+    region boundary do not enter.  There the subdomains are keyed by these
+    before assembly (_KeyedBlocks), and members of a class differ from its
+    first by coordinate round-off only.  On the snapped gridlines of a coarse
+    mesh they are assembled in one batch, for the matrix rule."""
+    sets = [sub.element_ids for sub in subs]
+    if not mesh.uniform:
+        return assemble_local_impedance(mesh, sets, coeff)
+    speed = coeff.wavespeed.values
+    keys = [np.subtract(sub.cell_rect[1::2], sub.cell_rect[::2]).tobytes()
+            + speed[elems].tobytes() for sub, elems in zip(subs, sets)]
+    return _KeyedBlocks(keys, offs, lambda firsts: assemble_local_impedance(
+        mesh, [sets[f] for f in firsts], coeff))
+
+
 def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
                          system_matrix=None, nested_coarse=None, nested_local=None,
                          threads=1):
     """Assemble and factorize everything one preconditioner kind needs.
 
+    The Dirichlet local matrices are gathered from A_prec and classified by
+    the matrix rule; the impedance ones are keyed by geometry
+    (_impedance_blocks), and one matrix per class is assembled.
+
     nested_coarse and nested_local take the same keywords: k (required),
     alpha_inner, tol and max_iters of the inner GMRES.  nested_coarse replaces
     the direct coarse factorization by build_nested_coarse_solver; nested_local
-    solves every class of equal local impedance matrices by an inner GMRES
+    solves every class of local impedance matrices by an inner GMRES
     preconditioned by a block ImpRAS1 on the class's first subdomain
     (_nested_local_solver), shared by all members as a factorisation is; the
     classes' block LocalSolves share one registry, so each distinct block
@@ -496,11 +556,7 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
                            for sub in subs])
     classes = None
     if impedance:
-        # one batch per subdomain: one batch of all of them would hold every
-        # subdomain's triplets at once (2.7x the peak RSS of the assembly at
-        # 100 subdomains)
-        blocks = BlockDiagonal.concatenate([
-            assemble_local_impedance(mesh, [sub.element_ids], coeff_prec) for sub in subs])
+        blocks = _impedance_blocks(mesh, subs, offs, coeff_prec)
         if nested_local is not None:
             inner = _MatrixClasses()
             classes = _MatrixClasses(lambda matrix, first: _nested_local_solver(
@@ -554,13 +610,14 @@ def _nested_solver(mesh, rect, closed_nodes, matrix, coeff, blocks, nbx, nby, to
                    max_iters):
     """Inner GMRES on matrix, the system of the closed nodes of the cell
     rectangle rect, preconditioned by ImpRAS1 over its nbx x nby blocks, whose
-    block matrices are classified into the registry blocks (a _MatrixClasses)."""
+    block matrices (_impedance_blocks) are classified into the registry blocks
+    (a _MatrixClasses)."""
     bdec = build_block_decomposition(mesh, rect, nbx, nby)
     bsubs = bdec.subdomains
-    mats = assemble_local_impedance(mesh, [blk.element_ids for blk in bsubs], coeff)
-    rows = np.searchsorted(closed_nodes, np.concatenate([blk.closed_nodes for blk in bsubs]))
+    block_nodes, offs = _stacked([blk.closed_nodes for blk in bsubs])
+    rows = np.searchsorted(closed_nodes, block_nodes)
     owner, nodes, weights = _ownership(bsubs)
-    inner = LocalSolves(len(closed_nodes), mats, rows,
+    inner = LocalSolves(len(closed_nodes), _impedance_blocks(mesh, bsubs, offs, coeff), rows,
                         (owner, np.searchsorted(closed_nodes, nodes), weights), classes=blocks)
     return NestedSolver(matrix, inner, tol, max_iters,
                         degenerate_overlap=bdec.degenerate_overlap)

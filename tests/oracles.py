@@ -9,6 +9,7 @@ least squares for GMRES residuals.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 _MIDPOINTS = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
@@ -33,6 +34,19 @@ def _edge_block(p0, p1):
         phi = np.array([1.0 - s, s])
         B += (L / 2.0) * np.outer(phi, phi)
     return B
+
+
+def assemble_mass_matrix(mesh):
+    """Consistent P1 mass matrix (real, CSR) from the quadrature blocks."""
+    M = sp.lil_matrix((mesh.n, mesh.n))
+    for tri in mesh.elements:
+        M[np.ix_(tri, tri)] += _tri_quadrature_blocks(mesh.nodes[tri])[1]
+    return M.tocsr()
+
+
+def closed_node_set(mesh, element_ids):
+    """Sorted global node ids of the closed subdomain spanned by the elements."""
+    return np.unique(mesh.elements[np.asarray(element_ids)])
 
 
 def oracle_shifts(mesh, coeff):

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import scipy.sparse as sp
 from scipy.io import mmread
 
 from helmdd import _kernels
-from helmdd.assembly import (AssemblyCoefficients, BlockDiagonal, assemble_energy_matrix,
-                             assemble_local_impedance, assemble_mass_matrix,
-                             assemble_system, closed_node_set, write_matrix_market)
+from helmdd.assembly import (AssemblyCoefficients, assemble_energy_matrix,
+                             assemble_local_impedance, assemble_system, assemble_systems,
+                             write_matrix_market)
 from helmdd.mesh import build_fine_mesh, build_wavespeed
 
-from oracles import dense_energy, dense_system
+from oracles import assemble_mass_matrix, closed_node_set, dense_energy, dense_system
 
 
 def constant_coeff(mesh, k, eps=0.0):
@@ -115,6 +116,46 @@ def test_energy_matrix_positive_definite(m):
     assert np.linalg.eigvalsh(D).min() > 0.0
 
 
+def _two_pass_system(mesh, coeff):
+    """A_eps from its own element and edge triplets and its own COO-to-CSR
+    conversion, as one matrix per coefficient set was assembled before the
+    shifts shared a pass."""
+    r, c, v = _kernels.element_system_triplets(mesh.nodes, mesh.elements,
+                                               coeff.element_shifts(mesh))
+    adj_c = coeff.wavespeed.values[mesh.boundary_edge_elements]
+    er, ec, ev = _kernels.edge_mass_triplets(mesh.nodes, mesh.boundary_edge_nodes,
+                                             coeff.edge_impedance(adj_c))
+    a = sp.coo_matrix((np.concatenate([v, -1j * ev]),
+                       (np.concatenate([r, er]), np.concatenate([c, ec]))),
+                      shape=(mesh.n, mesh.n)).tocsr()
+    a.sum_duplicates()
+    a.sort_indices()
+    return a
+
+
+@pytest.mark.parametrize("case", ["constant", "centered-square"])
+def test_systems_of_several_shifts_bitwise_one_pass_each(case):
+    mesh = build_fine_mesh(1, "explicit", m=13)
+    if case == "constant":
+        coeff, shifts = constant_coeff(mesh, 9.0), (0.0, 9.0 ** 1.2, 0.0)
+    else:
+        coeff = AssemblyCoefficients(omega=8.0, wavespeed=build_wavespeed(mesh, case,
+                                                                          c_star=0.66),
+                                     shift_mode="multiplicative_rho")
+        shifts = (0.0, 8.0 ** -0.4, 0.0)
+    mats = assemble_systems(mesh, coeff, shifts)
+    assert mats[0] is mats[2]  # an equal shift gives the same matrix
+    # one structure: the index arrays of the first matrix
+    assert mats[1].indices is mats[0].indices and mats[1].indptr is mats[0].indptr
+    for A, shift in zip(mats, shifts):
+        want = _two_pass_system(mesh, replace(coeff, shift_value=shift))
+        assert A.has_canonical_format
+        for name in ("indptr", "indices", "data"):  # bitwise, signed zeros included
+            assert getattr(A, name).tobytes() == getattr(want, name).tobytes()
+        one = assemble_system(mesh, replace(coeff, shift_value=shift))
+        assert one.data.tobytes() == want.data.tobytes()
+
+
 def test_local_impedance_whole_mesh_equals_system():
     mesh = build_fine_mesh(1, "explicit", m=5)
     coeff = constant_coeff(mesh, 5.0, eps=1.0)
@@ -196,10 +237,9 @@ def test_local_impedance_batch_equals_one_call_per_set(case):
         Ld, nodes = dense_system(mesh, coeff, elems, impedance_everywhere=True)
         assert np.array_equal(nodes, closed_node_set(mesh, elems))
         assert np.abs(L.toarray() - Ld).max() < 1e-12 * np.abs(Ld).max()
-    # the one-set batches laid end to end are the batch, array for array
-    joined = BlockDiagonal.concatenate(singles)
-    for name in ("indptr", "indices", "data", "offs"):
-        assert np.array_equal(getattr(joined, name), getattr(batch, name))
+    # the one-set blocks tile the batch: no entry lies outside them
+    assert np.array_equal(batch.offs, np.cumsum([0] + [one.offs[-1] for one in singles]))
+    assert batch.indptr[-1] == sum(one.indptr[-1] for one in singles)
 
 
 def test_local_impedance_empty_subdomain():

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from helmdd.assembly import AssemblyCoefficients, BlockDiagonal, assemble_system
+from helmdd.assembly import (AssemblyCoefficients, BlockDiagonal, assemble_local_impedance,
+                             assemble_system)
 from helmdd.decomposition import build_decomposition
 from helmdd.krylov import KrylovConfig, fgmres, gmres
 from helmdd.mesh import build_fine_mesh, build_wavespeed, ceil_snapped, layout_from_blocks
@@ -370,16 +371,23 @@ def test_nested_local_classes_share_block_factorisations():
     assert len(lus) == _distinct_count(lus) == 9
 
 
+_BENCHMARK_LAYOUTS = {
+    "hras-pf-k30": harness.ExperimentConfig(
+        k=30, mesh_rule="pollution_free", precond="HRAS", alpha=1.0, beta=1.0, rhs="ones"),
+    "imphras-ppw-k100": harness.ExperimentConfig(
+        k=100, mesh_rule="points_per_wavelength", precond="ImpHRAS", alpha=0.5, beta=1.0,
+        rhs="ones"),
+    "nested-local-ppw-k30": harness.ExperimentConfig(
+        k=30, preset="table5_multilevel", mesh_rule="points_per_wavelength",
+        precond="ImpRAS1", alpha=0.4, beta=1.2, rhs="ones",
+        nesting=harness.NestingSpec(target="local", alpha_inner=0.8)),
+}
+
+
 @pytest.mark.parametrize("cfg, classes, factors, blocks", [
-    (harness.ExperimentConfig(k=30, mesh_rule="pollution_free", precond="HRAS",
-                              alpha=1.0, beta=1.0, rhs="ones"), 16, 17, None),
-    (harness.ExperimentConfig(k=100, mesh_rule="points_per_wavelength", precond="ImpHRAS",
-                              alpha=0.5, beta=1.0, rhs="ones"), 4, 5, None),
-    (harness.ExperimentConfig(k=30, preset="table5_multilevel",
-                              mesh_rule="points_per_wavelength", precond="ImpRAS1",
-                              alpha=0.4, beta=1.2, rhs="ones",
-                              nesting=harness.NestingSpec(target="local", alpha_inner=0.8)),
-     4, 9, 9),
+    (_BENCHMARK_LAYOUTS["hras-pf-k30"], 16, 17, None),
+    (_BENCHMARK_LAYOUTS["imphras-ppw-k100"], 4, 5, None),
+    (_BENCHMARK_LAYOUTS["nested-local-ppw-k30"], 4, 9, 9),
 ], ids=["hras-pf-k30", "imphras-ppw-k100", "nested-local-ppw-k30"])
 def test_benchmark_class_partitions_pinned(monkeypatch, cfg, classes, factors, blocks):
     # the local classes and factorisations of the benchmark's solve workloads:
@@ -403,6 +411,59 @@ def test_benchmark_class_partitions_pinned(monkeypatch, cfg, classes, factors, b
     if blocks is not None:
         assert len(P.nested) == classes
         assert len({id(f) for s in P.nested for f in s.inner_precond.solvers}) == blocks
+
+
+def _table4_imphras(k):
+    return harness.ExperimentConfig(k=k, preset="table4", mesh_rule="points_per_wavelength",
+                                    precond="ImpHRAS", alpha=0.5, beta=1.0, rhs="ones")
+
+
+@pytest.mark.parametrize("name, cfg", [
+    pytest.param(name, cfg, id=name) for name, cfg in
+    list(_BENCHMARK_LAYOUTS.items()) + [("table4-k260", _table4_imphras(260))]])
+def test_geometry_key_members_equal_representative_to_round_off(name, cfg):
+    # every member of a key class, assembled, is its class's first member up to
+    # coordinate round-off (measured 0.14-0.20 m eps, m = 48 to 414); on the
+    # benchmark layouts the 64-eps matrix rule gives the same partition
+    pb = harness.build_problem(cfg)
+    subs = pb.decomp.subdomains
+    _, offs = precond._stacked([sub.closed_nodes for sub in subs])
+    keyed = precond._impedance_blocks(pb.mesh, subs, offs, pb.coeff_prec)
+    labels = precond._MatrixClasses(lambda matrix, first: None).classify(keyed)
+    ruled = precond._MatrixClasses(lambda matrix, first: None)
+    reps, ruled_labels = {}, []
+    tol = 0.25 * pb.mesh.m * np.finfo(float).eps
+    for lo in range(0, len(subs), 64):
+        part = range(lo, min(lo + 64, len(subs)))
+        batch = assemble_local_impedance(pb.mesh, [subs[i].element_ids for i in part],
+                                         pb.coeff_prec)
+        ruled_labels.append(ruled.classify(batch))
+        for j, i in enumerate(part):
+            a = batch.block(j)
+            rep = reps.setdefault(labels[i], a.copy())
+            assert np.array_equal(a.indptr, rep.indptr)
+            assert np.array_equal(a.indices, rep.indices)
+            assert np.abs(a.data - rep.data).max() <= tol * np.abs(rep.data).max()
+    assert list(reps) == list(range(len(reps)))  # classes in first-appearance order
+    if name in _BENCHMARK_LAYOUTS:
+        assert np.array_equal(np.concatenate(ruled_labels), labels)
+
+
+def test_table4_impedance_classes_do_not_split_at_k240(monkeypatch):
+    # the 64-eps matrix rule split the 256 subdomains of this layout (m=382)
+    # into 16 classes; keyed by geometry they form 9, one assembly each
+    cfg = _table4_imphras(240)
+    pb = harness.build_problem(cfg)
+    calls = []
+    assemble = precond.assemble_local_impedance
+    monkeypatch.setattr(precond, "assemble_local_impedance",
+                        lambda mesh, sets, coeff: calls.append(len(sets))
+                        or assemble(mesh, sets, coeff))
+    P = build_preconditioner(cfg.precond, mesh=pb.mesh, decomp=pb.decomp, A_prec=pb.A_prec,
+                             coeff_prec=pb.coeff_prec, system_matrix=pb.A_sys)
+    assert len(pb.decomp.subdomains) == 256
+    assert len(P.locals_.solvers) == 9
+    assert calls == [9]
 
 
 def test_threads_other_than_one_refused_before_any_work(monkeypatch):
