@@ -381,17 +381,6 @@ def fov_distance(C, D=None, *, weight="D", tag="", angles=256, size_cap=SIZE_CAP
                        angles_used=len(thetas), hull_dist=hull)
 
 
-def rayleigh_samples(C, D=None, *, weight="D", num=10000, seed=0):
-    """|Rayleigh quotient| samples of W_D(C); all lie >= dist(0, W_D(C))."""
-    Ct = to_euclidean(C, D, weight)
-    rng = np.random.default_rng(seed)
-    n = Ct.shape[0]
-    X = rng.standard_normal((n, num)) + 1j * rng.standard_normal((n, num))
-    num_q = np.einsum("ij,ij->j", X.conj(), Ct @ X)
-    den_q = np.einsum("ij,ij->j", X.conj(), X).real
-    return np.abs(num_q / den_q)
-
-
 def check_gmres_bound(C, D, b=None, *, est=None, max_iters=None, seed=0, tag=""):
     """Runs weighted GMRES on C x = b and tests the sin^m(beta) envelope."""
     C = np.asarray(C, dtype=complex)

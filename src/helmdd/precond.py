@@ -41,7 +41,11 @@ from .decomposition import build_block_decomposition
 from .krylov import KrylovConfig, gmres
 from .mesh import ceil_snapped, round_half_up
 
-DENSE_SOLVE_CUTOFF = 200  # below this, dense LAPACK beats SuperLU call overhead
+# up to this many unknowns a matrix is solved by a product with its dense
+# inverse, above it by SuperLU.  SuperLU factorises faster and solves a
+# single column faster, but the product wins on blocks of 16 or more columns
+# (class solves) up to about 200 unknowns (README "Local solves")
+DENSE_SOLVE_CUTOFF = 200
 
 # the matrix rule shares a solver between matrices whose entries differ by at
 # most this many machine epsilons relative to the largest entry.  It serves
@@ -91,8 +95,11 @@ def _scipy_openblas():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run scipy's BLAS on one thread inside the block, then restore the
-    previous count.  Small triangular solves and LU factorisations run several
-    times slower on a threaded OpenBLAS.  The count is process-wide: a block
+    previous count.  It covers the dense local kernels, which all call
+    scipy's OpenBLAS: LU factorisations and inverses, and the products with
+    the stored inverses (scipy's zgemm, not numpy's matmul, which would run
+    on numpy's own OpenBLAS pool).  Small LU factorisations run several times
+    slower on a threaded OpenBLAS.  The count is process-wide: a block
     entered while the count is already 1 (a nested local solve) changes
     nothing."""
     fns = _scipy_openblas()
@@ -107,8 +114,17 @@ def _one_blas_thread():
 
 
 class DirectFactorization:
-    """Reusable LU of a sparse complex matrix (dense LAPACK below a cutoff).
-    solve takes one right-hand side or a block of them as columns."""
+    """Reusable solver of a sparse complex matrix: SuperLU, or below a cutoff
+    the dense inverse.  solve takes one right-hand side or a block of them as
+    columns.
+
+    A dense matrix is LU-factorised to check its pivots, and the inverse is
+    formed from that LU once (getri); the LU is not kept, so the solver holds
+    n^2 entries either way.  A dense solve is one zgemm of scipy's BLAS: for
+    the Fortran-ordered blocks LocalSolves hands it (transposed views of
+    C-ordered arrays) it copies nothing in or out, and on small blocks with
+    many columns it is several times faster than the two triangular solves
+    of getrs."""
 
     def __init__(self, matrix):
         matrix = sp.csc_matrix(matrix)
@@ -119,17 +135,16 @@ class DirectFactorization:
         if self._dense:
             import warnings
 
-            with warnings.catch_warnings():
+            # on one thread outside LocalSolves too (a dense coarse matrix):
+            # the ten factorisations of the k=8 FOV operator took 19 ms with
+            # its coarse matrix (81 unknowns) on two threads, 2 ms on one
+            with warnings.catch_warnings(), _one_blas_thread():
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
                 lu, piv = sla.lu_factor(matrix.toarray().astype(np.complex128, copy=False))
-            d = np.abs(np.diag(lu))
-            if self.n and (np.min(d) == 0.0 or not np.all(np.isfinite(d))):
-                raise SingularMatrixError("zero pivot in dense LU")
-            self._lu = (lu, piv)
-            # LAPACK's getrs bound once (complex LU, so real and complex
-            # right-hand sides alike): sla.lu_solve spends several times the
-            # solve of a small block in its per-call wrapper layers
-            self._getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+                d = np.abs(np.diag(lu))
+                if self.n and (np.min(d) == 0.0 or not np.all(np.isfinite(d))):
+                    raise SingularMatrixError("zero pivot in dense LU")
+                self._inv = sla.lapack.zgetri(lu, piv, overwrite_lu=True)[0] if self.n else lu
             self.fill_nnz = self.n * self.n
         else:
             try:
@@ -142,12 +157,8 @@ class DirectFactorization:
         if not self._dense:
             return self._splu.solve(rhs)
         rhs = np.asarray_chkfinite(rhs)  # ValueError on NaN/inf, as lu_solve
-        if rhs.size == 0:
-            return np.zeros(rhs.shape, dtype=np.complex128)
-        x, info = self._getrs(*self._lu, rhs)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of getrs")
-        return x
+        x = sla.blas.zgemm(1.0, self._inv, rhs if rhs.ndim == 2 else rhs[:, None])
+        return x.reshape(rhs.shape)
 
 
 class NestedSolver:

@@ -4,8 +4,9 @@ Everything here recomputes results by a different route than the package:
 quadrature-based assembly (edge-midpoint rule on triangles, Gauss rules on
 edges) instead of closed-form blocks, explicit 0/1 restriction matrices and
 dense inverses with true transposes for the preconditioners, per-triangle
-affine solves for the coarse hats, and an orthonormalised power basis plus
-least squares for GMRES residuals.
+affine solves for the coarse hats, an orthonormalised power basis plus
+least squares for GMRES residuals, and Rayleigh quotients taken in the D
+inner product for points of a weighted field of values.
 """
 
 import numpy as np
@@ -255,3 +256,13 @@ def slow_subdomains(m, bx, by):
                 own_nodes=_rect_nodes(m, bx[ci], bx[ci + 1], by[cj], by[cj + 1]),
                 own_weights=np.outer(wys[cj], wxs[ci]).ravel()))
     return subs
+
+
+def rayleigh_samples(C, D, *, num=10000, seed=0):
+    """|Rayleigh quotient| samples (D C x, x) / (D x, x) of W_D(C), D real
+    SPD, at num random complex x: all lie >= dist(0, W_D(C))."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((C.shape[0], num)) + 1j * rng.standard_normal((C.shape[0], num))
+    DX = D @ X
+    return np.abs(np.einsum("ij,ij->j", DX.conj(), C @ X)
+                  / np.einsum("ij,ij->j", DX.conj(), X).real)

@@ -9,8 +9,10 @@ from scipy.optimize import minimize_scalar
 from helmdd import analysis, precond
 from helmdd.analysis import (AnalysisSizeError, check_adjoint_identity,
                              check_gmres_bound, fov_distance,
-                             preconditioned_operator, rayleigh_samples,
-                             rows_to_csv, scaling_sweep, to_euclidean)
+                             preconditioned_operator, rows_to_csv, scaling_sweep,
+                             to_euclidean)
+
+from oracles import rayleigh_samples
 
 
 def random_spd(n, seed):

@@ -76,13 +76,20 @@ def test_factorization_well_conditioned_contract():
     assert np.linalg.norm(A_prec @ x - b) / np.linalg.norm(b) < 1e-10
 
 
-def test_dense_solve_equals_lu_solve_bitwise():
+def test_dense_solve_is_stored_inverse_product_bitwise():
+    # a dense solve is one zgemm with the inverse formed at set-up; it agrees
+    # with the LU solve to round-off only
     rng = np.random.default_rng(2)
     A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     f = DirectFactorization(sp.csr_matrix(A))
-    for shape in ((40,), (40, 6)):
-        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.array_equal(f.solve(b), sla.lu_solve(f._lu, b))
+    lu = sla.lu_factor(A)
+    C = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+    for b in (C[:, 0].copy(), C, C.T.copy().T):  # vector, C-ordered, transposed view
+        x = f.solve(b)
+        assert x.shape == b.shape
+        assert np.array_equal(x, sla.blas.zgemm(1.0, f._inv, b.reshape(40, -1)).reshape(b.shape))
+        want = sla.lu_solve(lu, b)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     b = np.ones(40, complex)
     b[3] = np.nan
     with pytest.raises(ValueError):
@@ -92,6 +99,22 @@ def test_dense_solve_equals_lu_solve_bitwise():
     b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     x = np.linalg.solve(A.real, b)
     assert np.linalg.norm(fr.solve(b) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_dense_solve_of_near_resonant_block_as_accurate_as_lu():
+    # the eps=0 Dirichlet block of the centre subdomain lies near a local
+    # resonance at k=12.25 (condition number about 5e4): solving with the
+    # inverse loses at most 10x the forward accuracy of an LU solve
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(24, 3, k=12.25, eps=0.0)
+    idx = decomp.subdomains[4].interior_nodes
+    A = A_sys[idx][:, idx].toarray()
+    assert np.linalg.cond(A) > 1e4
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((len(idx), 8)) + 1j * rng.standard_normal((len(idx), 8))
+    b = A @ x
+    err = np.linalg.norm(DirectFactorization(sp.csr_matrix(A)).solve(b) - x)
+    err_lu = np.linalg.norm(sla.lu_solve(sla.lu_factor(A), b) - x)
+    assert err <= 10 * err_lu
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -366,9 +389,9 @@ def test_nested_local_classes_share_block_factorisations():
     P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
                              coeff_prec=coeff, nested_local=dict(k=12.0, alpha_inner=0.8))
     factors = {id(f): f for s in P.nested for f in s.inner_precond.solvers}
-    lus = [f._lu[0] for f in factors.values()]
+    invs = [f._inv for f in factors.values()]
     assert [len(s.inner_precond.solvers) for s in P.nested] == [1, 3, 3, 9]
-    assert len(lus) == _distinct_count(lus) == 9
+    assert len(invs) == _distinct_count(invs) == 9
 
 
 _BENCHMARK_LAYOUTS = {
@@ -411,6 +434,34 @@ def test_benchmark_class_partitions_pinned(monkeypatch, cfg, classes, factors, b
     if blocks is not None:
         assert len(P.nested) == classes
         assert len({id(f) for s in P.nested for f in s.inner_precond.solvers}) == blocks
+
+
+@pytest.mark.parametrize("name", ["hras-pf-k30", "nested-local-ppw-k30"])
+def test_dense_classes_of_benchmark_layouts_solve_to_round_off(monkeypatch, name):
+    # every dense factorisation the build makes (local classes, nested
+    # blocks) solves a random 8-column block with a relative residual of at
+    # most 1e-12 per column (measured: at most 3e-15)
+    cfg = _BENCHMARK_LAYOUTS[name]
+    made = []
+    init = DirectFactorization.__init__
+
+    def recorded(self, matrix):
+        init(self, matrix)
+        made.append((self, sp.csr_matrix(matrix)))
+    monkeypatch.setattr(DirectFactorization, "__init__", recorded)
+    pb = harness.build_problem(cfg)
+    nested = {} if cfg.nesting is None else {"nested_local": dict(
+        k=float(cfg.k), alpha_inner=cfg.nesting.alpha_inner, tol=cfg.inner_tol,
+        max_iters=cfg.nesting.max_iters)}
+    build_preconditioner(cfg.precond, mesh=pb.mesh, decomp=pb.decomp, A_prec=pb.A_prec,
+                         coeff_prec=pb.coeff_prec, system_matrix=pb.A_sys, **nested)
+    dense = [(f, A) for f, A in made if f.n <= precond.DENSE_SOLVE_CUTOFF]
+    assert len(dense) == {"hras-pf-k30": 16, "nested-local-ppw-k30": 9}[name]
+    rng = np.random.default_rng(3)
+    for f, A in dense:
+        b = rng.standard_normal((f.n, 8)) + 1j * rng.standard_normal((f.n, 8))
+        res = np.linalg.norm(A @ f.solve(b) - b, axis=0) / np.linalg.norm(b, axis=0)
+        assert res.max() <= 1e-12
 
 
 def _table4_imphras(k):
