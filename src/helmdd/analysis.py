@@ -16,6 +16,12 @@ top eigenvector can thus only cost time, never inflate the estimate.  The
 distance to the convex hull of the traced boundary points is kept as an
 upper cross-check.
 
+The weight D stays sparse from preconditioned_operator on.  Its banded
+Cholesky factor L (D's bandwidth, 26 at k=8) gives the similarity transform
+(to_euclidean) as one sparse product with L and one banded triangular solve
+on n right-hand sides, weighted GMRES takes D as its sparse inner product,
+and the adjoint identity solves with the banded factor.
+
 Each angle needs only the top eigenpair, and only that pair is solved, once
 per angle and basis size.  These solves and ARPACK's norm estimate run on
 one BLAS thread.
@@ -28,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dtbtrs
 
 from .assembly import AssemblyCoefficients, assemble_energy_matrix, assemble_system
 from .decomposition import build_decomposition
@@ -42,6 +50,7 @@ _REFINE_ROUNDS, _REFINE_POINTS = 3, 16  # theta refinements near the minimum, an
 _CERTIFY_RTOL = 1e-6  # an estimate is certified when dist > this * norm
 _ENVELOPE_SLACK = 1e-10  # residual excess over sin^m(beta) still counted as ok
 _HERMITIAN_TILE = 256  # _hermitian_part's temporaries are at most this square
+_SOLVE_TILE = 256  # _solve_lower's real block holds this many columns of R at most
 
 ANALYSIS_COLUMNS = ("tag", "k", "eps", "H", "dist", "norm", "beta", "certified",
                     "max_ratio")
@@ -62,14 +71,53 @@ class FovEstimate:
     hull_dist: float         # distance to hull of traced boundary points (upper)
 
 
-def _check_hpd(D):
-    D = np.asarray(D)
-    if np.abs(D - D.conj().T).max() > 1e-10 * max(np.abs(D).max(), 1e-300):
+def _banded_cholesky(D):
+    """(band, L) with D = L L^H, for a Hermitian positive definite D given
+    dense or sparse: the lower band of the factor in LAPACK's storage,
+    band[i - j, j] = L[i, j], and L as a sparse matrix.  D's bandwidth is
+    read from its lower triangle."""
+    D = sp.csr_array(D)
+    if abs(D - D.conj().T).max() > 1e-10 * max(abs(D).max(), 1e-300):
         raise ValueError("weight matrix is not Hermitian")
+    lower = sp.tril(D).tocoo()
+    offsets = lower.row - lower.col
+    band = np.zeros((offsets.max(initial=0) + 1, D.shape[0]), dtype=D.dtype)
+    band[offsets, lower.col] = lower.data
     try:
-        return np.linalg.cholesky(D)
+        band = sla.cholesky_banded(band, lower=True)
     except np.linalg.LinAlgError as exc:
         raise ValueError("weight matrix is not positive definite") from exc
+    return band, sp.dia_array((band, -np.arange(len(band))), shape=D.shape).tocsr()
+
+
+def _solve_lower(band, R):
+    """Y with L Y = R, for L lower triangular with the LAPACK band `band`.  A
+    real L solves the real and imaginary parts of R as the columns of one
+    real block (dtbtrs), _SOLVE_TILE columns of R at a time, into a
+    Fortran-ordered Y, the only n x n array made; a complex L goes through
+    solve_banded."""
+    if not np.isrealobj(band):
+        return sla.solve_banded((len(band) - 1, 0), band, R)
+    Y = np.empty(R.shape, dtype=complex, order="F")
+    for j in range(0, R.shape[1], _SOLVE_TILE):
+        Rj = R[:, j:j + _SOLVE_TILE]
+        m = Rj.shape[1]
+        B = np.empty((len(R), 2 * m), order="F")
+        B[:, :m], B[:, m:] = Rj.real, Rj.imag
+        x, info = dtbtrs(band, B, uplo="L", overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtbtrs failed with info={info}")
+        Y.real[:, j:j + m], Y.imag[:, j:j + m] = x[:, :m], x[:, m:]
+    return Y
+
+
+def _sparse_times(A, X):
+    """A @ X for a sparse A and a complex X.  A real A multiplies the float64
+    view of X, which must then be C-ordered: its real and imaginary parts
+    share one real product."""
+    if np.isrealobj(A.data):
+        return (A @ X.view(np.float64)).view(complex)
+    return A @ X
 
 
 def to_euclidean(C, D=None, weight="D"):
@@ -78,18 +126,23 @@ def to_euclidean(C, D=None, weight="D"):
     weight "D":    Ctilde = L^H C L^-H  with D = L L^H
     weight "Dinv": Ctilde = L^-1 C L
     weight "I", or no D: Ctilde = C
+
+    D, dense or sparse, is factored by a banded Cholesky (_banded_cholesky).
+    Each transform is one banded triangular solve on n right-hand sides and
+    one sparse product with L: for "D" the solve W^T = conj(L)^-1 C^T, then
+    Ctilde = L^H W; for "Dinv" the solve X = L^-1 C, then Ctilde^T = L^T X^T.
+    For a real D the solves return Fortran-ordered arrays, so the products
+    read C-ordered transposes.  Ctilde is C-ordered.
     """
     if weight not in ("D", "Dinv", "I"):
         raise ValueError(f"unknown weight tag {weight!r}")
     C = np.asarray(C, dtype=complex)
     if D is None or weight == "I":
         return C.copy()
-    L = _check_hpd(np.asarray(D, dtype=complex))
+    band, L = _banded_cholesky(D)
     if weight == "D":
-        X = L.conj().T @ C
-        return sla.solve_triangular(L.conj(), X.T, lower=True).T
-    X = sla.solve_triangular(L, C, lower=True)
-    return X @ L
+        return _sparse_times(L.conj().T, _solve_lower(band.conj(), C.T).T)
+    return np.ascontiguousarray(_sparse_times(L.T, _solve_lower(band, C).T).T)
 
 
 class _SubspaceSweep:
@@ -393,7 +446,7 @@ def check_gmres_bound(C, D, b=None, *, est=None, max_iters=None, seed=0, tag="")
     if b is None:
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    D = np.eye(n) if D is None else D
+    D = sp.identity(n, format="csr") if D is None else D
     cfg = KrylovConfig(variant="weighted_gmres", side="none", weight=D,
                        rel_tol=1e-13, max_iters=max_iters or min(n, 60))
     _, rep = gmres(C, None, b, cfg)
@@ -413,8 +466,8 @@ def check_adjoint_identity(C, D, *, samples=20, seed=0, check_distance=False,
     """Verifies the D / D^-1 adjoint identity between Rayleigh quotients of C
     and C^H, and optionally the equality of the two origin distances."""
     C = np.asarray(C, dtype=complex)
-    D = np.asarray(D, dtype=complex)
-    _check_hpd(D)
+    band, _ = _banded_cholesky(D)
+    D = D if sp.issparse(D) else np.asarray(D)
     rng = np.random.default_rng(seed)
     n = C.shape[0]
     worst = 0.0
@@ -422,7 +475,7 @@ def check_adjoint_identity(C, D, *, samples=20, seed=0, check_distance=False,
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = D @ v
         q1 = np.vdot(C @ v, D @ v) / np.vdot(v, D @ v)
-        winv = np.linalg.solve(D, w)
+        winv = sla.cho_solve_banded((band, True), w)
         q2 = np.conj(np.vdot(C.conj().T @ w, winv) / np.vdot(w, winv))
         worst = max(worst, abs(q1 - q2) / max(abs(q1), 1.0))
     out = {"max_error": worst, "status": "ok" if worst <= tol else "violated"}
@@ -445,8 +498,8 @@ def analysis_mesh_cells(k):
 
 def preconditioned_operator(k, *, eps, alpha=1.0, kind="AS"):
     """Dense preconditioned matrices of the absorbed problem: returns a dict
-    with B (preconditioner action), A (A_eps, sparse), D (energy matrix), and
-    the left/right products B@A and A@B."""
+    with B (preconditioner action), A (A_eps, sparse), D (energy matrix,
+    sparse CSR), and the left/right products B@A and A@B."""
     mesh = build_fine_mesh(k, "explicit", m=analysis_mesh_cells(k))
     if mesh.n > SIZE_CAP:
         raise AnalysisSizeError(f"k={k} needs n={mesh.n} > cap {SIZE_CAP}")
@@ -459,7 +512,7 @@ def preconditioned_operator(k, *, eps, alpha=1.0, kind="AS"):
     P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A,
                              coeff_prec=coeff, system_matrix=A)
     B = P.to_dense()
-    D = assemble_energy_matrix(mesh, float(k)).toarray()
+    D = assemble_energy_matrix(mesh, float(k))
     return {"mesh": mesh, "layout": layout, "precond": P,
             "B": B, "A": A, "D": D, "left": B @ A, "right": A @ B,
             "H": 1.0 / layout.M, "eps": float(eps)}

@@ -5,11 +5,14 @@ quadrature-based assembly (edge-midpoint rule on triangles, Gauss rules on
 edges) instead of closed-form blocks, explicit 0/1 restriction matrices and
 dense inverses with true transposes for the preconditioners, per-triangle
 affine solves for the coarse hats, an orthonormalised power basis plus
-least squares for GMRES residuals, and Rayleigh quotients taken in the D
-inner product for points of a weighted field of values.
+least squares for GMRES residuals, Rayleigh quotients taken in the D
+inner product for points of a weighted field of values, and a dense
+Cholesky with dense triangular solves for the similarity transform of a
+weighted field of values.
 """
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 _REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -266,3 +269,13 @@ def rayleigh_samples(C, D, *, num=10000, seed=0):
     DX = D @ X
     return np.abs(np.einsum("ij,ij->j", DX.conj(), C @ X)
                   / np.einsum("ij,ij->j", DX.conj(), X).real)
+
+
+def dense_to_euclidean(C, D, weight="D"):
+    """analysis.to_euclidean by a dense Cholesky D = L L^H and dense
+    triangular solves: L^H C L^-H for weight "D", L^-1 C L for "Dinv"."""
+    C = np.asarray(C, dtype=complex)
+    L = np.linalg.cholesky(np.asarray(D.toarray() if sp.issparse(D) else D, dtype=complex))
+    if weight == "D":
+        return sla.solve_triangular(L.conj(), (L.conj().T @ C).T, lower=True).T
+    return sla.solve_triangular(L, C, lower=True) @ L

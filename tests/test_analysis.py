@@ -4,15 +4,18 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 from helmdd import analysis, precond
-from helmdd.analysis import (AnalysisSizeError, check_adjoint_identity,
-                             check_gmres_bound, fov_distance,
-                             preconditioned_operator, rows_to_csv, scaling_sweep,
-                             to_euclidean)
+from helmdd.analysis import (AnalysisSizeError, analysis_mesh_cells,
+                             check_adjoint_identity, check_gmres_bound,
+                             fov_distance, preconditioned_operator, rows_to_csv,
+                             scaling_sweep, to_euclidean)
+from helmdd.assembly import assemble_energy_matrix
+from helmdd.mesh import build_fine_mesh
 
-from oracles import rayleigh_samples
+from oracles import dense_to_euclidean, rayleigh_samples
 
 
 def random_spd(n, seed):
@@ -119,6 +122,71 @@ def test_gmres_bound_desk_scale_helmholtz():
     out = check_gmres_bound(ops["left"], ops["D"], est=est)
     assert out["status"] == "ok"
     assert out["max_excess"] <= 1e-10
+
+
+def _energy_matrix_k5():
+    return assemble_energy_matrix(build_fine_mesh(5, "explicit", m=analysis_mesh_cells(5)), 5.0)
+
+
+def _complex_hpd(n, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return B @ B.conj().T + n * np.eye(n)
+
+
+@pytest.mark.parametrize("weight", ["D", "Dinv"])
+@pytest.mark.parametrize("case", ["energy-sparse", "energy-dense", "spd-full-band",
+                                  "complex-hpd"])
+def test_banded_transform_matches_dense_oracle(case, weight):
+    D = {"energy-sparse": _energy_matrix_k5,
+         "energy-dense": lambda: _energy_matrix_k5().toarray(),
+         "spd-full-band": lambda: random_spd(20, 3),
+         "complex-hpd": lambda: _complex_hpd(16, 4)}[case]()
+    n = D.shape[0]
+    rng = np.random.default_rng(14)
+    C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Ct = to_euclidean(C, D, weight)
+    ref = dense_to_euclidean(C, D, weight)
+    assert Ct.flags.c_contiguous
+    assert np.abs(Ct - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_sparse_weight_errors():
+    C = np.eye(4, dtype=complex)
+    skew = sp.csr_array(np.diag([2.0, 2.0, 2.0, 2.0]) + np.diag([0.5, 0.5, 0.5], 1))
+    indefinite = sp.csr_array(np.diag([2.0, -1.0, 3.0, 1.0]) + np.diag([0.1, 0.1, 0.1], -1)
+                              + np.diag([0.1, 0.1, 0.1], 1))
+    for D, message in ((skew, "not Hermitian"), (indefinite, "not positive definite")):
+        with pytest.raises(ValueError, match=message):
+            to_euclidean(C, D, "D")
+        with pytest.raises(ValueError, match=message):
+            to_euclidean(C, D, "Dinv")
+        with pytest.raises(ValueError, match=message):
+            check_adjoint_identity(C, D)
+
+
+def test_operator_energy_matrix_is_sparse_and_weights_gmres_alike():
+    ops = preconditioned_operator(5, eps=25.0, alpha=1.0, kind="AS")
+    D = ops["D"]
+    assert sp.issparse(D)
+    assert (D != _energy_matrix_k5()).nnz == 0
+    est = fov_distance(ops["left"], D, weight="D")
+    sparse = check_gmres_bound(ops["left"], D, est=est)
+    dense = check_gmres_bound(ops["left"], D.toarray(), est=est)
+    assert sparse["status"] == dense["status"] == "ok"
+    assert sparse["iterations"] == dense["iterations"]
+    # histories are relative to the first residual: agreement to 1e-12 of it
+    assert np.abs(sparse["history"] - dense["history"]).max() <= 1e-12
+
+
+def test_adjoint_identity_accepts_sparse_weight():
+    rng = np.random.default_rng(15)
+    D = _energy_matrix_k5()
+    n = D.shape[0]
+    C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    out = check_adjoint_identity(C, D, samples=5)
+    assert out["status"] == "ok"
+    assert out["max_error"] <= 1e-10
 
 
 def test_adjoint_identity_reduces_at_identity_weight():
