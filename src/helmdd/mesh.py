@@ -28,23 +28,30 @@ class FineMesh:
     Nodes sit on the tensor grid xs x ys with id(ix, iy) = iy*(m+1)+ix.
     Cell (cx, cy) is split into the lower triangle (SW, SE, NE) and the upper
     triangle (SW, NE, NW), both positively oriented; their element ids are
-    2*(cy*m+cx) and 2*(cy*m+cx)+1.  Gridlines are uniform (spacing h=1/m)
-    unless explicit coordinates are supplied, which happens when a snapped
-    coarse layout is re-meshed for a nested coarse solve; uniform says which.
-    Immutable after construction.
+    2*(cy*m+cx) and 2*(cy*m+cx)+1.
+
+    The gridlines are cut from a uniform grid of N cells per side: xs =
+    linspace(0, 1, N+1)[breaks_x], and widths_x = diff(breaks_x) holds the
+    integer cell widths in units of 1/N (likewise in y).  By default N = m and
+    the breaks are 0..m, so the widths are ones; the snapped coarse mesh of a
+    nested coarse solve (CoarseLayout.as_mesh) passes the layout's breaks.
+    Cells of equal integer widths have equal coordinate widths up to
+    round-off, which is what keys local matrices by geometry.  Immutable
+    after construction.
     """
 
-    def __init__(self, m, xs=None, ys=None):
+    def __init__(self, m, breaks_x=None, breaks_y=None):
         m = int(m)
         if m < 1:
             raise ValueError("mesh needs at least one cell per side")
         self.m = m
-        self.uniform = xs is None and ys is None
-        self.xs = np.linspace(0.0, 1.0, m + 1) if xs is None else np.asarray(xs, dtype=float)
-        self.ys = np.linspace(0.0, 1.0, m + 1) if ys is None else np.asarray(ys, dtype=float)
-        for g in (self.xs, self.ys):
-            if len(g) != m + 1 or g[0] != 0.0 or g[-1] != 1.0 or np.any(np.diff(g) <= 0):
-                raise ValueError("gridlines must increase from 0 to 1 with m+1 entries")
+        grids = []
+        for breaks in (breaks_x, breaks_y):
+            b = np.arange(m + 1) if breaks is None else np.asarray(breaks, dtype=np.int64)
+            if len(b) != m + 1 or b[0] != 0 or np.any(np.diff(b) <= 0):
+                raise ValueError("gridline breaks must increase from 0 with m+1 entries")
+            grids.append((np.linspace(0.0, 1.0, b[-1] + 1)[b], np.diff(b)))
+        (self.xs, self.widths_x), (self.ys, self.widths_y) = grids
 
         gx, gy = np.meshgrid(self.xs, self.ys, indexing="xy")
         self.nodes = np.column_stack([gx.ravel(), gy.ravel()])
@@ -143,8 +150,13 @@ class CoarseLayout:
         return int(min(self.widths_x.min(), self.widths_y.min()))
 
     def as_mesh(self):
-        """The coarse triangulation as a mesh of its own (gridlines snapped)."""
-        return FineMesh(self.M, xs=self.mesh.xs[self.breaks_x], ys=self.mesh.ys[self.breaks_y])
+        """The coarse triangulation as a mesh of its own: its gridlines are
+        the fine mesh's at the breaks, bitwise, and its integer widths those
+        of the layout in the fine mesh's units."""
+        def cut(widths, breaks):
+            return np.concatenate([[0], np.cumsum(widths)])[breaks]
+        return FineMesh(self.M, cut(self.mesh.widths_x, self.breaks_x),
+                        cut(self.mesh.widths_y, self.breaks_y))
 
 
 def snap_breakpoints(m, M, anchors=()):

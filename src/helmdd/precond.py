@@ -47,17 +47,6 @@ from .mesh import ceil_snapped, round_half_up
 # (class solves) up to about 200 unknowns (README "Local solves")
 DENSE_SOLVE_CUTOFF = 200
 
-# the matrix rule shares a solver between matrices whose entries differ by at
-# most this many machine epsilons relative to the largest entry.  It serves
-# the matrices that no key describes: Dirichlet blocks gathered from A_prec,
-# and the blocks on the snapped coarse mesh of a nested coarse solve.  (It
-# would split keyed ones: coordinate round-off grows as about 0.15 m eps.)
-_SHARE_TOLERANCE_EPS = 64
-
-# classification gathers the patterns and entries of local matrices this many
-# entries at a time, so that its temporaries stay small beside the matrices
-_CLASSIFY_CHUNK = 1 << 16
-
 # to_dense applies the identity this many columns at a time: an apply holds
 # several (n, columns) temporaries (HRAS, n=3721: 566 MB peak, 1.1 GB at 2048)
 _DENSE_COLUMNS = 512
@@ -191,23 +180,6 @@ class NestedSolver:
         return x
 
 
-def _chunks(n, width):
-    """Slices of range(n) of at most _CLASSIFY_CHUNK // width rows: the rows
-    of width entries that classification gathers at a time."""
-    step = max(1, _CLASSIFY_CHUNK // max(width, 1))
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
-
-
-def _within_round_off(rows, rep):
-    """Which rows of entries equal a representative's entries rep up to
-    round-off: within _SHARE_TOLERANCE_EPS epsilons of rep's largest entry
-    (the rows have rep's pattern)."""
-    if rep.size == 0:
-        return np.ones(len(rows), dtype=bool)
-    tol = _SHARE_TOLERANCE_EPS * np.finfo(np.float64).eps * np.abs(rep).max()
-    return np.abs(rows - rep).max(axis=1) <= tol
-
-
 def _keyed_positions(keys, want):
     """Position of each wanted key among the ascending keys, and whether it
     is there."""
@@ -218,9 +190,9 @@ def _keyed_positions(keys, want):
 @dataclass(frozen=True)
 class _KeyedBlocks:
     """Local matrices known before assembly by a key of everything they
-    depend on: keys[s] is block s's key (bytes), offs the block offsets as a
-    BlockDiagonal's, and assemble(firsts) the BlockDiagonal of the blocks
-    firsts only."""
+    depend on: keys[s] is block s's key (a tuple), offs the block offsets as
+    a BlockDiagonal's (an empty block has no matrix), and assemble(firsts)
+    the BlockDiagonal of the blocks firsts only."""
 
     keys: list
     offs: np.ndarray
@@ -229,104 +201,38 @@ class _KeyedBlocks:
 
 class _MatrixClasses:
     """Classes of equal matrices in order of first appearance, each with one
-    solver.  classify takes a batch of matrices in one of two forms.
+    solver.  classify takes a batch of _KeyedBlocks: a block joins the class
+    of its key, or founds it, and only the founders are assembled.  The new
+    classes follow the last one in the order of their first block, so the
+    partition and the class order are those of classifying the blocks one at
+    a time, and the representative of a class is its first member.  Members
+    of a class equal their representative up to coordinate round-off.
 
-    A _KeyedBlocks is classified by key: a block joins the class of its key,
-    or founds it, and only the founders are assembled.
-
-    The blocks of a BlockDiagonal are classified by the matrix rule.  A block
-    is bucketed by its shape and exact pattern, and joins the first class of
-    its bucket whose representative (the class's first matrix) it equals up
-    to round-off (_within_round_off).  Within a batch, the blocks of a bucket
-    are compared as (G, nnz) rows of entries against one representative at a
-    time, a chunk of rows at a time; a block that joins no class founds one.
-
-    Either way the new classes follow the last one in the order of their
-    first block, which makes the partition and the class order those of
-    classifying the blocks one at a time.  A scipy matrix is made for
-    representatives only, and each new class's solver is built once, with
-    scipy's BLAS on one thread, as build(matrix, first), where first is the
-    representative's block (default build: a DirectFactorization of the
-    matrix)."""
+    A scipy matrix is made for representatives only, and each new class's
+    solver is built once, with scipy's BLAS on one thread, as build(matrix,
+    first), where first is the representative's block (default build: a
+    DirectFactorization of the matrix)."""
 
     def __init__(self, build=None):
         self.build = build or (lambda matrix, first: DirectFactorization(matrix))
         self.solvers = []
-        self._keys = {}  # key of a _KeyedBlocks block -> class
-        self._buckets = {}  # (size, pattern bytes) -> [(class, representative's data)]
+        self._keys = {}  # key -> class
 
     def classify(self, blocks):
-        """The class of each block of a _KeyedBlocks, or of a BlockDiagonal of
-        canonical blocks (-1 for an empty block)."""
-        if isinstance(blocks, _KeyedBlocks):
-            return self._classify_keyed(blocks)
-        offs = blocks.offs
-        sizes = np.diff(offs)
-        ptr = blocks.indptr[offs]
-        nnz = np.diff(ptr)
-        labels = np.full(len(sizes), -1, dtype=np.int64)
-        founders = []  # (first block, bucket, data) of the classes founded here
-        shapes = {}
-        for i, shape in enumerate(zip(sizes.tolist(), nnz.tolist())):
-            if shape[0]:
-                shapes.setdefault(shape, []).append(i)
-        groups = {}  # (size, exact pattern) -> its blocks, in order
-        for (size, count), idx in shapes.items():
-            idx = np.array(idx)
-            for part in _chunks(len(idx), size + 1 + count):
-                i = idx[part]
-                pattern = np.hstack([
-                    blocks.indptr[offs[i, None] + np.arange(size + 1)] - ptr[i, None],
-                    blocks.indices[ptr[i, None] + np.arange(count)] - offs[i, None]])
-                for b, row in zip(i.tolist(), pattern.astype(np.int64)):
-                    groups.setdefault((size, row.tobytes()), []).append(b)
-        for key, same in groups.items():
-            labels[same] = self._join(self._buckets.setdefault(key, []), np.array(same),
-                                      blocks, founders)
-
-        founders.sort(key=lambda fd: fd[0])
-        with _one_blas_thread():
-            for f, bucket, rep in founders:
-                cls = len(self.solvers)
-                labels[labels == -2 - f] = cls
-                bucket.append((cls, rep))
-                self.solvers.append(self.build(blocks.block(f).copy(), f))
-        return labels
-
-    def _classify_keyed(self, keyed):
+        """The class of each block of a _KeyedBlocks (-1 for an empty block)."""
+        sizes = np.diff(blocks.offs).tolist()
         founders = {}  # key -> first block, of the classes founded here
-        for i, key in enumerate(keyed.keys):
-            if key not in self._keys:
+        for i, (key, size) in enumerate(zip(blocks.keys, sizes)):
+            if size and key not in self._keys:
                 founders.setdefault(key, i)
         if founders:
-            reps = keyed.assemble(list(founders.values()))
+            reps = blocks.assemble(list(founders.values()))
             with _one_blas_thread():
                 for j, (key, f) in enumerate(founders.items()):
                     self._keys[key] = len(self.solvers)
                     self.solvers.append(self.build(reps.block(j).copy(), f))
-        return np.array([self._keys[key] for key in keyed.keys], dtype=np.int64)
-
-    def _join(self, bucket, idx, blocks, founders):
-        """Classes of the blocks idx (ascending) of one bucket: an existing
-        class, or -2 - f for the class that block f founds."""
-        starts = blocks.indptr[blocks.offs[idx]]
-        count = blocks.indptr[blocks.offs[idx[0] + 1]] - starts[0]
-        labels = np.empty(len(idx), dtype=np.int64)
-        left = np.arange(len(idx))
-        reps = list(bucket)
-        while len(left):
-            if reps:
-                cls, rep = reps.pop(0)
-            else:  # the first block left founds a class
-                f = left[0]
-                cls, rep = -2 - idx[f], blocks.data[starts[f]:starts[f] + count].copy()
-                founders.append((idx[f], bucket, rep))
-            hit = np.concatenate([
-                _within_round_off(blocks.data[starts[left[part], None] + np.arange(count)], rep)
-                for part in _chunks(len(left), count)])
-            labels[left[hit]] = cls
-            left = left[~hit]
-        return labels
+        return np.array([self._keys[key] if size else -1
+                         for key, size in zip(blocks.keys, sizes)], dtype=np.int64)
 
 
 class LocalSolves:
@@ -336,9 +242,9 @@ class LocalSolves:
     each block acts on the sorted index set of its subdomain, interior nodes
     for Dirichlet local problems, closed nodes for impedance ones), and own,
     the RAS partition of unity as arrays (block, node, weight) of each owned
-    node, or None for AS.  The local matrices come as the blocks of a
-    BlockDiagonal, or as a _KeyedBlocks that assembles only the first block
-    of each new key.  Empty blocks are skipped.
+    node, or None for AS.  The local matrices come keyed by geometry, as a
+    _KeyedBlocks that assembles or gathers only the first block of each new
+    key.  Empty blocks are skipped.
 
     The blocks are classified in one batch into the registry classes (a
     _MatrixClasses, which builds each class's solver; by default a fresh one
@@ -512,25 +418,44 @@ def coarse_matrix(R0, A):
     return A0
 
 
-def _impedance_blocks(mesh, subs, offs, coeff):
-    """The local impedance matrices of the subdomains, for LocalSolves (offs:
-    the offsets of their closed node sets).
+def _rect_key(mesh, sub, coeff):
+    """Geometry key of a subdomain: the bytes of the integer cell widths of
+    its extended rectangle in x and in y (FineMesh.widths_x, widths_y), and
+    of the wave speed of its elements in local order."""
+    x0, x1, y0, y1 = sub.cell_rect
+    return (mesh.widths_x[x0:x1].tobytes(), mesh.widths_y[y0:y1].tobytes(),
+            coeff.wavespeed.values[sub.element_ids].tobytes())
 
-    On a uniform mesh a subdomain's matrix depends only on the cell counts
-    (w, h) of its extended rectangle and the wave speed of its elements in
-    local order: the impedance term lies on every side, so the sides on the
-    region boundary do not enter.  There the subdomains are keyed by these
-    before assembly (_KeyedBlocks), and members of a class differ from its
-    first by coordinate round-off only.  On the snapped gridlines of a coarse
-    mesh they are assembled in one batch, for the matrix rule."""
-    sets = [sub.element_ids for sub in subs]
-    if not mesh.uniform:
-        return assemble_local_impedance(mesh, sets, coeff)
-    speed = coeff.wavespeed.values
-    keys = [np.subtract(sub.cell_rect[1::2], sub.cell_rect[::2]).tobytes()
-            + speed[elems].tobytes() for sub, elems in zip(subs, sets)]
-    return _KeyedBlocks(keys, offs, lambda firsts: assemble_local_impedance(
-        mesh, [sets[f] for f in firsts], coeff))
+
+def _impedance_blocks(mesh, subs, offs, coeff):
+    """The local impedance matrices of the subdomains, keyed for LocalSolves
+    (offs: the offsets of their closed node sets).
+
+    A subdomain's matrix depends only on its _rect_key: the impedance term
+    lies on every side, so the sides on the region boundary do not enter.
+    Members of a class differ from its first by coordinate round-off only."""
+    return _KeyedBlocks([_rect_key(mesh, sub, coeff) for sub in subs], offs,
+                        lambda firsts: assemble_local_impedance(
+                            mesh, [subs[f].element_ids for f in firsts], coeff))
+
+
+def _dirichlet_blocks(mesh, subs, offs, A, coeff):
+    """The Dirichlet local matrices of the subdomains, keyed for LocalSolves:
+    the principal submatrices of A, the finite-element matrix of mesh and
+    coeff, on their interior node sets (offs: the offsets of these sets).
+
+    An interior set keeps its nodes on the sides of the extended rectangle
+    that lie on the mesh boundary, with their impedance edges, and no element
+    outside the rectangle meets two of its nodes.  So a block depends only on
+    its _rect_key and on which sides lie on the boundary.  Only the first
+    block of each new key is gathered from A."""
+    m = mesh.m
+    keys = []
+    for sub in subs:
+        x0, x1, y0, y1 = sub.cell_rect
+        keys.append(_rect_key(mesh, sub, coeff) + (x0 == 0, x1 == m, y0 == 0, y1 == m))
+    return _KeyedBlocks(keys, offs, lambda firsts: _principal_submatrices(
+        A, *_stacked([subs[f].interior_nodes for f in firsts])))
 
 
 def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
@@ -538,9 +463,12 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
                          threads=1):
     """Assemble and factorize everything one preconditioner kind needs.
 
-    The Dirichlet local matrices are gathered from A_prec and classified by
-    the matrix rule; the impedance ones are keyed by geometry
-    (_impedance_blocks), and one matrix per class is assembled.
+    A_prec must be the finite-element matrix of mesh whose element
+    coefficients depend only on the wave speed of coeff_prec, as
+    assembly.assemble_system makes it: the local matrices are keyed by
+    geometry and wave speed before they are made (_dirichlet_blocks,
+    _impedance_blocks), and one matrix per class is gathered from A_prec
+    (Dirichlet kinds) or assembled (impedance kinds).
 
     nested_coarse and nested_local take the same keywords: k (required),
     alpha_inner, tol and max_iters of the inner GMRES.  nested_coarse replaces
@@ -573,7 +501,7 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
             classes = _MatrixClasses(lambda matrix, first: _nested_local_solver(
                 mesh, subs[first], matrix, coeff_prec, inner, **nested_local))
     else:
-        blocks = _principal_submatrices(A_prec, rows, offs)
+        blocks = _dirichlet_blocks(mesh, subs, offs, A_prec, coeff_prec)
     own = _ownership(subs) if kind in _WEIGHTED_KINDS else None
     locals_ = LocalSolves(mesh.n, blocks, rows, own, classes=classes)
 

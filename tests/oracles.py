@@ -6,9 +6,10 @@ edges) instead of closed-form blocks, explicit 0/1 restriction matrices and
 dense inverses with true transposes for the preconditioners, per-triangle
 affine solves for the coarse hats, an orthonormalised power basis plus
 least squares for GMRES residuals, Rayleigh quotients taken in the D
-inner product for points of a weighted field of values, and a dense
+inner product for points of a weighted field of values, a dense
 Cholesky with dense triangular solves for the similarity transform of a
-weighted field of values.
+weighted field of values, and a comparison of assembled matrices, one at a
+time, for which local matrices may share one solver.
 """
 
 import numpy as np
@@ -279,3 +280,26 @@ def dense_to_euclidean(C, D, weight="D"):
     if weight == "D":
         return sla.solve_triangular(L.conj(), (L.conj().T @ C).T, lower=True).T
     return sla.solve_triangular(L, C, lower=True) @ L
+
+
+def one_at_a_time(mats):
+    """Class of each matrix under the reference sharing rule: it joins the
+    first earlier class of its shape and pattern whose first matrix it equals
+    to 64 epsilons of that matrix's largest entry, or founds a new class.  An
+    empty matrix has no class (-1)."""
+    reps, labels = [], []
+    for a in map(sp.csr_matrix, mats):
+        if a.shape[0] == 0:
+            labels.append(-1)
+            continue
+        for cls, r in enumerate(reps):
+            if (r.shape == a.shape and np.array_equal(r.indptr, a.indptr)
+                    and np.array_equal(r.indices, a.indices)
+                    and (a.nnz == 0 or np.abs(a.data - r.data).max()
+                         <= 64 * np.finfo(float).eps * np.abs(r.data).max())):
+                labels.append(cls)
+                break
+        else:
+            labels.append(len(reps))
+            reps.append(a)
+    return labels

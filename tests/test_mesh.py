@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from helmdd.mesh import (DegenerateLayoutError, build_coarse_layout, build_fine_mesh,
+from helmdd.mesh import (DegenerateLayoutError, FineMesh, build_coarse_layout, build_fine_mesh,
                          build_wavespeed, cells_for_rule, dump_mesh, layout_from_blocks,
                          snap_breakpoints, snapped_square_indices)
 
@@ -107,6 +107,26 @@ def test_coarse_nodes_coincide_with_fine_nodes():
     fine_set = {tuple(p) for p in mesh.nodes}
     assert all(tuple(p) in fine_set for p in cm.nodes)
     assert len(cm.elements) == 2 * lay.M ** 2
+
+
+def test_coarse_mesh_keeps_fine_gridlines_and_integer_widths():
+    # the coarse mesh's gridlines are bitwise the fine ones at the breaks, and
+    # it keeps the layout's widths in fine cells; a layout of the coarse mesh
+    # composes its breaks with the coarse ones
+    mesh = build_fine_mesh(1, "explicit", m=165)
+    assert np.array_equal(mesh.widths_x, np.ones(165, dtype=np.int64))
+    lay = layout_from_blocks(mesh, 30)
+    cm = lay.as_mesh()
+    assert np.array_equal(cm.xs, mesh.xs[lay.breaks_x])
+    assert np.array_equal(cm.ys, mesh.ys[lay.breaks_y])
+    assert np.array_equal(cm.widths_x, lay.widths_x)
+    assert np.array_equal(cm.widths_y, lay.widths_y)
+    inner = layout_from_blocks(cm, 7)
+    ccm = inner.as_mesh()
+    assert np.array_equal(ccm.xs, cm.xs[inner.breaks_x])
+    assert np.array_equal(ccm.widths_x, np.diff(lay.breaks_x[inner.breaks_x]))
+    with pytest.raises(ValueError, match="breaks"):
+        FineMesh(2, breaks_x=[0, 2, 1])
 
 
 def test_layout_errors():

@@ -3,16 +3,15 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from helmdd.assembly import (AssemblyCoefficients, BlockDiagonal, assemble_local_impedance,
-                             assemble_system)
-from helmdd.decomposition import build_decomposition
+from helmdd.assembly import AssemblyCoefficients, BlockDiagonal, assemble_system
+from helmdd.decomposition import build_block_decomposition, build_decomposition
 from helmdd.krylov import KrylovConfig, fgmres, gmres
 from helmdd.mesh import build_fine_mesh, build_wavespeed, ceil_snapped, layout_from_blocks
 from helmdd import harness, precond
 from helmdd.precond import (KINDS, DirectFactorization, LocalSolves, NestedSolver,
                             SingularMatrixError, build_preconditioner, coarse_matrix)
 
-from oracles import dense_preconditioner, dense_system
+from oracles import dense_preconditioner, dense_system, one_at_a_time
 
 
 def setup_problem(m, M, k=5.0, eps=None, scenario="constant", c_star=1.0):
@@ -469,35 +468,91 @@ def _table4_imphras(k):
                                     precond="ImpHRAS", alpha=0.5, beta=1.0, rhs="ones")
 
 
-@pytest.mark.parametrize("name, cfg", [
-    pytest.param(name, cfg, id=name) for name, cfg in
-    list(_BENCHMARK_LAYOUTS.items()) + [("table4-k260", _table4_imphras(260))]])
-def test_geometry_key_members_equal_representative_to_round_off(name, cfg):
-    # every member of a key class, assembled, is its class's first member up to
-    # coordinate round-off (measured 0.14-0.20 m eps, m = 48 to 414); on the
-    # benchmark layouts the 64-eps matrix rule gives the same partition
+def _table3_nested(k):
+    return harness.ExperimentConfig(k=k, preset="table3", precond="HRAS", alpha=1.0, beta=1.0,
+                                    rhs="plane_wave", nesting=harness.NestingSpec("coarse", 0.5))
+
+
+def _table6(scenario, c_star, k=16):
+    return harness.ExperimentConfig(k=k, preset="table6_variable", scenario=scenario,
+                                    c_star=c_star, anchor_square=True,
+                                    shift_family="multiplicative", precond="HRAS", alpha=1.0,
+                                    beta=1.6, rhs="ones",
+                                    nesting=harness.NestingSpec("coarse", 0.5))
+
+
+def _keyed_local_blocks(cfg, kind):
+    """(mesh, _KeyedBlocks) of one layout's local matrices: "impedance" or
+    "dirichlet" on the subdomains of the fine mesh, or "coarse", the impedance
+    blocks of the nested coarse solve on the snapped coarse mesh."""
     pb = harness.build_problem(cfg)
-    subs = pb.decomp.subdomains
+    mesh, subs, coeff = pb.mesh, pb.decomp.subdomains, pb.coeff_prec
+    if kind == "coarse":
+        mesh = pb.decomp.layout.as_mesh()
+        Mi = min(ceil_snapped(cfg.k ** cfg.nesting.alpha_inner), mesh.m)
+        subs = build_block_decomposition(mesh, (0, mesh.m, 0, mesh.m), Mi, Mi).subdomains
+        coeff = coeff.on_mesh(mesh)
+    if kind == "dirichlet":
+        _, offs = precond._stacked([sub.interior_nodes for sub in subs])
+        return mesh, precond._dirichlet_blocks(mesh, subs, offs, pb.A_prec, coeff)
     _, offs = precond._stacked([sub.closed_nodes for sub in subs])
-    keyed = precond._impedance_blocks(pb.mesh, subs, offs, pb.coeff_prec)
+    return mesh, precond._impedance_blocks(mesh, subs, offs, coeff)
+
+
+@pytest.mark.parametrize("cfg, kind, oracle", [
+    pytest.param(cfg, "impedance", True, id=name) for name, cfg in _BENCHMARK_LAYOUTS.items()]
+    + [pytest.param(_table4_imphras(260), "impedance", False, id="table4-k260"),
+       pytest.param(_BENCHMARK_LAYOUTS["hras-pf-k30"], "dirichlet", True,
+                    id="dirichlet-hras-pf-k30"),
+       pytest.param(harness.ExperimentConfig(k=40, mesh_rule="pollution_free", precond="HRAS",
+                                             alpha=1.0, beta=1.0, rhs="ones"),
+                    "dirichlet", True, id="dirichlet-hras-pf-k40"),
+       pytest.param(_table6("centered-square", 1.5), "dirichlet", True,
+                    id="dirichlet-table6-centred-k16"),
+       pytest.param(_table3_nested(30), "coarse", True, id="coarse-table3-k30"),
+       pytest.param(_table6("shifted-square", 0.66), "coarse", True,
+                    id="coarse-table6-shifted-k16")])
+def test_geometry_key_members_equal_representative_to_round_off(cfg, kind, oracle):
+    # every member of a key class, assembled or gathered, is its class's first
+    # member up to coordinate round-off (measured 0.14-0.20 m eps, m = 30 to
+    # 414, on the mesh the blocks lie on); where the 64-eps reference rule
+    # does not split classes (m below about 400) it gives the key partition
+    mesh, keyed = _keyed_local_blocks(cfg, kind)
     labels = precond._MatrixClasses(lambda matrix, first: None).classify(keyed)
-    ruled = precond._MatrixClasses(lambda matrix, first: None)
-    reps, ruled_labels = {}, []
-    tol = 0.25 * pb.mesh.m * np.finfo(float).eps
-    for lo in range(0, len(subs), 64):
-        part = range(lo, min(lo + 64, len(subs)))
-        batch = assemble_local_impedance(pb.mesh, [subs[i].element_ids for i in part],
-                                         pb.coeff_prec)
-        ruled_labels.append(ruled.classify(batch))
+    reps, mats = {}, []
+    tol = 0.25 * mesh.m * np.finfo(float).eps
+    for lo in range(0, len(labels), 64):
+        part = list(range(lo, min(lo + 64, len(labels))))
+        batch = keyed.assemble(part)
         for j, i in enumerate(part):
             a = batch.block(j)
             rep = reps.setdefault(labels[i], a.copy())
             assert np.array_equal(a.indptr, rep.indptr)
             assert np.array_equal(a.indices, rep.indices)
             assert np.abs(a.data - rep.data).max() <= tol * np.abs(rep.data).max()
+            if oracle:
+                mats.append(a.copy())
     assert list(reps) == list(range(len(reps)))  # classes in first-appearance order
-    if name in _BENCHMARK_LAYOUTS:
-        assert np.array_equal(np.concatenate(ruled_labels), labels)
+    if oracle:
+        assert one_at_a_time(mats) == labels.tolist()
+
+
+@pytest.mark.parametrize("cfg, kind, classes, blocks", [
+    (_table3_nested(30), "coarse", 16, 36),
+    (_table6("shifted-square", 0.66), "coarse", 9, 16),
+    (_table6("centered-square", 1.5), "dirichlet", 60, 256),
+    (_table6("shifted-square", 0.66), "dirichlet", 40, 256),
+    (_table6("centered-square", 1.0), "dirichlet", 25, 256),
+], ids=["coarse-table3-k30", "coarse-table6-shifted-k16", "dirichlet-table6-centred-k16",
+        "dirichlet-table6-shifted-k16", "dirichlet-table6-constant-k16"])
+def test_keyed_class_partitions_pinned(cfg, kind, classes, blocks):
+    # the geometry-key classes of the coarse-mesh blocks of a nested coarse
+    # solve and of the Dirichlet blocks of table6, one build of each founder
+    _, keyed = _keyed_local_blocks(cfg, kind)
+    built = []
+    labels = precond._MatrixClasses(lambda matrix, first: built.append(first)).classify(keyed)
+    assert len(labels) == blocks
+    assert len(built) == labels.max() + 1 == classes
 
 
 def test_table4_impedance_classes_do_not_split_at_k240(monkeypatch):
@@ -571,96 +626,32 @@ def _block_diagonal(mats):
     return BlockDiagonal(b.indptr, b.indices, b.data, offs)
 
 
-def test_local_solves_share_only_within_round_off():
-    # the first three round to the same 12 decimals, and only the round-off
-    # copy shares; the last two are one ulp apart on either side of a
-    # 12-decimal rounding boundary, and share
-    base = np.array([[4.0, 0.5, 0.0], [0.5, 4.0, 0.5], [0.0, 0.5, 4.0]], dtype=complex)
-    roundoff = base.copy()
-    roundoff[0, 1] += 1e-15
-    apart = base.copy()
-    apart[0, 1] += 3e-13
-    below = base.copy()
-    below[0, 1] = 0.5000000000004999
-    above = base.copy()
-    above[0, 1] = np.nextafter(below[0, 1].real, 1.0)
-    mats = (base, roundoff, apart, below, above)
-    sets = [np.arange(3 * i, 3 * i + 3) for i in range(len(mats))]
-    own = (np.repeat(np.arange(len(mats)), 3), np.concatenate(sets), np.ones(15))
-    L = LocalSolves(15, _block_diagonal(mats), np.concatenate(sets), own)
-    assert len(L.solvers) == 3
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-    want = np.concatenate([np.linalg.solve(a, v[idx]) for a, idx in zip(mats, sets)])
-    assert np.abs(L.apply(v) - want).max() < 1e-14
+def _keyed(keys, mats):
+    """_KeyedBlocks of the matrices under the given keys, recording which
+    blocks it assembles."""
+    offs = np.concatenate([[0], np.cumsum([a.shape[0] for a in mats])])
+    made = []
+
+    def assemble(firsts):
+        made.append(list(firsts))
+        return _block_diagonal([mats[f] for f in firsts])
+    return precond._KeyedBlocks(keys, offs, assemble), made
 
 
-def _one_at_a_time(mats):
-    """Class of each matrix under the one-at-a-time rule: it joins the first
-    earlier class of its shape and pattern whose first matrix it equals to
-    64 epsilons of that matrix's largest entry, or founds a new class."""
-    reps, labels = [], []
-    for a in map(sp.csr_matrix, mats):
-        for cls, r in enumerate(reps):
-            if (r.shape == a.shape and np.array_equal(r.indptr, a.indptr)
-                    and np.array_equal(r.indices, a.indices)
-                    and (a.nnz == 0 or np.abs(a.data - r.data).max()
-                         <= 64 * np.finfo(float).eps * np.abs(r.data).max())):
-                labels.append(cls)
-                break
-        else:
-            labels.append(len(reps))
-            reps.append(a)
-    return labels
-
-
-def _perturbed(base, *entries):
-    out = []
-    for delta in entries:
-        a = base.copy()
-        a[0, 1] += delta
-        out.append(a)
-    return out
-
-
-# the share tolerance of the 3 x 3 matrices below, whose largest entry is 4:
-# 64 eps * 4 = 2^-44, exact beside their 0.5 entries
-_TOL = 2.0 ** -44
 _BASE = np.array([[4.0, 0.5, 0.0], [0.5, 4.0, 0.5], [0.0, 0.5, 4.0]], dtype=complex)
-
-
-@pytest.mark.parametrize("mats, want", [
-    # within tolerance of two representatives: joins the first
-    (_perturbed(_BASE, 0.0, 100 / 64 * _TOL, 50 / 64 * _TOL, 120 / 64 * _TOL), [0, 1, 0, 1]),
-    # just inside (exactly the tolerance) and just outside (one ulp more)
-    (_perturbed(_BASE, 0.0, _TOL, _TOL + 2.0 ** -53, -_TOL, -_TOL - 2.0 ** -53),
-     [0, 0, 1, 0, 2]),
-    # equal nnz and entries, different patterns
-    ([_BASE, _BASE.T.copy(), np.array([[4.0, 0.5, 0.5], [0.5, 4.0, 0.0], [0.0, 0.5, 4.0]]),
-      np.array([[4.0, 0.0, 0.5], [0.5, 4.0, 0.5], [0.0, 0.5, 4.0]])], [0, 0, 1, 2]),
-    # sizes differ
-    ([_BASE, _BASE[:2, :2].copy(), _BASE, _BASE[:2, :2].copy()], [0, 1, 0, 1]),
-], ids=["first-of-two", "tolerance-edge", "patterns", "sizes"])
-def test_batch_classes_equal_one_at_a_time_rule(mats, want):
-    assert _one_at_a_time(mats) == want
-    classes = precond._MatrixClasses()
-    assert classes.classify(_block_diagonal(mats)).tolist() == want
-    assert len(classes.solvers) == max(want) + 1
-    # a second batch given the same registry joins its classes, in the same way
-    assert classes.classify(_block_diagonal(mats[::-1])).tolist() == want[::-1]
-    assert len(classes.solvers) == max(want) + 1
 
 
 def test_batch_classes_skip_empty_blocks():
     # a subdomain with an empty solve set is an empty block: it has no class,
     # no place in the gathered vector, and its owned nodes no weight
     mats = [_BASE, np.zeros((0, 0)), _BASE, np.zeros((0, 0))]
-    bd = _block_diagonal(mats)
-    assert precond._MatrixClasses().classify(bd).tolist() == [0, -1, 0, -1]
+    keyed, made = _keyed([("a",), ("e",), ("a",), ("e",)], mats)
+    assert precond._MatrixClasses().classify(keyed).tolist() == [0, -1, 0, -1]
+    assert one_at_a_time(mats) == [0, -1, 0, -1] and made == [[0]]
     rows = np.array([0, 1, 2, 3, 4, 5])
     own = (np.array([0, 0, 0, 1, 2, 2, 2, 3]), np.array([0, 1, 2, 7, 3, 4, 5, 6]),
            np.ones(8))
-    L = LocalSolves(8, bd, rows, own)
+    L = LocalSolves(8, keyed, rows, own)
     assert len(L.solvers) == 1 and L._segments == [(0, 6, 2)]
     v = np.arange(8.0) + 1j
     want = np.zeros(8, dtype=complex)
@@ -683,7 +674,7 @@ def test_local_solves_restore_blas_thread_count():
 
     nested = NestedSolver(A_prec, record, inner_tol=1e-14, inner_max_iters=2)
     own = np.arange(mesh.n)
-    probe = LocalSolves(mesh.n, _block_diagonal([A_prec]), own,
+    probe = LocalSolves(mesh.n, _keyed([("probe",)], [A_prec])[0], own,
                         (np.zeros(mesh.n, dtype=int), own, np.ones(mesh.n)),
                         classes=precond._MatrixClasses(lambda matrix, first: nested))
     v = np.ones(mesh.n, complex)
