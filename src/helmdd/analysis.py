@@ -525,18 +525,13 @@ def scaling_sweep(k_list, *, beta=None, eps_rule="k^beta", alpha=1.0, kind="AS",
     theoretical k^2/eps scaling."""
     if not set(sides) <= {"left", "right"}:
         raise ValueError(f"sides must be 'left' or 'right', got {list(sides)}")
-    if eps_rule not in ("ksq", "k^beta") and not callable(eps_rule):
-        raise ValueError(f"eps_rule must be 'ksq', 'k^beta' or a callable, got {eps_rule!r}")
+    if eps_rule not in ("ksq", "k^beta"):
+        raise ValueError(f"eps_rule must be one of 'ksq', 'k^beta', got {eps_rule!r}")
+    if eps_rule == "k^beta" and beta is None:
+        raise ValueError("k^beta rule needs beta")
     rows = []
     for k in k_list:
-        if eps_rule == "ksq":
-            eps = float(k) ** 2
-        elif eps_rule == "k^beta":
-            if beta is None:
-                raise ValueError("k^beta rule needs beta")
-            eps = float(k) ** beta
-        else:
-            eps = float(eps_rule(k))
+        eps = float(k) ** (2 if eps_rule == "ksq" else beta)
         ops = preconditioned_operator(k, eps=eps, alpha=alpha, kind=kind)
         for side in sides:
             C = ops["left"] if side == "left" else ops["right"]
@@ -545,8 +540,7 @@ def scaling_sweep(k_list, *, beta=None, eps_rule="k^beta", alpha=1.0, kind="AS",
             est = fov_distance(C, ops["D"], weight=wt, tag=tag, angles=angles)
             row = {"tag": tag, "k": k, "eps": eps, "H": ops["H"],
                    "dist": est.dist_to_origin, "norm": est.norm, "beta": est.beta,
-                   "certified": est.certified, "max_ratio": None, "estimate": est,
-                   "operator": C, "D": ops["D"]}
+                   "certified": est.certified, "max_ratio": None, "estimate": est}
             if envelope and side == "left":
                 # the sin^m(beta) envelope lives in the D norm of the left
                 # operator; the D^-1 side is exercised via the adjoint identity

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .mesh import DegenerateLayoutError, round_half_up
+from .mesh import snap_breakpoints
 
 
 @dataclass
@@ -152,13 +152,8 @@ def build_block_decomposition(mesh, region, nbx, nby):
     wx, wy = rx1 - rx0, ry1 - ry0
     if not (0 < nbx <= wx and 0 < nby <= wy):
         raise ValueError("block counts must fit inside the region")
-    bx = rx0 + np.array([round_half_up(p * wx / nbx) for p in range(nbx + 1)], dtype=np.int64)
-    by = ry0 + np.array([round_half_up(p * wy / nby) for p in range(nby + 1)], dtype=np.int64)
-    bx[0], bx[-1] = rx0, rx1
-    by[0], by[-1] = ry0, ry1
-    if np.any(np.diff(bx) <= 0) or np.any(np.diff(by) <= 0):
-        raise DegenerateLayoutError("block snapping collapsed breakpoints")
-    return _decomposition_from_breaks(mesh, bx, by)
+    return _decomposition_from_breaks(mesh, rx0 + snap_breakpoints(wx, nbx),
+                                      ry0 + snap_breakpoints(wy, nby))
 
 
 def dump_decomposition(decomp, fobj):

@@ -10,11 +10,12 @@ solve of one column (one inner GMRES call solves a class's columns in
 lockstep, each with its own count).
 """
 
+import contextlib
 import csv
 import json
 import time
 from dataclasses import dataclass, field, fields
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -25,11 +26,6 @@ from .mesh import (DegenerateLayoutError, FineMesh, build_coarse_layout,
                    build_fine_mesh, build_wavespeed, cells_for_rule, layout_from_blocks,
                    snapped_square_indices)
 from .precond import build_preconditioner
-
-RESULT_COLUMNS = ("preset", "k", "n", "mesh_rule", "precond", "alpha", "beta",
-                  "scenario", "c_star", "outer_iters", "inner_iters_avg", "converged",
-                  "time_total_s", "time_per_iter_s", "final_relres",
-                  "degenerate_overlap", "time_setup_s")
 
 PRESETS = ("table1", "table2", "table3", "table4", "table5_multilevel",
            "table6_variable")
@@ -74,26 +70,32 @@ class ExperimentConfig:
     allow_large: bool = False
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ResultRow:
+    """One result row.  Its fields but error are the output columns, in this
+    order; the defaults are the row of a configuration that never ran."""
+
     preset: str
     k: float
-    n: int
+    n: int = 0
     mesh_rule: str
     precond: str
     alpha: float
     beta: float
     scenario: str
     c_star: float
-    outer_iters: int                 # -1 encodes "*"
-    inner_iters_avg: float           # None when there is no inner iteration
-    converged: bool
-    time_total_s: float
-    time_per_iter_s: float
-    final_relres: float
-    degenerate_overlap: bool         # a decomposition, or a nested one, without overlap
-    time_setup_s: float              # wall time of build_problem + build_preconditioner
+    outer_iters: int = -1            # -1 encodes "*"
+    inner_iters_avg: Optional[float] = None  # None when there is no inner iteration
+    converged: bool = False
+    time_total_s: float = 0.0
+    time_per_iter_s: float = 0.0
+    final_relres: float = float("nan")
+    degenerate_overlap: bool = False  # a decomposition, or a nested one, without overlap
+    time_setup_s: float = 0.0        # wall time of build_problem + build_preconditioner
     error: str = field(default=None, compare=False)  # not serialised
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "error")
 
 
 def plane_wave_interpolant(mesh, k):
@@ -158,11 +160,13 @@ def _shift_values(cfg):
     raise ValueError(f"unknown shift family {cfg.shift_family!r}")
 
 
-def _scenario_columns(cfg):
-    """The scenario and c_star columns of a configuration's result row, the
-    same whether it ran or recorded an error: constant whenever c_star = 1."""
+def _config_columns(cfg):
+    """The eight columns a configuration names, the same whether its row ran
+    or recorded an error: the scenario is constant whenever c_star = 1."""
     scenario = "constant" if cfg.c_star == 1.0 else cfg.scenario.replace("_", "-")
-    return dict(scenario=scenario, c_star=cfg.c_star if scenario != "constant" else 1.0)
+    return dict(preset=cfg.preset, k=float(cfg.k), mesh_rule=cfg.mesh_rule,
+                precond=cfg.precond, alpha=cfg.alpha, beta=cfg.beta, scenario=scenario,
+                c_star=cfg.c_star if scenario != "constant" else 1.0)
 
 
 @dataclass
@@ -196,7 +200,7 @@ def build_problem(cfg):
         layout = build_coarse_layout(mesh, k, cfg.alpha)
     decomp = build_decomposition(mesh, layout)
 
-    scenario = _scenario_columns(cfg)["scenario"].replace("-", "_")
+    scenario = _config_columns(cfg)["scenario"].replace("-", "_")
     # the shifted square moves north-west by the overlap
     offset = decomp.overlap_layers if scenario == "shifted_square" else 0
     ws = build_wavespeed(mesh, scenario, c_star=cfg.c_star, offset=offset)
@@ -247,8 +251,7 @@ def solve_problem(cfg, problem):
         notes.append(f"true residual {rep.true_relres:.3e} above 2x rel_tol")
     err = "; ".join(notes) or None
     return ResultRow(
-        preset=cfg.preset, k=k, n=mesh.n, mesh_rule=cfg.mesh_rule,
-        precond=cfg.precond, alpha=cfg.alpha, beta=cfg.beta, **_scenario_columns(cfg),
+        **_config_columns(cfg), n=mesh.n,
         outer_iters=rep.iterations if rep.converged else -1,
         inner_iters_avg=inner_avg, converged=rep.converged,
         time_total_s=elapsed,
@@ -358,14 +361,8 @@ def run_table(preset, k_values, progress=None, **overrides):
         try:
             rows.append(run_experiment(cfg))
         except Exception as exc:  # noqa: BLE001 - per-row error capture
-            rows.append(ResultRow(
-                preset=cfg.preset, k=cfg.k, n=0, mesh_rule=cfg.mesh_rule,
-                precond=cfg.precond, alpha=cfg.alpha, beta=cfg.beta,
-                **_scenario_columns(cfg), outer_iters=-1,
-                inner_iters_avg=None, converged=False, time_total_s=0.0,
-                time_per_iter_s=0.0, final_relres=float("nan"),
-                degenerate_overlap=False, time_setup_s=0.0,
-                error=f"{type(exc).__name__}: {exc}"))
+            rows.append(ResultRow(**_config_columns(cfg),
+                                  error=f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -373,88 +370,60 @@ def run_table(preset, k_values, progress=None, **overrides):
 # emission
 
 
-def _row_values(row):
-    vals = []
-    for col in RESULT_COLUMNS:
-        v = getattr(row, col)
-        if col == "inner_iters_avg":
-            vals.append("" if v is None else repr(float(v)))
-        elif col in ("converged", "degenerate_overlap"):
-            vals.append("true" if v else "false")
-        elif isinstance(v, float):
-            vals.append(repr(v))
-        else:
-            vals.append(v)
-    return vals
+_COLUMN_TYPES = {f.name: f.type for f in fields(ResultRow)}
+_FORMATS = ("csv", "json")
+
+
+def _csv_cell(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return "" if v is None else v
+
+
+def _from_cell(tp, x):
+    """A column value read back by its field's type: an empty or null cell is
+    None for Optional[float] and NaN for float."""
+    if tp is bool:
+        return x if isinstance(x, bool) else x.lower() == "true"
+    if tp in (float, Optional[float]):
+        if x is None or x == "":
+            return float("nan") if tp is float else None
+        return float(x)
+    return tp(x)
+
+
+def _opened(target, mode):
+    """target opened when it is a path; a file object is used as it is."""
+    if isinstance(target, (str, bytes)):
+        return open(target, mode, newline="")
+    return contextlib.nullcontext(target)
 
 
 def emit_results(rows, target, fmt="csv"):
-    """Write rows in the fixed column order; target is a path or file object."""
+    """Write rows in the fixed column order; target is a path or file object.
+    The format is checked before anything is opened or written."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     if not rows:
         raise ValueError("no rows to emit")
-    own = isinstance(target, (str, bytes))
-    fobj = open(target, "w", newline="") if own else target
-    try:
+    records = [[getattr(row, c) for c in RESULT_COLUMNS] for row in rows]
+    with _opened(target, "w") as fobj:
         if fmt == "csv":
             w = csv.writer(fobj)
             w.writerow(RESULT_COLUMNS)
-            for row in rows:
-                w.writerow(_row_values(row))
-        elif fmt == "json":
-            payload = []
-            for row in rows:
-                d = {c: getattr(row, c) for c in RESULT_COLUMNS}
-                if d["final_relres"] != d["final_relres"]:  # NaN
-                    d["final_relres"] = None
-                payload.append(d)
-            json.dump(payload, fobj, indent=1)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-    finally:
-        if own:
-            fobj.close()
+            w.writerows([_csv_cell(v) for v in rec] for rec in records)
+        else:  # JSON has no NaN: it is written as null
+            json.dump([{c: None if v != v else v for c, v in zip(RESULT_COLUMNS, rec)}
+                       for rec in records], fobj, indent=1)
 
 
 def parse_results(source, fmt="csv"):
     """Read back rows emitted by emit_results."""
-    own = isinstance(source, (str, bytes))
-    fobj = open(source, "r", newline="") if own else source
-    try:
-        rows = []
-        if fmt == "csv":
-            reader = csv.DictReader(fobj)
-            for rec in reader:
-                rows.append(_rec_to_row(rec))
-        elif fmt == "json":
-            for rec in json.load(fobj):
-                rows.append(_rec_to_row(rec))
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        return rows
-    finally:
-        if own:
-            fobj.close()
-
-
-def _rec_to_row(rec):
-    def fl(x, default=float("nan")):
-        if x is None or x == "":
-            return default
-        return float(x)
-
-    def flag(x):
-        return x if isinstance(x, bool) else x.lower() == "true"
-
-    inner = rec["inner_iters_avg"]
-    inner = None if inner in (None, "") else float(inner)
-    return ResultRow(preset=rec["preset"], k=float(rec["k"]), n=int(rec["n"]),
-                     mesh_rule=rec["mesh_rule"], precond=rec["precond"],
-                     alpha=float(rec["alpha"]), beta=float(rec["beta"]),
-                     scenario=rec["scenario"], c_star=float(rec["c_star"]),
-                     outer_iters=int(rec["outer_iters"]), inner_iters_avg=inner,
-                     converged=flag(rec["converged"]),
-                     time_total_s=fl(rec["time_total_s"]),
-                     time_per_iter_s=fl(rec["time_per_iter_s"]),
-                     final_relres=fl(rec["final_relres"]),
-                     degenerate_overlap=flag(rec["degenerate_overlap"]),
-                     time_setup_s=fl(rec["time_setup_s"]))
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    with _opened(source, "r") as fobj:
+        recs = csv.DictReader(fobj) if fmt == "csv" else json.load(fobj)
+        return [ResultRow(**{c: _from_cell(_COLUMN_TYPES[c], rec[c]) for c in RESULT_COLUMNS})
+                for rec in recs]

@@ -165,33 +165,28 @@ def snap_breakpoints(m, M, anchors=()):
     Anchor gridlines become breakpoints; the remaining breakpoints are then
     re-distributed uniformly within each anchor segment (cell counts per
     segment by largest remainder), which keeps the cells quasi-uniform.
+    Without anchors the one segment is [0, m] with M cells.
     """
-    if anchors:
-        for a in anchors:
-            if not 0 < int(a) < m:
-                raise ValueError(f"anchor gridline {a} not interior to the mesh")
-        bounds = sorted({0, m, *(int(a) for a in anchors)})
-        lengths = np.diff(bounds)
-        if M < len(lengths):
-            raise DegenerateLayoutError(
-                f"{len(lengths)} anchor segments need at least that many coarse cells")
-        raw = lengths * M / m
-        counts = np.maximum(1, np.floor(raw).astype(int))
-        while counts.sum() > M:
-            i = int(np.argmax(np.where(counts > 1, counts - raw, -np.inf)))
-            counts[i] -= 1
-        while counts.sum() < M:
-            counts[int(np.argmax(raw - counts))] += 1
-        breaks = [0]
-        for s, L, c in zip(bounds[:-1], lengths, counts):
-            breaks.extend(s + round_half_up(p * L / c) for p in range(1, c))
-            breaks.append(s + int(L))
-        breaks = np.asarray(breaks, dtype=np.int64)
-    else:
-        breaks = np.array([round_half_up(p * m / M) for p in range(M + 1)],
-                          dtype=np.int64)
-        breaks[0] = 0
-        breaks[-1] = m
+    for a in anchors:
+        if not 0 < int(a) < m:
+            raise ValueError(f"anchor gridline {a} not interior to the mesh")
+    bounds = sorted({0, m, *(int(a) for a in anchors)})
+    lengths = np.diff(bounds)
+    if M < len(lengths):
+        raise DegenerateLayoutError(
+            f"{len(lengths)} anchor segments need at least that many coarse cells")
+    raw = lengths * M / m
+    counts = np.maximum(1, np.floor(raw).astype(int))
+    while counts.sum() > M:
+        i = int(np.argmax(np.where(counts > 1, counts - raw, -np.inf)))
+        counts[i] -= 1
+    while counts.sum() < M:
+        counts[int(np.argmax(raw - counts))] += 1
+    breaks = [0]
+    for s, L, c in zip(bounds[:-1], lengths, counts):
+        breaks.extend(s + round_half_up(p * L / c) for p in range(1, c))
+        breaks.append(s + int(L))
+    breaks = np.asarray(breaks, dtype=np.int64)
     if np.any(np.diff(breaks) <= 0):
         raise DegenerateLayoutError(
             f"snapping m={m} to M={M} collapsed coarse gridlines: {breaks.tolist()}")

@@ -259,6 +259,38 @@ def test_emit_parse_roundtrip_csv_and_json(tmp_path):
         "degenerate_overlap,time_setup_s")
 
 
+def test_failed_rows_roundtrip_csv_and_json(tmp_path):
+    # rows that never ran: NaN final_relres, no inner average, n = 0 and
+    # outer_iters = -1 all read back as they were written
+    rows = run_table("table3", [70])
+    assert all(r.n == 0 and r.outer_iters == -1 and r.inner_iters_avg is None
+               and np.isnan(r.final_relres) for r in rows)
+    for fmt, nan_cell, none_cell in (("csv", ",nan,", ",,"), ("json", '"final_relres": null',
+                                                           '"inner_iters_avg": null')):
+        path = tmp_path / f"failed.{fmt}"
+        emit_results(rows, str(path), fmt=fmt)
+        text = path.read_text()
+        assert nan_cell in text and none_cell in text
+        back = parse_results(str(path), fmt=fmt)
+        assert len(back) == len(rows)
+        for a, b in zip(rows, back):
+            for col in RESULT_COLUMNS:
+                x, y = getattr(a, col), getattr(b, col)
+                assert x == y or (np.isnan(x) and np.isnan(y)), (fmt, col, x, y)
+                assert type(x) is type(y), (fmt, col)
+
+
+def test_unknown_format_leaves_the_target_untouched(tmp_path):
+    path = tmp_path / "rows.csv"
+    emit_results(run_table("table3", [70])[:1], str(path))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="unknown format"):
+        emit_results(parse_results(str(path)), str(path), fmt="xml")
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError, match="unknown format"):
+        parse_results(str(path), fmt="xml")
+
+
 def test_emit_single_trivial_row():
     row = ResultRow(preset="x", k=1.0, n=4, mesh_rule="explicit", precond="RAS1",
                     alpha=1.0, beta=1.0, scenario="constant", c_star=1.0,

@@ -91,6 +91,10 @@ def test_coarse_layout_snapped_case():
     assert set(lay.widths_x) <= {6, 7}
     # cells tile the square: widths sum to m, all positive
     assert lay.widths_x.sum() == 253 and np.all(lay.widths_x > 0)
+    # without anchors every break is the gridline nearest p*m/M, halves up
+    for m, M in ((253, 40), (7, 3), (10, 4), (5, 2), (9, 6), (165, 30), (12, 12)):
+        want = [int(np.floor(p * m / M + 0.5)) for p in range(M + 1)]
+        assert snap_breakpoints(m, M).tolist() == want, (m, M)
 
 
 def test_coarse_layout_single_cell():
