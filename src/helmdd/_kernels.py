@@ -1,6 +1,12 @@
-"""P1 element, edge-mass and coarse-hat kernels, vectorised with numpy."""
+"""P1 element, edge-mass and coarse-hat kernels, vectorised with numpy.
+
+The element kernels form their values on contiguous arrays of length E (one
+entry per element), never with numpy's innermost loop on an axis of length 3."""
 
 import numpy as np
+
+# the column of entry 3i+j of an element's 3 x 3 block is its vertex j
+_BLOCK_COLS = [0, 1, 2, 0, 1, 2, 0, 1, 2]
 
 
 # perfbench/env.py is the only reader; it records the kernel backend.
@@ -8,36 +14,63 @@ def using_numba():
     return False
 
 
+def index_dtype(n):
+    """Dtype of COO triplet indices into n rows and columns: int32 while
+    n < 2**31 - 1, else int64.  scipy keeps int32 indices as they are; it
+    checks int64 ones and copies them down to int32 when they fit."""
+    return np.int32 if n < 2**31 - 1 else np.int64
+
+
 def element_blocks(nodes, elements):
-    """COO rows and columns of the 3 x 3 blocks of P1 triangles (9 entries
-    per element), and their exact stiffness blocks S_e and exact (consistent)
-    mass blocks M_e, each (E, 3, 3), from analytic integration, so no
-    quadrature error enters."""
-    p0 = nodes[elements[:, 0]]
-    p1 = nodes[elements[:, 1]]
-    p2 = nodes[elements[:, 2]]
-    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
-    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
-    area = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                  - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
-    stiff = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area)[:, None, None]
-    mass = np.full((1, 3, 3), 1.0) + np.eye(3)[None, :, :]
-    mass = mass * (area / 12.0)[:, None, None]
-    rows = np.repeat(elements, 3, axis=1).ravel()
-    cols = np.tile(elements, (1, 3)).ravel()
+    """COO triplets of the 3 x 3 blocks of P1 triangles, from analytic
+    integration, so no quadrature error enters.
+
+    Returns (rows, cols, stiff, mass).  The triplets are element-major: entry
+    9e + 3i + j is row elements[e, i], column elements[e, j].  rows and cols
+    have the dtype of elements.  stiff and mass are (9, E): row 3i + j holds
+    entry (i, j) of every element's exact stiffness block S_e and exact
+    (consistent) mass block M_e."""
+    vertices = elements.T.copy()  # (3, E): vertex i of every element in row i
+    x = nodes[:, 0].take(vertices)
+    y = nodes[:, 1].take(vertices)
+    b = (y[1] - y[2], y[2] - y[0], y[0] - y[1])
+    c = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
+    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
+    den = 4.0 * area
+    stiff = np.empty((9, len(elements)))
+    for i in range(3):
+        for j in range(i, 3):
+            s = stiff[3 * i + j]
+            np.multiply(b[i], b[j], out=s)
+            s += c[i] * c[j]
+            s /= den
+            if j > i:
+                stiff[3 * j + i] = s
+    mass = np.empty_like(stiff)
+    mass[:] = area / 12.0
+    mass[::4] = 2.0 * mass[0]  # the diagonal entries 0, 4 and 8
+    rows = np.repeat(elements.ravel(), 3)
+    cols = elements.take(_BLOCK_COLS, axis=1).ravel()
     return rows, cols, stiff, mass
 
 
-def element_system_values(stiff, mass, shifts):
-    """Values of S_e - shift_e * M_e, in the order of element_blocks' triplets."""
-    return (stiff.astype(np.complex128) - shifts[:, None, None] * mass).ravel()
+def element_system_values(stiff, mass, shifts, out):
+    """Write the values of S_e - shift_e * M_e into out[:9E] (complex), in the
+    order of element_blocks' triplets.
 
-
-def element_system_triplets(nodes, elements, shifts):
-    """COO triplets of sum_e (S_e - shift_e * M_e) for P1 triangles
-    (element_blocks); returns (rows, cols, vals)."""
-    rows, cols, stiff, mass = element_blocks(nodes, elements)
-    return rows, cols, element_system_values(stiff, mass, shifts)
+    The real part S - Re(shift) M and the imaginary part 0.0 - Im(shift) M are
+    formed apart, on (9, E) arrays.  They are bitwise numpy's complex
+    S - shift * M wherever Re(shift) M is nonzero (a positive area and a shift
+    of nonzero real part): numpy's real part subtracts Im(shift) * 0 from that
+    product, and 0.0 - x gives the +0.0 of its imaginary part where
+    Im(shift) M is zero."""
+    parts = out[:stiff.size].view(np.float64).reshape(-1, 9, 2)
+    tmp = np.multiply(shifts.real, mass)
+    np.subtract(stiff, tmp, out=tmp)
+    parts[:, :, 0] = tmp.T
+    np.multiply(shifts.imag, mass, out=tmp)
+    np.subtract(0.0, tmp, out=tmp)
+    parts[:, :, 1] = tmp.T
 
 
 def edge_mass_triplets(nodes, edges, coeffs):

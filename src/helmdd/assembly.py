@@ -1,15 +1,23 @@
 """P1 assembly of the (possibly absorbed) Helmholtz system, the energy matrix,
 and impedance subdomain matrices.
 
-All matrices are complex CSR with sorted indices and summed duplicates.  The
-weak form of -Delta u - shift*u = f with du/dn - i*(omega/c)*u = g on the
-boundary gives
+All matrices are CSR with sorted indices and summed duplicates, complex but
+for the real energy matrix.  The weak form of -Delta u - shift*u = f with
+du/dn - i*(omega/c)*u = g on the boundary gives
 
     A = S - sum_e shift(e) * M_e - i * B,
 
 where S is the stiffness matrix, M_e the element mass blocks, and B the
 boundary mass matrix weighted per edge by omega/c of the adjacent element.
 No absorption ever enters the boundary term.
+
+Each matrix is the CSR sum of COO triplets: 9 per element (element-major,
+from _kernels.element_blocks), then 4 per boundary edge.  Their indices are
+int32 while the matrix has fewer than 2**31 - 1 rows (_kernels.index_dtype).
+The order in which the conversion sums the duplicates of an entry follows
+from the triplet order, so that order fixes every matrix bit for bit.  The
+element values S_e - shift_e M_e of each shift are written into one
+preallocated value array.
 """
 
 from dataclasses import dataclass, replace
@@ -82,6 +90,19 @@ def _to_csr(rows, cols, vals, n):
     return a
 
 
+def _triplets(nodes, elements, edges, edge_coeffs, n):
+    """COO triplets of the element blocks, then of the impedance edges, over n
+    nodes: (rows, cols, stiff, mass, vals).  rows and cols have the index
+    dtype of n.  vals is complex; its tail holds -i * (edge mass block) and
+    its head is left for element_system_values."""
+    idx = _kernels.index_dtype(n)
+    r, c, stiff, mass = _kernels.element_blocks(nodes, elements.astype(idx, copy=False))
+    er, ec, ev = _kernels.edge_mass_triplets(nodes, edges.astype(idx, copy=False), edge_coeffs)
+    vals = np.empty(len(r) + len(er), np.complex128)
+    vals[len(r):] = -1j * ev
+    return np.concatenate([r, er]), np.concatenate([c, ec]), stiff, mass, vals
+
+
 def assemble_system(mesh, coeff):
     """A_eps over all mesh nodes; complex symmetric (unconjugated)."""
     return assemble_systems(mesh, coeff, [coeff.shift_value])[0]
@@ -91,23 +112,23 @@ def assemble_systems(mesh, coeff, shift_values):
     """A_eps over all mesh nodes for each of the shift values (eps or rho of
     coeff's shift mode), with coeff's frequency and wave speed.
 
-    The element stiffness and mass blocks and the boundary triplets are
-    computed once; only the element values differ.  Each matrix is bitwise
-    the one assemble_system gives, and all of them share the index arrays of
-    the first (their triplets have the same rows and columns).  An equal
-    shift value gives the same matrix object."""
-    r, c, stiff, mass = _kernels.element_blocks(mesh.nodes, mesh.elements)
+    The triplet indices, the element stiffness and mass blocks and the
+    boundary values are computed once; only the element values are written
+    again for each shift.  Each matrix is bitwise the one assemble_system
+    gives, and all of them share the index arrays of the first (their
+    triplets have the same rows and columns).  An equal shift value gives the
+    same matrix object."""
     adj_c = coeff.wavespeed.values[mesh.boundary_edge_elements]
-    er, ec, ev = _kernels.edge_mass_triplets(mesh.nodes, mesh.boundary_edge_nodes,
-                                             coeff.edge_impedance(adj_c))
-    rows, cols, edge_vals = np.concatenate([r, er]), np.concatenate([c, ec]), -1j * ev
+    rows, cols, stiff, mass, vals = _triplets(mesh.nodes, mesh.elements,
+                                              mesh.boundary_edge_nodes,
+                                              coeff.edge_impedance(adj_c), mesh.n)
     out = {}
     for shift in shift_values:
         if shift in out:
             continue
         shifts = replace(coeff, shift_value=shift).element_shifts(mesh)
-        a = _to_csr(rows, cols, np.concatenate(
-            [_kernels.element_system_values(stiff, mass, shifts), edge_vals]), mesh.n)
+        _kernels.element_system_values(stiff, mass, shifts, vals)
+        a = _to_csr(rows, cols, vals, mesh.n)  # copies vals, so the next shift may overwrite it
         if out:
             first = next(iter(out.values()))
             a.indices, a.indptr = first.indices, first.indptr
@@ -119,9 +140,9 @@ def assemble_energy_matrix(mesh, k):
     """D_k = S + k^2 M, the energy (k-weighted H^1) inner-product matrix."""
     if k <= 0:
         raise ValueError("wavenumber must be positive")
-    r, c, v = _kernels.element_system_triplets(
-        mesh.nodes, mesh.elements, np.full(len(mesh.elements), -(k * k), np.complex128))
-    return _to_csr(r, c, v.real, mesh.n)
+    r, c, stiff, mass = _kernels.element_blocks(
+        mesh.nodes, mesh.elements.astype(_kernels.index_dtype(mesh.n), copy=False))
+    return _to_csr(r, c, (stiff + (k * k) * mass).T.ravel(), mesh.n)
 
 
 @dataclass(frozen=True)
@@ -177,11 +198,10 @@ def assemble_local_impedance(mesh, element_sets, coeff):
     onb = first[counts == 1]
     adjacent_c = coeff.wavespeed.values[elems[onb % len(elems)]]
 
-    r, c, v = _kernels.element_system_triplets(coords, pos, coeff.element_shifts(mesh, elems))
-    er, ec, ev = _kernels.edge_mass_triplets(coords, edges[onb],
-                                             coeff.edge_impedance(adjacent_c))
-    block = _to_csr(np.concatenate([r, er]), np.concatenate([c, ec]),
-                    np.concatenate([v, -1j * ev]), size)
+    rows, cols, stiff, mass, vals = _triplets(coords, pos, edges[onb],
+                                              coeff.edge_impedance(adjacent_c), size)
+    _kernels.element_system_values(stiff, mass, coeff.element_shifts(mesh, elems), vals)
+    block = _to_csr(rows, cols, vals, size)
     return BlockDiagonal(block.indptr, block.indices, block.data, offs)
 
 

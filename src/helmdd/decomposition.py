@@ -127,7 +127,8 @@ def build_coarse_interpolation(mesh, layout):
                                            mesh.xs[layout.breaks_x],
                                            mesh.ys[layout.breaks_y])
     nc = (layout.M + 1) ** 2
-    r0 = sp.coo_matrix((v, (r, c)), shape=(nc, mesh.n)).tocsr()
+    idx = _kernels.index_dtype(max(nc, mesh.n))
+    r0 = sp.coo_matrix((v, (r.astype(idx), c.astype(idx))), shape=(nc, mesh.n)).tocsr()
     r0.sum_duplicates()
     r0.eliminate_zeros()
     r0.sort_indices()

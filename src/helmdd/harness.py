@@ -13,6 +13,7 @@ lockstep, each with its own count).
 import contextlib
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Optional
@@ -395,8 +396,9 @@ def _from_cell(tp, x):
 
 
 def _opened(target, mode):
-    """target opened when it is a path; a file object is used as it is."""
-    if isinstance(target, (str, bytes)):
+    """target opened when it is a path (str, bytes or os.PathLike); a file
+    object is used as it is."""
+    if isinstance(target, (str, bytes, os.PathLike)):
         return open(target, mode, newline="")
     return contextlib.nullcontext(target)
 

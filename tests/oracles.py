@@ -8,8 +8,10 @@ affine solves for the coarse hats, an orthonormalised power basis plus
 least squares for GMRES residuals, Rayleigh quotients taken in the D
 inner product for points of a weighted field of values, a dense
 Cholesky with dense triangular solves for the similarity transform of a
-weighted field of values, and a comparison of assembled matrices, one at a
-time, for which local matrices may share one solver.
+weighted field of values, a comparison of assembled matrices, one at a
+time, for which local matrices may share one solver, and COO assembly from
+(E, 3, 3) broadcast element blocks, whose values the package's element
+kernels must give bitwise.
 """
 
 import numpy as np
@@ -110,6 +112,76 @@ def dense_system(mesh, coeff, element_ids=None, impedance_everywhere=False):
             loc = [remap[a], remap[b]]
             A[np.ix_(loc, loc)] += -1j * (coeff.omega / c_adj) * B
     return A, nodes_g
+
+
+def broadcast_element_blocks(nodes, elements):
+    """COO rows and columns of the 3 x 3 blocks of P1 triangles (9 entries per
+    element, element-major) and their exact stiffness and mass blocks, each
+    (E, 3, 3), formed by broadcasts over the block axes."""
+    p0 = nodes[elements[:, 0]]
+    p1 = nodes[elements[:, 1]]
+    p2 = nodes[elements[:, 2]]
+    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
+    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
+    area = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+                  - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    stiff = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area)[:, None, None]
+    mass = np.full((1, 3, 3), 1.0) + np.eye(3)[None, :, :]
+    mass = mass * (area / 12.0)[:, None, None]
+    rows = np.repeat(elements, 3, axis=1).ravel()
+    cols = np.tile(elements, (1, 3)).ravel()
+    return rows, cols, stiff, mass
+
+
+def _coo_csr(rows, cols, vals, n):
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    a.sum_duplicates()
+    a.sort_indices()
+    return a
+
+
+def _coo_impedance(nodes, elements, shifts, edges, edge_coeffs, n):
+    """CSR of sum_e (S_e - shift_e M_e) - i sum_edges coeff * (edge mass)
+    from the broadcast blocks, element triplets first, in complex arithmetic."""
+    r, c, stiff, mass = broadcast_element_blocks(nodes, elements)
+    v = (stiff.astype(np.complex128) - shifts[:, None, None] * mass).ravel()
+    p0, p1 = nodes[edges[:, 0]], nodes[edges[:, 1]]
+    w = edge_coeffs * np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
+    ev = np.stack([w / 3.0, w / 6.0, w / 6.0, w / 3.0], axis=1).ravel()
+    return _coo_csr(np.concatenate([r, edges[:, [0, 0, 1, 1]].ravel()]),
+                    np.concatenate([c, edges[:, [0, 1, 0, 1]].ravel()]),
+                    np.concatenate([v, -1j * ev]), n)
+
+
+def coo_system(mesh, coeff):
+    """A_eps from the broadcast element blocks and the global boundary edges."""
+    adj_c = coeff.wavespeed.values[mesh.boundary_edge_elements]
+    return _coo_impedance(mesh.nodes, mesh.elements, coeff.element_shifts(mesh),
+                          mesh.boundary_edge_nodes, coeff.omega / adj_c, mesh.n)
+
+
+def coo_energy(mesh, k):
+    """D_k as the real part of the complex values S_e - (-k^2) M_e."""
+    r, c, stiff, mass = broadcast_element_blocks(mesh.nodes, mesh.elements)
+    shifts = np.full(len(mesh.elements), -(k * k), np.complex128)
+    v = (stiff.astype(np.complex128) - shifts[:, None, None] * mass).ravel()
+    return _coo_csr(r, c, v.real, mesh.n)
+
+
+def coo_local_impedance(mesh, element_ids, coeff):
+    """Impedance subdomain matrix of one element set over its closed nodes
+    (in global order), with its boundary edges (incident to one element of
+    the set) in order of their (smaller, larger) node, each oriented as in
+    its element."""
+    element_ids = np.asarray(element_ids)
+    tris = mesh.elements[element_ids]
+    nodes_g = np.unique(tris)
+    pos = np.searchsorted(nodes_g, tris)
+    edges = sorted(_boundary_edges_by_incidence(pos), key=lambda e: (min(e[:2]), max(e[:2])))
+    owners = element_ids[[t for _, _, t in edges]]
+    return _coo_impedance(mesh.nodes[nodes_g], pos, coeff.element_shifts(mesh, element_ids),
+                          np.array([(a, b) for a, b, _ in edges]),
+                          coeff.omega / coeff.wavespeed.values[owners], len(nodes_g))
 
 
 def dense_energy(mesh, k):

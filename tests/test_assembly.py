@@ -6,13 +6,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.io import mmread
 
-from helmdd import _kernels
+from helmdd import _kernels, assembly
 from helmdd.assembly import (AssemblyCoefficients, assemble_energy_matrix,
                              assemble_local_impedance, assemble_system, assemble_systems,
                              write_matrix_market)
-from helmdd.mesh import build_fine_mesh, build_wavespeed
+from helmdd.mesh import FineMesh, build_fine_mesh, build_wavespeed
 
-from oracles import assemble_mass_matrix, closed_node_set, dense_energy, dense_system
+from oracles import (assemble_mass_matrix, closed_node_set, coo_energy,
+                     coo_local_impedance, coo_system, dense_energy, dense_system)
 
 
 def constant_coeff(mesh, k, eps=0.0):
@@ -22,13 +23,12 @@ def constant_coeff(mesh, k, eps=0.0):
 
 def test_unit_right_triangle_stiffness_block():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    elements = np.array([[0, 1, 2]], dtype=np.int64)
-    r, c, v = _kernels.element_system_triplets(nodes, elements,
-                                               np.zeros(1, np.complex128))
-    S = np.zeros((3, 3), complex)
-    S[r, c] = v
-    expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
-    assert np.allclose(S, expected, atol=1e-15)
+    elements = np.array([[0, 1, 2]], dtype=np.int32)
+    r, c, stiff, mass = _kernels.element_blocks(nodes, elements)
+    S, M = np.zeros((3, 3)), np.zeros((3, 3))
+    S[r, c], M[r, c] = stiff[:, 0], mass[:, 0]
+    assert np.allclose(S, 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]]), atol=1e-15)
+    assert np.allclose(M, np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -116,44 +116,84 @@ def test_energy_matrix_positive_definite(m):
     assert np.linalg.eigvalsh(D).min() > 0.0
 
 
-def _two_pass_system(mesh, coeff):
-    """A_eps from its own element and edge triplets and its own COO-to-CSR
-    conversion, as one matrix per coefficient set was assembled before the
-    shifts shared a pass."""
-    r, c, v = _kernels.element_system_triplets(mesh.nodes, mesh.elements,
-                                               coeff.element_shifts(mesh))
-    adj_c = coeff.wavespeed.values[mesh.boundary_edge_elements]
-    er, ec, ev = _kernels.edge_mass_triplets(mesh.nodes, mesh.boundary_edge_nodes,
-                                             coeff.edge_impedance(adj_c))
-    a = sp.coo_matrix((np.concatenate([v, -1j * ev]),
-                       (np.concatenate([r, er]), np.concatenate([c, ec]))),
-                      shape=(mesh.n, mesh.n)).tocsr()
-    a.sum_duplicates()
-    a.sort_indices()
-    return a
+def _assert_bitwise(a, want):
+    assert a.has_canonical_format
+    for name in ("indptr", "indices", "data"):  # signed zeros included
+        x, y = getattr(a, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
-@pytest.mark.parametrize("case", ["constant", "centered-square"])
+def _oracle_meshes():
+    """A uniform mesh, and one whose gridlines are cut at non-uniform breaks."""
+    return [build_fine_mesh(1, "explicit", m=13),
+            FineMesh(7, [0, 1, 3, 4, 7, 8, 10, 13], [0, 2, 3, 5, 6, 9, 10, 11])]
+
+
+def _oracle_cases():
+    """(mesh, coeff, shift values) with constant and centered-square speed."""
+    cases = []
+    for mesh in _oracle_meshes():
+        cases.append((mesh, constant_coeff(mesh, 9.0), (0.0, 9.0 ** 1.2, 0.0)))
+        ws = build_wavespeed(mesh, "centered-square", c_star=0.66)
+        cases.append((mesh, AssemblyCoefficients(omega=8.0, wavespeed=ws,
+                                                 shift_mode="multiplicative_rho"),
+                      (0.0, 8.0 ** -0.4, 0.0)))
+    return cases
+
+
+_ORACLE_IDS = ["constant", "centered-square", "breaks-constant", "breaks-centered-square"]
+
+
+@pytest.mark.parametrize("case", range(4), ids=_ORACLE_IDS)
 def test_systems_of_several_shifts_bitwise_one_pass_each(case):
-    mesh = build_fine_mesh(1, "explicit", m=13)
-    if case == "constant":
-        coeff, shifts = constant_coeff(mesh, 9.0), (0.0, 9.0 ** 1.2, 0.0)
-    else:
-        coeff = AssemblyCoefficients(omega=8.0, wavespeed=build_wavespeed(mesh, case,
-                                                                          c_star=0.66),
-                                     shift_mode="multiplicative_rho")
-        shifts = (0.0, 8.0 ** -0.4, 0.0)
+    # each shift bitwise its own COO assembly of the (E, 3, 3) broadcast blocks
+    mesh, coeff, shifts = _oracle_cases()[case]
     mats = assemble_systems(mesh, coeff, shifts)
     assert mats[0] is mats[2]  # an equal shift gives the same matrix
     # one structure: the index arrays of the first matrix
     assert mats[1].indices is mats[0].indices and mats[1].indptr is mats[0].indptr
     for A, shift in zip(mats, shifts):
-        want = _two_pass_system(mesh, replace(coeff, shift_value=shift))
-        assert A.has_canonical_format
-        for name in ("indptr", "indices", "data"):  # bitwise, signed zeros included
-            assert getattr(A, name).tobytes() == getattr(want, name).tobytes()
-        one = assemble_system(mesh, replace(coeff, shift_value=shift))
-        assert one.data.tobytes() == want.data.tobytes()
+        want = coo_system(mesh, replace(coeff, shift_value=shift))
+        _assert_bitwise(A, want)
+        _assert_bitwise(assemble_system(mesh, replace(coeff, shift_value=shift)), want)
+
+
+@pytest.mark.parametrize("mesh", _oracle_meshes(), ids=["uniform", "breaks"])
+def test_energy_matrix_bitwise_oracle(mesh):
+    for k in (1.0, 6.0, 30.0):
+        _assert_bitwise(assemble_energy_matrix(mesh, k), coo_energy(mesh, k))
+
+
+@pytest.mark.parametrize("case", range(4), ids=_ORACLE_IDS)
+def test_local_impedance_bitwise_oracle(case):
+    mesh, coeff, shifts = _oracle_cases()[case]
+    coeff = replace(coeff, shift_value=shifts[1])
+    m = mesh.m
+    sets = [_cell_rect(m, 0, m, 0, m), _cell_rect(m, 1, 5, 2, 6), _cell_rect(m, 3, 7, 0, 4),
+            _cell_rect(m, 2, 3, 2, 3)]
+    batch = assemble_local_impedance(mesh, sets, coeff)
+    for s, elems in enumerate(sets):
+        _assert_bitwise(batch.block(s), coo_local_impedance(mesh, elems, coeff))
+
+
+def test_index_dtype_rule_and_int64_fallback():
+    # no test mesh reaches 2**31 - 1 nodes: the int64 branch runs on a small mesh
+    assert _kernels.index_dtype(2**31 - 2) is np.int32
+    assert _kernels.index_dtype(2**31 - 1) is np.int64
+    mesh, coeff, _ = _oracle_cases()[3]
+    adj_c = coeff.wavespeed.values[mesh.boundary_edge_elements]
+    runs = []
+    for n in (mesh.n, 2**31 - 1):
+        rows, cols, stiff, mass, vals = assembly._triplets(
+            mesh.nodes, mesh.elements, mesh.boundary_edge_nodes,
+            coeff.edge_impedance(adj_c), n)
+        _kernels.element_system_values(stiff, mass, coeff.element_shifts(mesh), vals)
+        runs.append((rows, cols, stiff, mass, vals))
+    small, large = runs
+    assert small[0].dtype == small[1].dtype == np.int32
+    assert large[0].dtype == large[1].dtype == np.int64
+    for a, b in zip(small, large):
+        assert np.array_equal(a, b) and (a.dtype.kind == "i" or a.tobytes() == b.tobytes())
 
 
 def test_local_impedance_whole_mesh_equals_system():

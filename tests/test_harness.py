@@ -249,9 +249,10 @@ def test_emit_parse_roundtrip_csv_and_json(tmp_path):
     ]
     for fmt in ("csv", "json"):
         path = tmp_path / f"rows.{fmt}"
-        emit_results(rows, str(path), fmt=fmt)
-        back = parse_results(str(path), fmt=fmt)
-        assert back == rows
+        for target in (str(path), path):  # a path given as a string or a path object
+            path.unlink(missing_ok=True)
+            emit_results(rows, target, fmt=fmt)
+            assert parse_results(target, fmt=fmt) == rows
     header = (tmp_path / "rows.csv").read_text().splitlines()[0]
     assert header == ",".join(RESULT_COLUMNS) == (
         "preset,k,n,mesh_rule,precond,alpha,beta,scenario,c_star,outer_iters,"
