@@ -4,7 +4,11 @@ Schwarz variants: AS1, AS, RAS1, HRAS, ImpRAS1, ImpHRAS.
 The hybrid kinds apply the residual projection P0 = I - A R0^T A_{eps,0}^{-1} R0
 built from the system matrix A being solved (not its absorbed counterpart) and
 the shifted coarse inverse; A and A_{eps,0} are complex symmetric, so the
-transposed projection reuses the same solves.
+transposed projection reuses the same solves.  An apply makes four sparse
+products: R0 v and R0^T y with the n0 x n restriction, and R0A t and R0A^T y
+with the thin n0 x n matrix R0A = R0 A, formed once at build.  A^T = A, bitwise
+for every assembled system matrix, so R0A^T (a transposed view) is A R0^T and
+A itself is never applied.
 
 apply takes a vector (n,) or a block (n, c) of columns; to_dense is apply on
 identity column blocks, so the analysis studies the operator GMRES applies.
@@ -307,15 +311,29 @@ class LocalSolves:
 
 
 class CoarseSolve:
-    """R0^T A_{eps,0}^{-1} R0 with a direct or nested coarse solver."""
+    """Coarse solves A_{eps,0}^{-1} (R v) with a direct or nested coarse
+    solver, where the restriction R is R0 or, given the system matrix A,
+    R0A = R0 A (formed once).  R0T, the transposed view of R0, takes a coarse
+    vector back; R0AT, the transposed view of R0A, is A R0^T when A^T = A.
+    Both views are CSC matrices sharing their CSR matrix's arrays.
 
-    def __init__(self, coarse_interp, solver):
-        self.R0 = coarse_interp
-        self.R0T = coarse_interp.T.tocsr()
+    R0 is held complex: a product of a real sparse matrix with a complex
+    vector casts the matrix's values to complex on every call (scipy's
+    sparsetools), and the cast is exact, so the products equal those of the
+    real R0 bitwise."""
+
+    def __init__(self, coarse_interp, solver, system_matrix=None):
+        self.R0 = coarse_interp.astype(np.complex128)
+        self.R0T = self.R0.T
+        self.R0A = self.R0AT = None
+        if system_matrix is not None:
+            self.R0A = (self.R0 @ system_matrix).tocsr()
+            self.R0AT = self.R0A.T
         self.solver = solver
 
-    def apply(self, v):
-        return self.R0T @ self.solver.solve(self.R0 @ v)
+    def apply(self, v, restriction):
+        """The coarse vector A_{eps,0}^{-1} (restriction @ v)."""
+        return self.solver.solve(restriction @ v)
 
 
 class PreconditionerOperator:
@@ -326,18 +344,17 @@ class PreconditionerOperator:
     operator is flexible (varies per application) when there is any.
     """
 
-    def __init__(self, kind, n, locals_, coarse=None, system_matrix=None):
+    def __init__(self, kind, n, locals_, coarse=None):
         if kind not in KINDS:
             raise ValueError(f"unknown preconditioner kind {kind!r}")
         if kind in _COARSE_KINDS and coarse is None:
             raise ValueError(f"{kind} needs a coarse solve")
-        if kind in _HYBRID_KINDS and system_matrix is None:
+        if kind in _HYBRID_KINDS and coarse.R0A is None:
             raise ValueError(f"{kind} needs the system matrix for the projection")
         self.kind = kind
         self.n = n
         self.locals_ = locals_
         self.coarse = coarse
-        self.system_matrix = system_matrix
         solvers = locals_.solvers + ([coarse.solver] if coarse is not None else [])
         self.nested = [s for s in solvers if isinstance(s, NestedSolver)]
         self.flexible = bool(self.nested)
@@ -350,12 +367,16 @@ class PreconditionerOperator:
         v = np.asarray(v, dtype=np.complex128)
         if self.kind not in _COARSE_KINDS:
             return self.locals_.apply(v)
+        c = self.coarse
         if self.kind == "AS":
-            return self.coarse.apply(v) + self.locals_.apply(v)
-        # hybrid: z + P0^T B_local P0 v, with A^T = A and A_{eps,0}^T = A_{eps,0}
-        z = self.coarse.apply(v)
-        t = self.locals_.apply(v - self.system_matrix @ z)
-        return z + t - self.coarse.apply(self.system_matrix @ t)
+            return c.R0T @ c.apply(v, c.R0) + self.locals_.apply(v)
+        # hybrid: z + P0^T B_local P0 v with z = R0^T y1, which is
+        # t + R0^T (y1 - y2) with t = B_local (v - A R0^T y1) and
+        # y2 = A_{eps,0}^{-1} R0 A t; A R0^T = R0AT as A^T = A, and
+        # A_{eps,0}^T = A_{eps,0}
+        y1 = c.apply(v, c.R0)
+        t = self.locals_.apply(v - c.R0AT @ y1)
+        return t + c.R0T @ (y1 - c.apply(t, c.R0A))
 
     def inner_counts(self):
         return [c for s in self.nested for c in s.inner_counts]
@@ -470,6 +491,10 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     _impedance_blocks), and one matrix per class is gathered from A_prec
     (Dirichlet kinds) or assembled (impedance kinds).
 
+    system_matrix, the A of the hybrid projection (HRAS, ImpHRAS), must be
+    complex symmetric (A^T = A, as every assembled system matrix is bitwise);
+    only R0 A is kept (CoarseSolve.R0A).
+
     nested_coarse and nested_local take the same keywords: k (required),
     alpha_inner, tol and max_iters of the inner GMRES.  nested_coarse replaces
     the direct coarse factorization by build_nested_coarse_solver; nested_local
@@ -513,9 +538,9 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
             solver = build_nested_coarse_solver(decomp, A_prec, coeff_prec, **nested_coarse)
         else:
             solver = DirectFactorization(coarse_matrix(decomp.coarse_interp, A_prec))
-        coarse = CoarseSolve(decomp.coarse_interp, solver)
-    return PreconditionerOperator(kind, mesh.n, locals_, coarse=coarse,
-                                  system_matrix=system_matrix)
+        coarse = CoarseSolve(decomp.coarse_interp, solver,
+                             system_matrix if kind in _HYBRID_KINDS else None)
+    return PreconditionerOperator(kind, mesh.n, locals_, coarse=coarse)
 
 
 def build_nested_coarse_solver(decomp, A_prec, coeff_prec, *, k, alpha_inner=0.5,

@@ -9,9 +9,10 @@ least squares for GMRES residuals, Rayleigh quotients taken in the D
 inner product for points of a weighted field of values, a dense
 Cholesky with dense triangular solves for the similarity transform of a
 weighted field of values, a comparison of assembled matrices, one at a
-time, for which local matrices may share one solver, and COO assembly from
+time, for which local matrices may share one solver, COO assembly from
 (E, 3, 3) broadcast element blocks, whose values the package's element
-kernels must give bitwise.
+kernels must give bitwise, and the hybrid preconditioner apply in the six
+sparse products of its formula.
 """
 
 import numpy as np
@@ -375,3 +376,14 @@ def one_at_a_time(mats):
             labels.append(len(reps))
             reps.append(a)
     return labels
+
+
+def six_product_hybrid_apply(P, A, R0, v):
+    """HRAS/ImpHRAS apply z + t - R0^T A0^{-1} R0 A t with z = R0^T A0^{-1} R0 v
+    and t = B_local (v - A z), using P's local solves and coarse solver, the
+    coarse interpolation R0 and the system matrix A itself: six sparse
+    products, two of them with A."""
+    R0T, solve = R0.T.tocsr(), P.coarse.solver.solve
+    z = R0T @ solve(R0 @ v)
+    t = P.locals_.apply(v - A @ z)
+    return z + t - R0T @ solve(R0 @ (A @ t))

@@ -6,7 +6,7 @@ import pytest
 from scipy.io import mmread
 
 from helmdd.assembly import AssemblyCoefficients, assemble_system
-from helmdd import analysis, cli
+from helmdd import analysis, cli, harness
 from helmdd.cli import main
 from helmdd.harness import parse_results
 from helmdd.mesh import build_fine_mesh, build_wavespeed
@@ -163,3 +163,33 @@ def test_solve_keeps_explicit_alpha_inner_zero(target, monkeypatch, capsys):
     assert code == 1
     assert seen[0].nesting.target == target
     assert seen[0].nesting.alpha_inner == 0.0
+
+
+def _converged_row_with_note(cfg):
+    return harness.ResultRow(**harness._config_columns(cfg), n=81, outer_iters=7,
+                             converged=True, final_relres=3e-6,
+                             error="true residual 3.000e-06 above 2x rel_tol")
+
+
+def test_solve_prints_note_of_converged_row(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve_problem",
+                        lambda cfg, problem: _converged_row_with_note(cfg))
+    code, out, err = run_cli(["solve", "--k", "6", "--mesh-rule", "points_per_wavelength",
+                              "--precond", "ImpRAS1", "--alpha", "0.5"], capsys)
+    assert code == 0
+    assert ",true," in out.strip().splitlines()[1]
+    assert "warning: true residual 3.000e-06 above 2x rel_tol" in err
+
+
+def test_run_prints_note_of_converged_row(tmp_path, monkeypatch, capsys):
+    def rows(preset, ks, progress=None, **overrides):
+        cfgs = harness.expand_preset(preset, ks, **overrides)
+        return [_converged_row_with_note(cfgs[0]),
+                harness.ResultRow(**harness._config_columns(cfgs[1]), n=81, outer_iters=5,
+                                  converged=True, final_relres=1e-7)]
+    monkeypatch.setattr(cli, "run_table", rows)
+    code, _, err = run_cli(["run", "--preset", "table2", "--k", "20",
+                            "--out", str(tmp_path / "t2.csv")], capsys)
+    assert code == 0
+    assert err.splitlines() == ["warning: k=20.0 ImpHRAS alpha=0.5 beta=1.2 "
+                                "(true residual 3.000e-06 above 2x rel_tol)"]

@@ -11,7 +11,8 @@ from helmdd import harness, precond
 from helmdd.precond import (KINDS, DirectFactorization, LocalSolves, NestedSolver,
                             SingularMatrixError, build_preconditioner, coarse_matrix)
 
-from oracles import dense_preconditioner, dense_system, one_at_a_time
+from oracles import (dense_preconditioner, dense_system, one_at_a_time,
+                     six_product_hybrid_apply)
 
 
 def setup_problem(m, M, k=5.0, eps=None, scenario="constant", c_star=1.0):
@@ -134,6 +135,91 @@ def test_dense_oracle_equivalence(kind, setup):
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-10
     # and the densified operator agrees entrywise
     assert np.abs(P.to_dense() - Bd).max() < 1e-10 * np.abs(Bd).max()
+
+
+_ORACLE_SETUPS = [  # the setups of test_dense_oracle_equivalence
+    dict(m=8, M=2, k=5.0, eps=5.0),
+    dict(m=6, M=2, k=4.0, scenario="centered-square", c_star=1.5),
+]
+
+
+@pytest.mark.parametrize("kind, setup, nested_coarse", [
+    (kind, setup, None) for kind in ("HRAS", "ImpHRAS") for setup in _ORACLE_SETUPS
+] + [("HRAS", _ORACLE_SETUPS[0], dict(k=5.0, tol=1e-12))],
+    ids=["HRAS-setup0", "HRAS-setup1", "ImpHRAS-setup0", "ImpHRAS-setup1",
+         "HRAS-setup0-nested"])
+def test_hybrid_apply_matches_six_product_oracle(kind, setup, nested_coarse):
+    # the apply in four products (R0 A formed once, its transpose for A R0^T)
+    # equals the six-product formula with A at round-off; a nested coarse
+    # solve at inner tolerance 1e-12 solves the coarse problem to round-off
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(**setup)
+    P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, system_matrix=A_sys,
+                             nested_coarse=nested_coarse)
+    rng = np.random.default_rng(8)
+    V = rng.standard_normal((mesh.n, 3)) + 1j * rng.standard_normal((mesh.n, 3))
+    R0 = decomp.coarse_interp  # real; the operator holds it complex, with equal products
+    for v in (V[:, 0].copy(), V):
+        assert np.array_equal(P.coarse.R0 @ v, R0 @ v)
+        assert np.array_equal(P.coarse.R0T @ v[:R0.shape[0]], R0.T @ v[:R0.shape[0]])
+        got = P.apply(v)
+        want = six_product_hybrid_apply(P, A_sys, R0, v)
+        assert got.shape == v.shape
+        err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+        assert err.max() <= 1e-13
+
+
+@pytest.mark.parametrize("cfg", [
+    harness.ExperimentConfig(k=10, preset="table1", precond="HRAS"),
+    harness.ExperimentConfig(k=20, preset="table4", mesh_rule="points_per_wavelength",
+                             precond="ImpHRAS", alpha=0.5, rhs="ones"),
+    harness.ExperimentConfig(k=16, preset="table6_variable", scenario="centered-square",
+                             c_star=1.5, anchor_square=True, shift_family="multiplicative",
+                             beta=1.2),
+    harness.ExperimentConfig(k=16, preset="table6_variable", scenario="shifted-square",
+                             c_star=0.66, anchor_square=True, shift_family="multiplicative",
+                             beta=1.2),
+], ids=["table1-hras", "table4-imphras", "table6-centred", "table6-shifted"])
+def test_system_matrix_is_bitwise_symmetric(cfg):
+    # the hybrid apply takes A R0^T as (R0 A)^T, which needs A^T = A
+    A = harness.build_problem(cfg).A_sys
+    assert (A != A.T).nnz == 0
+
+
+@pytest.mark.parametrize("kind, nested, calls", [
+    ("RAS1", False, 0), ("AS", False, 1), ("HRAS", False, 2), ("ImpHRAS", False, 2),
+    ("HRAS", True, 2),
+], ids=["RAS1", "AS", "HRAS", "ImpHRAS", "HRAS-nested"])
+def test_coarse_solves_run_inside_coarse_apply(monkeypatch, kind, nested, calls):
+    # perfbench wraps CoarseSolve.apply as the coarse span and counts every
+    # solve outside it as a local solve: each coarse solve must run inside it
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(12, 3, k=6.0, eps=6.0)
+    P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff, system_matrix=A_sys,
+                             nested_coarse=dict(k=6.0) if nested else None)
+    entered, depth = [], []
+    coarse_apply = precond.CoarseSolve.apply
+
+    def counted(self, *args):
+        entered.append(1)
+        depth.append(1)
+        try:
+            return coarse_apply(self, *args)
+        finally:
+            depth.pop()
+    monkeypatch.setattr(precond.CoarseSolve, "apply", counted)
+    if P.coarse is not None:
+        solve = P.coarse.solver.solve
+
+        def guarded(rhs):
+            assert depth, "coarse solve outside CoarseSolve.apply"
+            return solve(rhs)
+        monkeypatch.setattr(P.coarse.solver, "solve", guarded)
+    v = np.ones((mesh.n, 3), complex)
+    for arg in (v[:, 0], v):
+        entered.clear()
+        P.apply(arg)
+        assert len(entered) == calls
 
 
 @pytest.mark.parametrize("kind", KINDS)
