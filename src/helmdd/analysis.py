@@ -23,8 +23,14 @@ on n right-hand sides, weighted GMRES takes D as its sparse inner product,
 and the adjoint identity solves with the banded factor.
 
 Each angle needs only the top eigenpair, and only that pair is solved, once
-per angle and basis size.  These solves and ARPACK's norm estimate run on
-one BLAS thread.
+per angle and basis size.
+
+Every scipy BLAS/LAPACK call of the analysis runs with scipy's OpenBLAS on
+one thread (precond._one_blas_thread): the banded Cholesky and triangular
+solves of the transform, the norm (dense SVD or ARPACK), the eigensolves,
+the certificate's Cholesky and the adjoint identity's banded solves.  The
+dense products stay on numpy's OpenBLAS, the one threaded pool; a second
+threaded pool would stall them and be stalled by them.
 """
 
 import cmath
@@ -45,7 +51,10 @@ from .mesh import build_fine_mesh, build_wavespeed, ceil_snapped, layout_from_bl
 from .precond import _one_blas_thread, build_preconditioner
 
 SIZE_CAP = 4096
-DENSE_EIG_CUTOFF = 600  # the norm by dense SVD up to here (ARPACK needs n > 2)
+# the norm by dense SVD up to here, by ARPACK above (which needs n > 2).  On
+# HRAS eps=k^2 operators, both on one BLAS thread: SVD 2.3 ms against 3.0 at
+# n=144, ARPACK 2.1 ms against 4.3 at n=169 and 2.9 against 11 at n=256
+DENSE_EIG_CUTOFF = 150
 _REFINE_ROUNDS, _REFINE_POINTS = 3, 16  # theta refinements near the minimum, angles each
 _CERTIFY_RTOL = 1e-6  # an estimate is certified when dist > this * norm
 _ENVELOPE_SLACK = 1e-10  # residual excess over sin^m(beta) still counted as ok
@@ -84,7 +93,8 @@ def _banded_cholesky(D):
     band = np.zeros((offsets.max(initial=0) + 1, D.shape[0]), dtype=D.dtype)
     band[offsets, lower.col] = lower.data
     try:
-        band = sla.cholesky_banded(band, lower=True)
+        with _one_blas_thread():
+            band = sla.cholesky_banded(band, lower=True)
     except np.linalg.LinAlgError as exc:
         raise ValueError("weight matrix is not positive definite") from exc
     return band, sp.dia_array((band, -np.arange(len(band))), shape=D.shape).tocsr()
@@ -95,19 +105,20 @@ def _solve_lower(band, R):
     real L solves the real and imaginary parts of R as the columns of one
     real block (dtbtrs), _SOLVE_TILE columns of R at a time, into a
     Fortran-ordered Y, the only n x n array made; a complex L goes through
-    solve_banded."""
-    if not np.isrealobj(band):
-        return sla.solve_banded((len(band) - 1, 0), band, R)
-    Y = np.empty(R.shape, dtype=complex, order="F")
-    for j in range(0, R.shape[1], _SOLVE_TILE):
-        Rj = R[:, j:j + _SOLVE_TILE]
-        m = Rj.shape[1]
-        B = np.empty((len(R), 2 * m), order="F")
-        B[:, :m], B[:, m:] = Rj.real, Rj.imag
-        x, info = dtbtrs(band, B, uplo="L", overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtbtrs failed with info={info}")
-        Y.real[:, j:j + m], Y.imag[:, j:j + m] = x[:, :m], x[:, m:]
+    solve_banded.  Both run on one BLAS thread."""
+    with _one_blas_thread():
+        if not np.isrealobj(band):
+            return sla.solve_banded((len(band) - 1, 0), band, R)
+        Y = np.empty(R.shape, dtype=complex, order="F")
+        for j in range(0, R.shape[1], _SOLVE_TILE):
+            Rj = R[:, j:j + _SOLVE_TILE]
+            m = Rj.shape[1]
+            B = np.empty((len(R), 2 * m), order="F")
+            B[:, :m], B[:, m:] = Rj.real, Rj.imag
+            x, info = dtbtrs(band, B, uplo="L", overwrite_b=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dtbtrs failed with info={info}")
+            Y.real[:, j:j + m], Y.imag[:, j:j + m] = x[:, :m], x[:, m:]
     return Y
 
 
@@ -294,12 +305,15 @@ def _top_below(Ct, theta, mu):
     lambda_max(H(theta)) < mu up to the factorisation's round-off.  The
     matrix is H(theta) negated and shifted in place; its transpose, the
     conjugate and definite with it, is Fortran-ordered, so LAPACK factors
-    it without a copy."""
+    it without a copy.  The Cholesky runs on one BLAS thread.  At n=625 it
+    took 0.011-0.017 s there, and 0.009-0.14 s on two threads beside numpy's
+    pool; at n=3721 one thread costs 1.11-1.24 s, two 0.70-0.79 s."""
     M = _hermitian_part(Ct, theta)
     np.negative(M, out=M)
     M[np.diag_indices_from(M)] += mu
     try:
-        sla.cho_factor(M.T, overwrite_a=True, check_finite=False)
+        with _one_blas_thread():
+            sla.cho_factor(M.T, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -335,20 +349,22 @@ def _subspace_converge(sweep, thetas, eta_tol, max_phases=400):
 
 
 def _norm2_upper(Ct):
-    """||C||_2 of the transformed matrix, never an underestimate.  ARPACK
-    starts from a fixed vector, so the value repeats bit for bit, and runs on
-    one BLAS thread: its own vector operations are small."""
+    """||C||_2 of the transformed matrix, never an underestimate: the top
+    singular value of a dense SVD up to DENSE_EIG_CUTOFF unknowns, else
+    ARPACK on Ct^H Ct with its residual added.  ARPACK starts from a fixed
+    vector, so the value repeats bit for bit.  Both run with scipy's BLAS on
+    one thread; the products with Ct stay on numpy's."""
     n = Ct.shape[0]
-    if n <= DENSE_EIG_CUTOFF:
-        return float(sla.svdvals(Ct)[0])
 
     def gram(x):  # Ct^H Ct x without forming Ct^H
         return (Ct.T @ (Ct @ x).conj()).conj()
 
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    op = spla.LinearOperator((n, n), matvec=gram, dtype=complex)
     with _one_blas_thread():
+        if n <= DENSE_EIG_CUTOFF:
+            return float(sla.svdvals(Ct)[0])
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        op = spla.LinearOperator((n, n), matvec=gram, dtype=complex)
         w, v = spla.eigsh(op, k=1, which="LM", tol=1e-11, maxiter=20000, v0=v0)
         vec = v[:, 0] / np.linalg.norm(v[:, 0])
         lam = float(np.real(w[0]))
@@ -398,7 +414,11 @@ def fov_distance(C, D=None, *, weight="D", tag="", angles=256, size_cap=SIZE_CAP
     The subspace sweep finds the angle theta* of the smallest Ritz value of
     lambda_max; the distance is -lambda_max(H(theta*)) bounded from below,
     by the sweep's lam + eta when one Cholesky proves it an upper bound of
-    lambda_max, else by the top pair of the full H(theta*)."""
+    lambda_max, else by the top pair of the full H(theta*).
+
+    angles is the size of the starting theta grid, at least 256: a smaller
+    value sweeps 256 angles.  Refinement adds angles near the minimum
+    (angles_used counts them all)."""
     C = np.asarray(C, dtype=complex)
     n = C.shape[0]
     if n > size_cap:
@@ -475,7 +495,8 @@ def check_adjoint_identity(C, D, *, samples=20, seed=0, check_distance=False,
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = D @ v
         q1 = np.vdot(C @ v, D @ v) / np.vdot(v, D @ v)
-        winv = sla.cho_solve_banded((band, True), w)
+        with _one_blas_thread():
+            winv = sla.cho_solve_banded((band, True), w)
         q2 = np.conj(np.vdot(C.conj().T @ w, winv) / np.vdot(w, winv))
         worst = max(worst, abs(q1 - q2) / max(abs(q1), 1.0))
     out = {"max_error": worst, "status": "ok" if worst <= tol else "violated"}

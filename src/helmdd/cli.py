@@ -72,7 +72,9 @@ def build_parser():
     ana.add_argument("--sides", default="left,right")
     ana.add_argument("--envelope", action="store_true",
                      help="also test the GMRES convergence envelope")
-    ana.add_argument("--angles", type=int, default=256)
+    ana.add_argument("--angles", type=int, default=256,
+                     help="starting theta grid of the FOV sweep; values below "
+                          "256 sweep 256 angles")
     ana.add_argument("--out", default=None)
     return ap
 

@@ -88,13 +88,18 @@ def _scipy_openblas():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run scipy's BLAS on one thread inside the block, then restore the
-    previous count.  It covers the dense local kernels, which all call
-    scipy's OpenBLAS: LU factorisations and inverses, and the products with
-    the stored inverses (scipy's zgemm, not numpy's matmul, which would run
-    on numpy's own OpenBLAS pool).  Small LU factorisations run several times
-    slower on a threaded OpenBLAS.  The count is process-wide: a block
-    entered while the count is already 1 (a nested local solve) changes
-    nothing."""
+    previous count, also when the block raises.
+
+    Every call helmdd makes into scipy's BLAS and LAPACK (scipy.linalg,
+    SuperLU, ARPACK) runs inside such a block, so that numpy's OpenBLAS,
+    a separate copy with its own pool, is the only threaded BLAS of the
+    process.  Two threaded pools on two cores stall each other: the pool
+    that ran last keeps a worker spinning, and a two-thread kernel of the
+    other pool waits for the core it holds (a 625-unknown Cholesky took up
+    to 0.14 s in place of 0.012 s).  A block is entered once per build,
+    apply, coarse solve or analysis step, never per class solve: an entry
+    costs about 2 us.  The count is process-wide: a block entered while
+    the count is already 1 changes nothing."""
     fns = _scipy_openblas()
     prev = fns[0]() if fns is not None else 1
     if prev != 1:
@@ -117,7 +122,12 @@ class DirectFactorization:
     the Fortran-ordered blocks LocalSolves hands it (transposed views of
     C-ordered arrays) it copies nothing in or out, and on small blocks with
     many columns it is several times faster than the two triangular solves
-    of getrs."""
+    of getrs.
+
+    The factorisation runs with scipy's BLAS on one thread (_one_blas_thread;
+    the ten of the k=8 FOV operator took 19 ms on two threads, 2 ms on one).
+    solve does not pin, since it runs once per class and apply: its callers,
+    LocalSolves.apply and CoarseSolve.apply, pin once around their solves."""
 
     def __init__(self, matrix):
         matrix = sp.csc_matrix(matrix)
@@ -128,9 +138,6 @@ class DirectFactorization:
         if self._dense:
             import warnings
 
-            # on one thread outside LocalSolves too (a dense coarse matrix):
-            # the ten factorisations of the k=8 FOV operator took 19 ms with
-            # its coarse matrix (81 unknowns) on two threads, 2 ms on one
             with warnings.catch_warnings(), _one_blas_thread():
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
                 lu, piv = sla.lu_factor(matrix.toarray().astype(np.complex128, copy=False))
@@ -141,7 +148,8 @@ class DirectFactorization:
             self.fill_nnz = self.n * self.n
         else:
             try:
-                self._splu = spla.splu(matrix)
+                with _one_blas_thread():
+                    self._splu = spla.splu(matrix)
             except RuntimeError as exc:  # "Factor is exactly singular"
                 raise SingularMatrixError(str(exc)) from exc
             self.fill_nnz = self._splu.L.nnz + self._splu.U.nnz
@@ -213,9 +221,9 @@ class _MatrixClasses:
     of a class equal their representative up to coordinate round-off.
 
     A scipy matrix is made for representatives only, and each new class's
-    solver is built once, with scipy's BLAS on one thread, as build(matrix,
-    first), where first is the representative's block (default build: a
-    DirectFactorization of the matrix)."""
+    solver is built once, as build(matrix, first), where first is the
+    representative's block (default build: a DirectFactorization of the
+    matrix, which factorises on one BLAS thread)."""
 
     def __init__(self, build=None):
         self.build = build or (lambda matrix, first: DirectFactorization(matrix))
@@ -231,10 +239,9 @@ class _MatrixClasses:
                 founders.setdefault(key, i)
         if founders:
             reps = blocks.assemble(list(founders.values()))
-            with _one_blas_thread():
-                for j, (key, f) in enumerate(founders.items()):
-                    self._keys[key] = len(self.solvers)
-                    self.solvers.append(self.build(reps.block(j).copy(), f))
+            for j, (key, f) in enumerate(founders.items()):
+                self._keys[key] = len(self.solvers)
+                self.solvers.append(self.build(reps.block(j).copy(), f))
         return np.array([self._keys[key] if size else -1
                          for key, size in zip(blocks.keys, sizes)], dtype=np.int64)
 
@@ -260,8 +267,8 @@ class LocalSolves:
     index array, runs one multi-right-hand-side solve per class on the
     (s, G*c) block of its G subdomains, and recombines all local solutions
     with one sparse matrix: R_w^T with the RAS weights of own, else R^T.
-    Factorisations and solves run with scipy's BLAS on one thread
-    (_one_blas_thread).
+    apply runs its class solves with scipy's BLAS on one thread
+    (_one_blas_thread), entered once per apply.
     """
 
     def __init__(self, n, blocks, rows, own=None, classes=None):
@@ -320,7 +327,10 @@ class CoarseSolve:
     R0 is held complex: a product of a real sparse matrix with a complex
     vector casts the matrix's values to complex on every call (scipy's
     sparsetools), and the cast is exact, so the products equal those of the
-    real R0 bitwise."""
+    real R0 bitwise.
+
+    apply runs the coarse solve (zgemm, SuperLU or a nested GMRES) with
+    scipy's BLAS on one thread (_one_blas_thread)."""
 
     def __init__(self, coarse_interp, solver, system_matrix=None):
         self.R0 = coarse_interp.astype(np.complex128)
@@ -333,7 +343,9 @@ class CoarseSolve:
 
     def apply(self, v, restriction):
         """The coarse vector A_{eps,0}^{-1} (restriction @ v)."""
-        return self.solver.solve(restriction @ v)
+        rhs = restriction @ v
+        with _one_blas_thread():
+            return self.solver.solve(rhs)
 
 
 class PreconditionerOperator:
@@ -504,7 +516,9 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     classes' block LocalSolves share one registry, so each distinct block
     matrix is factorised once.
 
-    Local solves run on one thread.  threads is kept only for the call in
+    Every factorisation, local or coarse (dense LU or SuperLU), and every
+    solve of the operator runs with scipy's BLAS on one thread
+    (_one_blas_thread).  threads is kept only for the call in
     perfbench/workloads.build_solve, which passes threads=1; any other value
     raises ValueError.
     """
