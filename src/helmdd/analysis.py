@@ -494,7 +494,7 @@ def check_adjoint_identity(C, D, *, samples=20, seed=0, check_distance=False,
     for _ in range(samples):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = D @ v
-        q1 = np.vdot(C @ v, D @ v) / np.vdot(v, D @ v)
+        q1 = np.vdot(C @ v, w) / np.vdot(v, w)
         with _one_blas_thread():
             winv = sla.cho_solve_banded((band, True), w)
         q2 = np.conj(np.vdot(C.conj().T @ w, winv) / np.vdot(w, winv))

@@ -122,8 +122,9 @@ def _check_budget(cfg, m):
             f"pollution_free at k={cfg.k} exceeds the desk-scale cap "
             f"{LARGE_K_CAP}; pass allow_large to run it")
     n = (m + 1) ** 2
+    # basis term: the Krylov basis's virtual allocation, max_iters rows (x2 under FGMRES)
     basis = 2 if (cfg.nesting is not None) else 1
-    est = n * (cfg.max_iters + 1) * 16 * basis + n * 9 * 16 * 4
+    est = n * cfg.max_iters * 16 * basis + n * 9 * 16 * 4
     if est > MEMORY_BUDGET_BYTES and not cfg.allow_large:
         raise ExperimentError(
             f"estimated {est / 1e9:.1f} GB for n={n} exceeds the memory budget")

@@ -15,9 +15,9 @@ on the columns still active, while Gram-Schmidt, the Givens rotations and the
 convergence test are per column.  A column freezes once it converges or
 reaches max_iters (then it counts as not converged).  A vector hands (n,)
 vectors to the operator and preconditioner, a block hands (n, g) blocks of
-its active columns.  The basis is stored as rows, (G, m, n), so that
-h = V^H w is (V @ w.conj()).conj() with no conjugate copy of V; it is
-allocated _FIRST_ROWS rows deep and doubles whenever the iterations fill it.
+its active columns.  V (Z too) and the rotated Hessenberg R are allocated
+once, max_iters steps deep, step axis first (V[j] is step j of every column):
+only the steps a solve writes become resident; a freeze copies only those.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-_FIRST_ROWS = 8  # basis depth (vectors per column) allocated at the start
 # a second Gram-Schmidt pass runs when the first leaves a component above this
 # fraction of the new vector's norm
 _REORTH_THRESHOLD = 1e-8
@@ -98,11 +97,10 @@ def _rowdots(x, y):
     return np.matmul(x.conj()[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _enlarged(a, shape):
-    """a in the leading corner of a zero array of the given shape."""
-    out = np.zeros(shape, dtype=a.dtype)
-    out[tuple(slice(0, s) for s in a.shape)] = a
-    return out
+def _compacted(a, keep, depth):
+    """a with the columns keep (axis 1) moved to the front; copies depth steps."""
+    a[:depth, :len(keep)] = a[:depth, keep]
+    return a[:, :len(keep)]
 
 
 def _solve(A, M, b, cfg):
@@ -148,22 +146,22 @@ def _solve(A, M, b, cfg):
     hist[:, 0] = 1.0
     basis_bytes = np.zeros(G, dtype=np.int64)
 
-    # state of the active columns, row i for column act[i]
-    cap = min(mx, _FIRST_ROWS)
-    V = np.empty((len(act), cap, n), dtype=np.complex128)
+    # active column act[i] is entry i of axis 1 (axis 0 of giv, g); R[j, i] is
+    # column j of its rotated Hessenberg, written at step j with its zeros
+    V = np.empty((mx, len(act), n), dtype=np.complex128)
     Z = np.empty_like(V) if keep_z else None
-    R = np.zeros((len(act), cap, cap), dtype=np.complex128)  # rotated Hessenberg
+    R = np.empty((mx, len(act), mx), dtype=np.complex128)
     giv = np.zeros((len(act), mx, 2), dtype=np.complex128)  # (conj(a)/r, b/r)
     g = np.zeros((len(act), mx + 1), dtype=np.complex128)
     beta_a = beta[act]
     g[:, 0] = beta_a
-    V[:, 0] = R0[act] / beta_a[:, None]
+    V[0] = R0[act] / beta_a[:, None]
 
     for j in range(mx if len(act) else 0):
-        u = V[:, j]
+        u = V[j]
         if keep_z:
-            Z[:, j] = call(apply_m, u)
-            w = call(matvec, Z[:, j])
+            Z[j] = call(apply_m, u)
+            w = call(matvec, Z[j])
         elif right:
             w = call(matvec, call(apply_m, u))
         elif left:
@@ -174,7 +172,7 @@ def _solve(A, M, b, cfg):
         # classical Gram-Schmidt in the weighted inner product, with one
         # re-orthogonalisation pass for the columns whose orthogonality loss
         # exceeds the threshold (CGS2); the others subtract exact zeros
-        Vj = V[:, :j + 1]
+        Vj = V[:j + 1].swapaxes(0, 1)
         h = np.matmul(Vj, wdot(w).conj()[:, :, None])[:, :, 0].conj()
         w = w - np.matmul(h[:, None, :], Vj)[:, 0]
         t = wdot(w)
@@ -199,7 +197,8 @@ def _solve(A, M, b, cfg):
         giv[:, j, 0] = np.conj(a) / r
         giv[:, j, 1] = hh / r
         h[:, j] = r
-        R[:, :j + 1, j] = h
+        R[j, :, :j + 1] = h
+        R[j, :, j + 1:] = 0.0
         g[:, j + 1] = -giv[:, j, 1] * g[:, j]
         g[:, j] = giv[:, j, 0] * g[:, j]
         rel = np.abs(g[:, j + 1]) / beta_a
@@ -216,22 +215,20 @@ def _solve(A, M, b, cfg):
         # freeze the finished columns: their iterates, then drop their state
         if done.any():
             fin = slice(None) if done.all() else np.flatnonzero(done)
-            y = np.linalg.solve(R[fin, :j + 1, :j + 1], g[fin, :j + 1, None])[..., 0]
-            Y[act[fin]] = np.matmul(y[:, None, :], (Z if keep_z else V)[fin, :j + 1])[:, 0]
+            y = np.linalg.solve(R[:j + 1, fin, :j + 1].transpose(1, 2, 0),
+                                g[fin, :j + 1, None])[..., 0]
+            Uf = (Z if keep_z else V)[:j + 1, fin].swapaxes(0, 1)
+            Y[act[fin]] = np.matmul(y[:, None, :], Uf)[:, 0]
             iters[act[fin]] = j + 1
-            basis_bytes[act[fin]] = V[0].nbytes * (2 if keep_z else 1)
+            basis_bytes[act[fin]] = (j + 1) * n * 16 * (2 if keep_z else 1)
             if done.all():
                 break
-            keep = ~done
+            keep = np.flatnonzero(~done)
             act, beta_a, w, hh = act[keep], beta_a[keep], w[keep], hh[keep]
-            V, R, giv, g = V[keep], R[keep], giv[keep], g[keep]
-            Z = Z[keep] if keep_z else None
-        if j + 1 == cap:  # the basis is full: double its depth
-            cap = min(mx, 2 * cap)
-            V = _enlarged(V, (len(act), cap, n))
-            Z = _enlarged(Z, V.shape) if keep_z else None
-            R = _enlarged(R, (len(act), cap, cap))
-        V[:, j + 1] = w / hh[:, None]
+            giv, g = giv[keep], g[keep]
+            V, R = _compacted(V, keep, j + 1), _compacted(R, keep, j + 1)
+            Z = _compacted(Z, keep, j + 1) if keep_z else None
+        V[j + 1] = w / hh[:, None]
 
     X = call(apply_m, Y) if right and not flexible and iters.any() else Y
     res = B - call(matvec, X)

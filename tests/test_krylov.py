@@ -163,10 +163,16 @@ def test_cap_reported_as_nonconverged():
 
 
 def test_basis_memory_accounting():
-    A, b = random_system(30, 2)
+    # the rows a solve used, not the max_iters rows it allocated
+    A, b = random_system(30, 2, diag=25.0)
     _, rep = gmres(A, None, b, KrylovConfig(side="none", rel_tol=1e-13, max_iters=30))
-    assert rep.basis_bytes >= rep.iterations * 30 * 16
-    assert rep.basis_bytes <= (rep.iterations + 33) * 30 * 16
+    assert 8 < rep.iterations < 30
+    assert rep.basis_bytes == rep.iterations * 30 * 16
+    # FGMRES keeps the preconditioned directions Z beside V
+    _, rep = fgmres(A, _jacobi(A), b, KrylovConfig(variant="fgmres", rel_tol=1e-13,
+                                                   max_iters=30))
+    assert 8 < rep.iterations < 30
+    assert rep.basis_bytes == 2 * rep.iterations * 30 * 16
 
 
 def test_true_residual_reported():
@@ -185,9 +191,12 @@ def _jacobi(A):
 
 
 def _block_case(variant, side):
-    """(A, M, config, B): a block whose columns converge at different steps
-    (a random column, two in invariant subspaces of 2 and 5 dimensions of the
-    preconditioned operator, and a zero column)."""
+    """(A, M, config, B): a block whose columns converge at different steps:
+    one in an invariant subspace of 11 dimensions of the preconditioned
+    operator, a random column, two in invariant subspaces of 2 and 5
+    dimensions, and a zero column.  The first freezes past row 8 while the
+    random column behind it runs on, so the freeze moves that column's
+    rows."""
     n = 40
     A, b = random_system(n, 7, diag=25.0)
     M = _jacobi(A) if side != "none" else None
@@ -200,9 +209,9 @@ def _block_case(variant, side):
     K = Md @ A if side == "left" else A @ Md
     _, W = np.linalg.eig(K)
     rng = np.random.default_rng(8)
-    B = np.zeros((n, 4), dtype=complex)
-    B[:, 0] = b
-    for c, d in ((1, 2), (2, 5)):
+    B = np.zeros((n, 5), dtype=complex)
+    B[:, 1] = b
+    for c, d in ((2, 2), (3, 5), (0, 11)):
         r0 = W[:, :d] @ (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         B[:, c] = np.linalg.solve(Md, r0) if side == "left" else r0
     return A, M, cfg, B
@@ -226,10 +235,11 @@ def test_block_matches_column_solves(variant, side):
         assert np.allclose(reps[c].residual_history, rep.residual_history,
                            rtol=1e-10, atol=1e-14)
     iters = [r.iterations for r in reps]
-    # frozen columns stay frozen: each column stops at its own step
-    assert iters[1] < iters[2] < iters[0] and iters[3] == 0
+    # frozen columns stay frozen: each column stops at its own step, and
+    # column 0 freezes deep in the basis while column 1 runs on
+    assert iters[2] < iters[3] < 8 < iters[0] < iters[1] and iters[4] == 0
     assert all(r.converged for r in reps)
-    assert np.all(X[:, 3] == 0) and reps[3].true_relres == 0.0
+    assert np.all(X[:, 4] == 0) and reps[4].true_relres == 0.0
 
 
 def test_block_column_at_cap_beside_converging_ones():
