@@ -1,7 +1,8 @@
 """P1 element, edge-mass and coarse-hat kernels, vectorised with numpy.
 
-The element kernels form their values on contiguous arrays of length E (one
-entry per element), never with numpy's innermost loop on an axis of length 3."""
+The element kernel forms its values on contiguous arrays of length E (one
+entry per element), never with numpy's innermost loop on an axis of length 3,
+then copies them into the complex triplet values."""
 
 import numpy as np
 
@@ -21,15 +22,16 @@ def index_dtype(n):
     return np.int32 if n < 2**31 - 1 else np.int64
 
 
-def element_blocks(nodes, elements):
-    """COO triplets of the 3 x 3 blocks of P1 triangles, from analytic
-    integration, so no quadrature error enters.
+def element_blocks(nodes, elements, weights):
+    """COO triplets of the 3 x 3 blocks S_e + i w_e M_e of P1 triangles: the
+    exact stiffness block S_e and the exact (consistent) mass block M_e times
+    the element weight w_e, from analytic integration, so no quadrature error
+    enters.
 
-    Returns (rows, cols, stiff, mass).  The triplets are element-major: entry
-    9e + 3i + j is row elements[e, i], column elements[e, j].  rows and cols
-    have the dtype of elements.  stiff and mass are (9, E): row 3i + j holds
-    entry (i, j) of every element's exact stiffness block S_e and exact
-    (consistent) mass block M_e."""
+    Returns (rows, cols, vals).  The triplets are element-major: entry
+    9e + 3i + j is row elements[e, i], column elements[e, j], with real part
+    S_e[i, j] and imaginary part w_e M_e[i, j].  rows and cols have the dtype
+    of elements; weights is one per element, or a scalar."""
     vertices = elements.T.copy()  # (3, E): vertex i of every element in row i
     x = nodes[:, 0].take(vertices)
     y = nodes[:, 1].take(vertices)
@@ -37,7 +39,7 @@ def element_blocks(nodes, elements):
     c = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
     area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
     den = 4.0 * area
-    stiff = np.empty((9, len(elements)))
+    stiff = np.empty((9, len(elements)))  # row 3i + j: entry (i, j) of every S_e
     for i in range(3):
         for j in range(i, 3):
             s = stiff[3 * i + j]
@@ -46,31 +48,15 @@ def element_blocks(nodes, elements):
             s /= den
             if j > i:
                 stiff[3 * j + i] = s
-    mass = np.empty_like(stiff)
-    mass[:] = area / 12.0
-    mass[::4] = 2.0 * mass[0]  # the diagonal entries 0, 4 and 8
+    vals = np.empty(9 * len(elements), np.complex128)
+    parts = vals.view(np.float64).reshape(-1, 9, 2)  # (E, entry, real/imag)
+    parts[:, :, 0] = stiff.T
+    off = np.multiply(weights, area / 12.0)
+    parts[:, :, 1] = off[:, None]
+    parts[:, ::4, 1] = 2.0 * off[:, None]  # the diagonal entries 0, 4 and 8
     rows = np.repeat(elements.ravel(), 3)
     cols = elements.take(_BLOCK_COLS, axis=1).ravel()
-    return rows, cols, stiff, mass
-
-
-def element_system_values(stiff, mass, shifts, out):
-    """Write the values of S_e - shift_e * M_e into out[:9E] (complex), in the
-    order of element_blocks' triplets.
-
-    The real part S - Re(shift) M and the imaginary part 0.0 - Im(shift) M are
-    formed apart, on (9, E) arrays.  They are bitwise numpy's complex
-    S - shift * M wherever Re(shift) M is nonzero (a positive area and a shift
-    of nonzero real part): numpy's real part subtracts Im(shift) * 0 from that
-    product, and 0.0 - x gives the +0.0 of its imaginary part where
-    Im(shift) M is zero."""
-    parts = out[:stiff.size].view(np.float64).reshape(-1, 9, 2)
-    tmp = np.multiply(shifts.real, mass)
-    np.subtract(stiff, tmp, out=tmp)
-    parts[:, :, 0] = tmp.T
-    np.multiply(shifts.imag, mass, out=tmp)
-    np.subtract(0.0, tmp, out=tmp)
-    parts[:, :, 1] = tmp.T
+    return rows, cols, vals
 
 
 def edge_mass_triplets(nodes, edges, coeffs):

@@ -5,21 +5,25 @@ All matrices are CSR with sorted indices and summed duplicates, complex but
 for the real energy matrix.  The weak form of -Delta u - shift*u = f with
 du/dn - i*(omega/c)*u = g on the boundary gives
 
-    A = S - sum_e shift(e) * M_e - i * B,
+    A = S - s * M_w - i * B,
 
-where S is the stiffness matrix, M_e the element mass blocks, and B the
+where S is the stiffness matrix, M_w = sum_e w_e M_e the mass matrix with
+element weights w_e, s a scalar (shift = s * w_e on element e), and B the
 boundary mass matrix weighted per edge by omega/c of the adjacent element.
 No absorption ever enters the boundary term.
 
-Each matrix is the CSR sum of COO triplets: 9 per element (element-major,
-from _kernels.element_blocks), then 4 per boundary edge.  Their indices are
-int32 while the matrix has fewer than 2**31 - 1 rows (_kernels.index_dtype).
-The order in which the conversion sums the duplicates of an entry follows
-from the triplet order, so that order fixes every matrix bit for bit.  The
-element values S_e - shift_e M_e of each shift are written into one
-preallocated value array.
+The element triplets of a mesh are converted to CSR once (_shift_free), with
+the complex values S_e + i w_e M_e (9 per element, element-major, from
+_kernels.element_blocks): the real part of the sum is S, its imaginary part
+M_w.  Every boundary edge is an element edge, so B is summed into the same
+pattern as one more data array.  Each matrix is then one combination of these
+data arrays on the shared index arrays.  The triplet order fixes the order in
+which the conversion sums the duplicates of an entry, so it fixes every
+matrix bit for bit.  Triplet indices are int32 while the matrix has fewer
+than 2**31 - 1 rows (_kernels.index_dtype).
 """
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +40,9 @@ class AssemblyCoefficients:
 
     shift_mode "additive_eps" uses shift = k^2 + i*eps with k = omega/c and
     requires a constant wave speed; "multiplicative_rho" uses
-    shift = (1 + i*rho) * (omega/c)^2 per element.
+    shift = (1 + i*rho) * (omega/c)^2 per element.  The shift of an element is
+    shift_factor times its mass weight: (k^2 + i*eps) * 1, or
+    (1 + i*rho) * (omega/c_e)^2.
     """
 
     omega: float
@@ -61,17 +67,26 @@ class AssemblyCoefficients:
     def wavenumber(self):
         return self.omega / float(self.wavespeed.values[0])
 
-    def element_shifts(self, mesh, element_ids=None):
-        """Shift of each mesh element, or of the given elements only."""
+    @property
+    def shift_factor(self):
+        """The scalar s of A = S - s M_w - iB: k^2 + i*eps, or 1 + i*rho."""
+        if self.shift_mode == "additive_eps":
+            k = self.wavenumber
+            return complex(k * k, self.shift_value)
+        return complex(1.0, self.shift_value)
+
+    def mass_weights(self, mesh, element_ids=None):
+        """Weight w_e of each mesh element's mass block in M_w, or of the given
+        elements only: (omega/c_e)^2 under multiplicative_rho, else the
+        scalar 1.0 for all of them."""
         v = self.wavespeed.values
         if len(v) != len(mesh.elements):
             raise ValueError("wave-speed field does not match the mesh")
+        if self.shift_mode == "additive_eps":
+            return 1.0
         if element_ids is not None:
             v = v[element_ids]
-        if self.shift_mode == "additive_eps":
-            k = self.wavenumber
-            return np.full(len(v), k * k + 1j * self.shift_value, dtype=np.complex128)
-        return (1.0 + 1j * self.shift_value) * (self.omega / v) ** 2
+        return (self.omega / v) ** 2
 
     def edge_impedance(self, adjacent_c):
         # per-edge omega/c from the adjacent element's speed; never absorbed
@@ -83,24 +98,30 @@ class AssemblyCoefficients:
                                     self.shift_mode, self.shift_value)
 
 
-def _to_csr(rows, cols, vals, n):
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    a.sum_duplicates()
-    a.sort_indices()
-    return a
-
-
-def _triplets(nodes, elements, edges, edge_coeffs, n):
-    """COO triplets of the element blocks, then of the impedance edges, over n
-    nodes: (rows, cols, stiff, mass, vals).  rows and cols have the index
-    dtype of n.  vals is complex; its tail holds -i * (edge mass block) and
-    its head is left for element_system_values."""
+def _shift_free(nodes, elements, weights, edges, edge_coeffs, n):
+    """The shift-free parts of the matrices over n nodes, on one CSR pattern:
+    (smw, b).  smw is the CSR sum of the element values S_e + i w_e M_e, so
+    its real part is S and its imaginary part M_w.  b is the data of B on the
+    same pattern: the sum over the edges of coeff * (edge mass block), in edge
+    order."""
     idx = _kernels.index_dtype(n)
-    r, c, stiff, mass = _kernels.element_blocks(nodes, elements.astype(idx, copy=False))
-    er, ec, ev = _kernels.edge_mass_triplets(nodes, edges.astype(idx, copy=False), edge_coeffs)
-    vals = np.empty(len(r) + len(er), np.complex128)
-    vals[len(r):] = -1j * ev
-    return np.concatenate([r, er]), np.concatenate([c, ec]), stiff, mass, vals
+    rows, cols, vals = _kernels.element_blocks(nodes, elements.astype(idx, copy=False), weights)
+    smw = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()  # sorted, summed
+    er, ec, ev = _kernels.edge_mass_triplets(nodes, edges, edge_coeffs)
+    slot = smw.indptr[er].astype(np.intp)
+    while (behind := smw.indices[slot] < ec).any():  # each row holds its edges' columns
+        slot[behind] += 1
+    b = np.zeros(smw.nnz)
+    np.add.at(b, slot, ev)
+    return smw, b
+
+
+def _system(smw, b, s):
+    """S - s M_w - i B: a copy of smw with its own data and smw's index arrays."""
+    a = copy.copy(smw)
+    a.data = smw.data.real - s * smw.data.imag
+    a.data.imag -= b
+    return a
 
 
 def assemble_system(mesh, coeff):
@@ -112,27 +133,17 @@ def assemble_systems(mesh, coeff, shift_values):
     """A_eps over all mesh nodes for each of the shift values (eps or rho of
     coeff's shift mode), with coeff's frequency and wave speed.
 
-    The triplet indices, the element stiffness and mass blocks and the
-    boundary values are computed once; only the element values are written
-    again for each shift.  Each matrix is bitwise the one assemble_system
-    gives, and all of them share the index arrays of the first (their
-    triplets have the same rows and columns).  An equal shift value gives the
-    same matrix object."""
+    The element triplets are converted once; each shift is one combination of
+    the data arrays of S, M_w and B.  Each matrix is bitwise the one
+    assemble_system gives, and all of them share one pair of index arrays.
+    An equal shift value gives the same matrix object."""
     adj_c = coeff.wavespeed.values[mesh.boundary_edge_elements]
-    rows, cols, stiff, mass, vals = _triplets(mesh.nodes, mesh.elements,
-                                              mesh.boundary_edge_nodes,
-                                              coeff.edge_impedance(adj_c), mesh.n)
+    smw, b = _shift_free(mesh.nodes, mesh.elements, coeff.mass_weights(mesh),
+                         mesh.boundary_edge_nodes, coeff.edge_impedance(adj_c), mesh.n)
     out = {}
     for shift in shift_values:
-        if shift in out:
-            continue
-        shifts = replace(coeff, shift_value=shift).element_shifts(mesh)
-        _kernels.element_system_values(stiff, mass, shifts, vals)
-        a = _to_csr(rows, cols, vals, mesh.n)  # copies vals, so the next shift may overwrite it
-        if out:
-            first = next(iter(out.values()))
-            a.indices, a.indptr = first.indices, first.indptr
-        out[shift] = a
+        if shift not in out:
+            out[shift] = _system(smw, b, replace(coeff, shift_value=shift).shift_factor)
     return tuple(out[shift] for shift in shift_values)
 
 
@@ -140,9 +151,10 @@ def assemble_energy_matrix(mesh, k):
     """D_k = S + k^2 M, the energy (k-weighted H^1) inner-product matrix."""
     if k <= 0:
         raise ValueError("wavenumber must be positive")
-    r, c, stiff, mass = _kernels.element_blocks(
-        mesh.nodes, mesh.elements.astype(_kernels.index_dtype(mesh.n), copy=False))
-    return _to_csr(r, c, (stiff + (k * k) * mass).T.ravel(), mesh.n)
+    d, _ = _shift_free(mesh.nodes, mesh.elements, 1.0, mesh.boundary_edge_nodes[:0],
+                       np.empty(0), mesh.n)  # no boundary term
+    d.data = d.data.real + (k * k) * d.data.imag
+    return d
 
 
 @dataclass(frozen=True)
@@ -198,10 +210,9 @@ def assemble_local_impedance(mesh, element_sets, coeff):
     onb = first[counts == 1]
     adjacent_c = coeff.wavespeed.values[elems[onb % len(elems)]]
 
-    rows, cols, stiff, mass, vals = _triplets(coords, pos, edges[onb],
-                                              coeff.edge_impedance(adjacent_c), size)
-    _kernels.element_system_values(stiff, mass, coeff.element_shifts(mesh, elems), vals)
-    block = _to_csr(rows, cols, vals, size)
+    smw, b = _shift_free(coords, pos, coeff.mass_weights(mesh, elems), edges[onb],
+                         coeff.edge_impedance(adjacent_c), size)
+    block = _system(smw, b, coeff.shift_factor)
     return BlockDiagonal(block.indptr, block.indices, block.data, offs)
 
 

@@ -10,9 +10,11 @@ inner product for points of a weighted field of values, a dense
 Cholesky with dense triangular solves for the similarity transform of a
 weighted field of values, a comparison of assembled matrices, one at a
 time, for which local matrices may share one solver, COO assembly from
-(E, 3, 3) broadcast element blocks, whose values the package's element
-kernels must give bitwise, and the hybrid preconditioner apply in the six
-sparse products of its formula.
+(E, 3, 3) broadcast element blocks (the shift-free sum S + i M_w with the
+boundary mass placed entry by entry, whose combination the package must give
+bitwise, and the element-wise complex sums S_e - shift_e M_e, which it must
+give to round-off), and the hybrid preconditioner apply in the six sparse
+products of its formula.
 """
 
 import numpy as np
@@ -141,48 +143,116 @@ def _coo_csr(rows, cols, vals, n):
     return a
 
 
-def _coo_impedance(nodes, elements, shifts, edges, edge_coeffs, n):
+def oracle_split(coeff, element_ids=None):
+    """(s, w) with shift_e = s * w_e: (k^2 + i eps, 1) or (1 + i rho, (omega/c_e)^2)."""
+    c = coeff.wavespeed.values
+    if element_ids is not None:
+        c = c[element_ids]
+    if coeff.shift_mode == "additive_eps":
+        k = coeff.omega / coeff.wavespeed.values[0]
+        return complex(k * k, coeff.shift_value), np.ones(len(c))
+    return complex(1.0, coeff.shift_value), (coeff.omega / c) ** 2
+
+
+def _edge_triplets(nodes, edges, edge_coeffs):
+    p0, p1 = nodes[edges[:, 0]], nodes[edges[:, 1]]
+    w = edge_coeffs * np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
+    return (edges[:, [0, 0, 1, 1]].ravel(), edges[:, [0, 1, 0, 1]].ravel(),
+            np.stack([w / 3.0, w / 6.0, w / 6.0, w / 3.0], axis=1).ravel())
+
+
+def _coo_shift_free(nodes, elements, weights, n):
+    """CSR sum of the broadcast blocks S_e + i w_e M_e: real part S, imaginary
+    part M_w."""
+    r, c, stiff, mass = broadcast_element_blocks(nodes, elements)
+    v = np.empty(stiff.shape, np.complex128)
+    v.real = stiff
+    v.imag = np.asarray(weights)[:, None, None] * mass
+    return _coo_csr(r, c, v.ravel(), n)
+
+
+def _coo_split(nodes, elements, s, weights, edges, edge_coeffs, n):
+    """S - s M_w - i B: the COO sum of the broadcast S_e + i w_e M_e, the
+    boundary mass added into its entries edge triplet by edge triplet, then
+    one combination."""
+    K = _coo_shift_free(nodes, elements, weights, n)
+    rows = np.repeat(np.arange(n), np.diff(K.indptr))
+    where = {(i, j): p for p, (i, j) in enumerate(zip(rows, K.indices))}
+    b = np.zeros(K.nnz)
+    for i, j, v in zip(*_edge_triplets(nodes, edges, edge_coeffs)):
+        b[where[i, j]] += v
+    return sp.csr_matrix((K.data.real - s * K.data.imag - 1j * b, K.indices, K.indptr),
+                         shape=K.shape)
+
+
+def _coo_elementwise(nodes, elements, shifts, edges, edge_coeffs, n):
     """CSR of sum_e (S_e - shift_e M_e) - i sum_edges coeff * (edge mass)
     from the broadcast blocks, element triplets first, in complex arithmetic."""
     r, c, stiff, mass = broadcast_element_blocks(nodes, elements)
     v = (stiff.astype(np.complex128) - shifts[:, None, None] * mass).ravel()
-    p0, p1 = nodes[edges[:, 0]], nodes[edges[:, 1]]
-    w = edge_coeffs * np.hypot(p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1])
-    ev = np.stack([w / 3.0, w / 6.0, w / 6.0, w / 3.0], axis=1).ravel()
-    return _coo_csr(np.concatenate([r, edges[:, [0, 0, 1, 1]].ravel()]),
-                    np.concatenate([c, edges[:, [0, 1, 0, 1]].ravel()]),
+    er, ec, ev = _edge_triplets(nodes, edges, edge_coeffs)
+    return _coo_csr(np.concatenate([r, er]), np.concatenate([c, ec]),
                     np.concatenate([v, -1j * ev]), n)
+
+
+def _global_boundary(mesh, coeff):
+    adj_c = coeff.wavespeed.values[mesh.boundary_edge_elements]
+    return mesh.boundary_edge_nodes, coeff.omega / adj_c
 
 
 def coo_system(mesh, coeff):
     """A_eps from the broadcast element blocks and the global boundary edges."""
-    adj_c = coeff.wavespeed.values[mesh.boundary_edge_elements]
-    return _coo_impedance(mesh.nodes, mesh.elements, coeff.element_shifts(mesh),
-                          mesh.boundary_edge_nodes, coeff.omega / adj_c, mesh.n)
+    return _coo_split(mesh.nodes, mesh.elements, *oracle_split(coeff),
+                      *_global_boundary(mesh, coeff), mesh.n)
+
+
+def elementwise_system(mesh, coeff):
+    """A_eps from the element-wise sums S_e - shift_e M_e."""
+    return _coo_elementwise(mesh.nodes, mesh.elements, oracle_shifts(mesh, coeff),
+                            *_global_boundary(mesh, coeff), mesh.n)
 
 
 def coo_energy(mesh, k):
-    """D_k as the real part of the complex values S_e - (-k^2) M_e."""
+    """D_k = S + k^2 M from the COO sum of the broadcast S_e + i M_e."""
+    K = _coo_shift_free(mesh.nodes, mesh.elements, np.ones(len(mesh.elements)), mesh.n)
+    return sp.csr_matrix((K.data.real + (k * k) * K.data.imag, K.indices, K.indptr),
+                         shape=K.shape)
+
+
+def elementwise_energy(mesh, k):
+    """D_k from the element-wise sums S_e + k^2 M_e."""
     r, c, stiff, mass = broadcast_element_blocks(mesh.nodes, mesh.elements)
-    shifts = np.full(len(mesh.elements), -(k * k), np.complex128)
-    v = (stiff.astype(np.complex128) - shifts[:, None, None] * mass).ravel()
-    return _coo_csr(r, c, v.real, mesh.n)
+    return _coo_csr(r, c, (stiff + (k * k) * mass).ravel(), mesh.n)
 
 
-def coo_local_impedance(mesh, element_ids, coeff):
-    """Impedance subdomain matrix of one element set over its closed nodes
-    (in global order), with its boundary edges (incident to one element of
-    the set) in order of their (smaller, larger) node, each oriented as in
-    its element."""
-    element_ids = np.asarray(element_ids)
+def _local_impedance_args(mesh, element_ids, coeff):
+    """Closed nodes of one element set (in global order), its elements on
+    them, and its boundary edges (incident to one element of the set) in
+    order of their (smaller, larger) node, each oriented as in its element,
+    with their coefficients omega/c."""
     tris = mesh.elements[element_ids]
     nodes_g = np.unique(tris)
     pos = np.searchsorted(nodes_g, tris)
     edges = sorted(_boundary_edges_by_incidence(pos), key=lambda e: (min(e[:2]), max(e[:2])))
     owners = element_ids[[t for _, _, t in edges]]
-    return _coo_impedance(mesh.nodes[nodes_g], pos, coeff.element_shifts(mesh, element_ids),
-                          np.array([(a, b) for a, b, _ in edges]),
-                          coeff.omega / coeff.wavespeed.values[owners], len(nodes_g))
+    return (mesh.nodes[nodes_g], pos, np.array([(a, b) for a, b, _ in edges]),
+            coeff.omega / coeff.wavespeed.values[owners], len(nodes_g))
+
+
+def coo_local_impedance(mesh, element_ids, coeff):
+    """Impedance subdomain matrix of one element set over its closed nodes."""
+    element_ids = np.asarray(element_ids)
+    nodes, pos, edges, edge_coeffs, n = _local_impedance_args(mesh, element_ids, coeff)
+    return _coo_split(nodes, pos, *oracle_split(coeff, element_ids), edges,
+                      edge_coeffs, n)
+
+
+def elementwise_local_impedance(mesh, element_ids, coeff):
+    """The same matrix from the element-wise sums S_e - shift_e M_e."""
+    element_ids = np.asarray(element_ids)
+    nodes, pos, edges, edge_coeffs, n = _local_impedance_args(mesh, element_ids, coeff)
+    return _coo_elementwise(nodes, pos, oracle_shifts(mesh, coeff)[element_ids], edges,
+                            edge_coeffs, n)
 
 
 def dense_energy(mesh, k):

@@ -6,14 +6,15 @@ import pytest
 import scipy.sparse as sp
 from scipy.io import mmread
 
-from helmdd import _kernels, assembly
+from helmdd import _kernels
 from helmdd.assembly import (AssemblyCoefficients, assemble_energy_matrix,
                              assemble_local_impedance, assemble_system, assemble_systems,
                              write_matrix_market)
 from helmdd.mesh import FineMesh, build_fine_mesh, build_wavespeed
 
 from oracles import (assemble_mass_matrix, closed_node_set, coo_energy,
-                     coo_local_impedance, coo_system, dense_energy, dense_system)
+                     coo_local_impedance, coo_system, dense_energy, dense_system,
+                     elementwise_energy, elementwise_local_impedance, elementwise_system)
 
 
 def constant_coeff(mesh, k, eps=0.0):
@@ -24,9 +25,9 @@ def constant_coeff(mesh, k, eps=0.0):
 def test_unit_right_triangle_stiffness_block():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     elements = np.array([[0, 1, 2]], dtype=np.int32)
-    r, c, stiff, mass = _kernels.element_blocks(nodes, elements)
+    r, c, vals = _kernels.element_blocks(nodes, elements, np.array([3.0]))
     S, M = np.zeros((3, 3)), np.zeros((3, 3))
-    S[r, c], M[r, c] = stiff[:, 0], mass[:, 0]
+    S[r, c], M[r, c] = vals.real, vals.imag / 3.0  # imaginary part w_e M_e, w_e = 3
     assert np.allclose(S, 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]]), atol=1e-15)
     assert np.allclose(M, np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0, atol=1e-15)
 
@@ -123,6 +124,15 @@ def _assert_bitwise(a, want):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
+def _assert_round_off(a, want):
+    # the same pattern, and real and imaginary parts within 2 ulp of the
+    # largest of them
+    assert np.array_equal(a.indptr, want.indptr) and np.array_equal(a.indices, want.indices)
+    assert a.dtype == want.dtype
+    x, y = a.data.view(np.float64), want.data.view(np.float64)
+    assert np.abs(x - y).max() <= 2 * np.spacing(np.abs(y).max())
+
+
 def _oracle_meshes():
     """A uniform mesh, and one whose gridlines are cut at non-uniform breaks."""
     return [build_fine_mesh(1, "explicit", m=13),
@@ -146,7 +156,9 @@ _ORACLE_IDS = ["constant", "centered-square", "breaks-constant", "breaks-centere
 
 @pytest.mark.parametrize("case", range(4), ids=_ORACLE_IDS)
 def test_systems_of_several_shifts_bitwise_one_pass_each(case):
-    # each shift bitwise its own COO assembly of the (E, 3, 3) broadcast blocks
+    # each shift bitwise the combination of its COO sum of the (E, 3, 3)
+    # broadcast blocks S_e + i w_e M_e and boundary mass, and the element-wise
+    # sums S_e - shift_e M_e to round-off
     mesh, coeff, shifts = _oracle_cases()[case]
     mats = assemble_systems(mesh, coeff, shifts)
     assert mats[0] is mats[2]  # an equal shift gives the same matrix
@@ -156,12 +168,40 @@ def test_systems_of_several_shifts_bitwise_one_pass_each(case):
         want = coo_system(mesh, replace(coeff, shift_value=shift))
         _assert_bitwise(A, want)
         _assert_bitwise(assemble_system(mesh, replace(coeff, shift_value=shift)), want)
+        _assert_round_off(A, elementwise_system(mesh, replace(coeff, shift_value=shift)))
+
+
+@pytest.mark.parametrize("rho_mode", [False, True], ids=["eps", "rho"])
+def test_systems_convert_the_element_triplets_once(rho_mode, monkeypatch):
+    mesh = _oracle_meshes()[1]
+    if rho_mode:
+        ws = build_wavespeed(mesh, "centered-square", c_star=0.66)
+        coeff = AssemblyCoefficients(omega=8.0, wavespeed=ws, shift_mode="multiplicative_rho")
+        shifts = (0.0, 0.3, 8.0 ** -0.4, 0.3)
+    else:
+        coeff, shifts = constant_coeff(mesh, 9.0), (0.0, 9.0, 9.0 ** 1.2, 9.0)
+    conversions = []
+    tocsr = sp.coo_matrix.tocsr
+
+    def counted(self, *args, **kwargs):
+        conversions.append(self.nnz)
+        return tocsr(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.coo_matrix, "tocsr", counted)
+    mats = assemble_systems(mesh, coeff, shifts)
+    assert conversions == [9 * len(mesh.elements)]  # one conversion, of the element triplets
+    assert mats[3] is mats[1]  # an equal shift gives the same matrix
+    assert len({id(A) for A in mats}) == 3
+    for A in mats[1:]:
+        assert A.indices is mats[0].indices and A.indptr is mats[0].indptr
 
 
 @pytest.mark.parametrize("mesh", _oracle_meshes(), ids=["uniform", "breaks"])
 def test_energy_matrix_bitwise_oracle(mesh):
     for k in (1.0, 6.0, 30.0):
-        _assert_bitwise(assemble_energy_matrix(mesh, k), coo_energy(mesh, k))
+        D = assemble_energy_matrix(mesh, k)
+        _assert_bitwise(D, coo_energy(mesh, k))
+        _assert_round_off(D, elementwise_energy(mesh, k))
 
 
 @pytest.mark.parametrize("case", range(4), ids=_ORACLE_IDS)
@@ -174,6 +214,7 @@ def test_local_impedance_bitwise_oracle(case):
     batch = assemble_local_impedance(mesh, sets, coeff)
     for s, elems in enumerate(sets):
         _assert_bitwise(batch.block(s), coo_local_impedance(mesh, elems, coeff))
+        _assert_round_off(batch.block(s), elementwise_local_impedance(mesh, elems, coeff))
 
 
 def test_index_dtype_rule_and_int64_fallback():
@@ -184,14 +225,16 @@ def test_index_dtype_rule_and_int64_fallback():
     adj_c = coeff.wavespeed.values[mesh.boundary_edge_elements]
     runs = []
     for n in (mesh.n, 2**31 - 1):
-        rows, cols, stiff, mass, vals = assembly._triplets(
-            mesh.nodes, mesh.elements, mesh.boundary_edge_nodes,
-            coeff.edge_impedance(adj_c), n)
-        _kernels.element_system_values(stiff, mass, coeff.element_shifts(mesh), vals)
-        runs.append((rows, cols, stiff, mass, vals))
+        # the element triplets of an n-row matrix; the edge triplets of its index dtype
+        idx = _kernels.index_dtype(n)
+        runs.append(_kernels.element_blocks(mesh.nodes, mesh.elements.astype(idx),
+                                            coeff.mass_weights(mesh))
+                    + _kernels.edge_mass_triplets(mesh.nodes,
+                                                  mesh.boundary_edge_nodes.astype(idx),
+                                                  coeff.edge_impedance(adj_c)))
     small, large = runs
-    assert small[0].dtype == small[1].dtype == np.int32
-    assert large[0].dtype == large[1].dtype == np.int64
+    assert small[0].dtype == small[1].dtype == small[3].dtype == small[4].dtype == np.int32
+    assert large[0].dtype == large[1].dtype == large[3].dtype == large[4].dtype == np.int64
     for a, b in zip(small, large):
         assert np.array_equal(a, b) and (a.dtype.kind == "i" or a.tobytes() == b.tobytes())
 
