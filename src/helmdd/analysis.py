@@ -12,9 +12,7 @@ a Ritz residual bounds the gap to some eigenvalue, not to the top one, so
 the distance is proven at theta* alone: mu = lam + eta is an upper bound of
 lambda_max(H(theta*)) when the Cholesky of mu I - H(theta*) succeeds, and
 otherwise the top pair of the full H(theta*) is solved directly.  A missed
-top eigenvector can thus only cost time, never inflate the estimate.  The
-distance to the convex hull of the traced boundary points is kept as an
-upper cross-check.
+top eigenvector can thus only cost time, never inflate the estimate.
 
 The weight D stays sparse from preconditioned_operator on.  Its banded
 Cholesky factor L (D's bandwidth, 26 at k=8) gives the similarity transform
@@ -77,7 +75,6 @@ class FovEstimate:
     beta: float              # angle with cos(beta) = dist / norm
     certified: bool
     angles_used: int
-    hull_dist: float         # distance to hull of traced boundary points (upper)
 
 
 def _banded_cholesky(D):
@@ -170,8 +167,7 @@ class _SubspaceSweep:
     Cs = U^H Ct U, whose Hermitian part is the projected H(t), in arrays of
     max_basis columns allocated once; the properties are views of the first
     size columns.  The top Ritz pair of an angle is solved once per basis
-    size (_pair) and cached; the latest pair of each angle stays readable
-    after an append, since appending leaves the first columns unchanged.
+    size (_pair) and cached.
     """
 
     def __init__(self, Ct, rng, max_basis=260):
@@ -236,15 +232,6 @@ class _SubspaceSweep:
         """(lam, Ritz vector y, residual norm eta) at the current basis size."""
         lam, y = self._pair(theta)
         return lam, y, float(np.linalg.norm(self.residual_vector(theta, y, lam)))
-
-    def boundary_points(self, thetas):
-        """Rayleigh quotients x^H Ct x of each angle's latest Ritz vector
-        x = U y, with Ct x = CU y: points of the field of values."""
-        z = np.empty(len(thetas), dtype=complex)
-        for j, t in enumerate(thetas):
-            y = self._pairs[t][2]
-            z[j] = np.vdot(self._U[:, :len(y)] @ y, self._CU[:, :len(y)] @ y)
-        return z
 
     def residual_vector(self, theta, y, lam):
         """H(theta) U y - lam U y, from the stored images of U."""
@@ -372,42 +359,6 @@ def _norm2_upper(Ct):
     return math.sqrt(max(lam + eta, 0.0))
 
 
-def _hull_distance(points):
-    """Distance from the origin to the convex hull of 2-D points (0 if inside)."""
-    from scipy.spatial import ConvexHull, QhullError
-
-    pts = np.column_stack([points.real, points.imag])
-    polygon = True
-    try:
-        hull = ConvexHull(pts)
-        verts = pts[hull.vertices]  # counterclockwise
-    except QhullError:  # collinear set: no 2-D hull, just a segment of points
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        verts = pts[order]
-        polygon = False
-    nv = len(verts)
-    if polygon and nv >= 3:
-        inside = True
-        for i in range(nv):
-            a = verts[i]
-            b = verts[(i + 1) % nv]
-            e = b - a
-            if e[0] * (-a[1]) - e[1] * (-a[0]) < 0:  # origin right of a CCW edge
-                inside = False
-                break
-        if inside:
-            return 0.0
-    best = np.inf
-    for i in range(nv):
-        a = verts[i]
-        b = verts[(i + 1) % nv] if nv > 1 else a
-        ab = b - a
-        denom = float(ab @ ab)
-        t = 0.0 if denom == 0 else float(np.clip(-(a @ ab) / denom, 0.0, 1.0))
-        best = min(best, float(np.linalg.norm(a + t * ab)))
-    return best
-
-
 def fov_distance(C, D=None, *, weight="D", tag="", angles=256, size_cap=SIZE_CAP):
     """FovEstimate for dist(0, W_D(C)) and ||C||_D via boundary tracing.
 
@@ -443,7 +394,6 @@ def fov_distance(C, D=None, *, weight="D", tag="", angles=256, size_cap=SIZE_CAP
 
     t_best = thetas[int(np.argmin(lam))]
     l, _, eta = sweep.ritz(t_best)
-    hull = _hull_distance(sweep.boundary_points(thetas))
     del sweep  # freed before the proof allocates its n x n matrices
     if not _top_below(Ct, t_best, l + eta):  # the subspace missed the top pair
         l, eta = _dense_angle_results(Ct, [t_best])[t_best]
@@ -451,7 +401,7 @@ def fov_distance(C, D=None, *, weight="D", tag="", angles=256, size_cap=SIZE_CAP
     cosb = min(dist / norm, 1.0) if norm > 0 else 0.0
     return FovEstimate(tag=tag, dist_to_origin=dist, norm=norm,
                        beta=math.acos(cosb), certified=dist > _CERTIFY_RTOL * norm,
-                       angles_used=len(thetas), hull_dist=hull)
+                       angles_used=len(thetas))
 
 
 def check_gmres_bound(C, D, b=None, *, est=None, max_iters=None, seed=0, tag=""):

@@ -98,6 +98,8 @@ def _cmd_run(args):
 
 
 def _cmd_solve(args):
+    if args.alpha_inner is not None and args.nested is None:
+        raise ValueError("--alpha-inner needs --nested")
     nesting = None
     if args.nested is not None:
         # an explicit 0 is valid: k^0 = 1, a single inner block

@@ -122,13 +122,17 @@ def _decomposition_from_breaks(mesh, bx, by, coarse_interp=None, layout=None):
 
 
 def build_coarse_interpolation(mesh, layout):
-    """R0 with (R0)_{pj} = coarse hat p evaluated at fine node j."""
+    """R0 with (R0)_{pj} = coarse hat p evaluated at fine node j.  Its values
+    are real, held complex: a product of a real sparse matrix with a complex
+    operand casts the matrix's values to complex on every call (scipy's
+    sparsetools), exactly, so the products are those of the real R0 bitwise."""
     r, c, v = _kernels.coarse_hat_triplets(mesh.nodes,
                                            mesh.xs[layout.breaks_x],
                                            mesh.ys[layout.breaks_y])
     nc = (layout.M + 1) ** 2
     idx = _kernels.index_dtype(max(nc, mesh.n))
-    r0 = sp.coo_matrix((v, (r.astype(idx), c.astype(idx))), shape=(nc, mesh.n)).tocsr()
+    r0 = sp.coo_matrix((v.astype(np.complex128), (r.astype(idx), c.astype(idx))),
+                       shape=(nc, mesh.n)).tocsr()
     r0.sum_duplicates()
     r0.eliminate_zeros()
     r0.sort_indices()

@@ -130,6 +130,17 @@ def _check_budget(cfg, m):
             f"estimated {est / 1e9:.1f} GB for n={n} exceeds the memory budget")
 
 
+def _refuse_unused_settings(cfg):
+    """ValueError for a setting the configuration cannot use: a run would
+    otherwise drop it and report a configuration it did not solve."""
+    if cfg.mesh_cells is not None and cfg.mesh_rule != "explicit":
+        raise ValueError(f"mesh_cells needs the explicit mesh rule, not {cfg.mesh_rule!r}")
+    if cfg.c_star != 1.0 and cfg.scenario == "constant":
+        raise ValueError(f"c_star={cfg.c_star} needs a square scenario, not constant")
+    if cfg.eps_prob_beta is not None and cfg.shift_family == "multiplicative":
+        raise ValueError("eps_prob_beta needs the additive shift family, not multiplicative")
+
+
 def _anchored_layout(mesh, k, alpha, anchors):
     """Interface-resolving coarse layout: picks the cell count nearest
     ceil(k^alpha) for which forcing the square's gridlines into the grid still
@@ -190,6 +201,7 @@ def build_problem(cfg):
     """Mesh, decomposition (with its coarse layout), wave speed and the system
     and preconditioner matrices of one configuration (after the size guards)."""
     t0 = time.perf_counter()
+    _refuse_unused_settings(cfg)
     k = float(cfg.k)
     m = cells_for_rule(k, cfg.mesh_rule, m=cfg.mesh_cells)
     _check_budget(cfg, m)

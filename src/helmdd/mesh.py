@@ -62,14 +62,7 @@ class FineMesh:
         self.elements[0::2] = np.stack([nsw, nsw + 1, nsw + m + 2], axis=1)
         self.elements[1::2] = np.stack([nsw, nsw + m + 2, nsw + m + 1], axis=1)
 
-        ix = np.arange(m + 1)
         edge = np.arange(m)
-        self.boundary_nodes = np.unique(np.concatenate([
-            ix,                                # south row
-            m * (m + 1) + ix,                  # north row
-            ix * (m + 1),                      # west column
-            ix * (m + 1) + m,                  # east column
-        ]))
         # edges ordered counterclockwise: south, east, north, west
         n0 = np.concatenate([edge,
                              edge * (m + 1) + m,
@@ -80,7 +73,6 @@ class FineMesh:
                              m * (m + 1) + edge,
                              edge * (m + 1)])
         self.boundary_edge_nodes = np.column_stack([n0, n1])
-        self.boundary_edge_sides = np.repeat(np.arange(4), m)
         self.boundary_edge_elements = np.concatenate([
             2 * edge,                          # lower triangle of cell (i, 0)
             2 * (edge * m + m - 1),            # lower triangle of cell (m-1, j)
@@ -91,16 +83,6 @@ class FineMesh:
     @property
     def n(self):
         return (self.m + 1) ** 2
-
-    def node_id(self, ix, iy):
-        return iy * (self.m + 1) + ix
-
-    def element_areas(self):
-        p0 = self.nodes[self.elements[:, 0]]
-        p1 = self.nodes[self.elements[:, 1]]
-        p2 = self.nodes[self.elements[:, 2]]
-        return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                      - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
 
     def element_centroids(self):
         return self.nodes[self.elements].mean(axis=1)

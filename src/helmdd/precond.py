@@ -324,16 +324,11 @@ class CoarseSolve:
     vector back; R0AT, the transposed view of R0A, is A R0^T when A^T = A.
     Both views are CSC matrices sharing their CSR matrix's arrays.
 
-    R0 is held complex: a product of a real sparse matrix with a complex
-    vector casts the matrix's values to complex on every call (scipy's
-    sparsetools), and the cast is exact, so the products equal those of the
-    real R0 bitwise.
-
     apply runs the coarse solve (zgemm, SuperLU or a nested GMRES) with
     scipy's BLAS on one thread (_one_blas_thread)."""
 
     def __init__(self, coarse_interp, solver, system_matrix=None):
-        self.R0 = coarse_interp.astype(np.complex128)
+        self.R0 = coarse_interp
         self.R0T = self.R0.T
         self.R0A = self.R0AT = None
         if system_matrix is not None:
@@ -395,11 +390,6 @@ class PreconditionerOperator:
 
     def inner_failures(self):
         return sum(s.failures for s in self.nested)
-
-    def reset_stats(self):
-        for s in self.nested:
-            s.inner_counts = []
-            s.failures = 0
 
     def to_dense(self):
         """Dense action matrix (exact solves only), for desk-scale analysis:

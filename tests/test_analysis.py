@@ -30,7 +30,6 @@ def test_hermitian_interval():
     assert est.dist_to_origin == pytest.approx(2.0, abs=1e-8)
     assert est.norm == pytest.approx(5.0, abs=1e-10)
     assert est.certified
-    assert est.hull_dist == pytest.approx(2.0, abs=1e-6)
 
 
 def test_segment_one_to_i():
@@ -43,7 +42,6 @@ def test_origin_enclosed_not_certified():
     est = fov_distance(np.diag([1.0, -1.0]).astype(complex))
     assert est.dist_to_origin == 0.0
     assert not est.certified
-    assert est.hull_dist == 0.0
 
 
 def test_angle_minimum_count():
@@ -86,14 +84,6 @@ def test_rayleigh_sample_floor():
     est = fov_distance(C, D)
     samples = rayleigh_samples(C, D, num=10000, seed=1)
     assert samples.min() >= est.dist_to_origin - 1e-6 * est.norm
-
-
-def test_support_and_hull_agree_on_small_instances():
-    rng = np.random.default_rng(7)
-    for seed in range(3):
-        C = np.diag(rng.uniform(1, 3, 12)) + 0.2j * rng.standard_normal((12, 12))
-        est = fov_distance(C)
-        assert abs(est.hull_dist - est.dist_to_origin) <= 1e-6 * est.norm + 1e-10
 
 
 def test_gmres_bound_identity():
@@ -381,6 +371,16 @@ def test_sweep_agrees_with_eigvalsh_oracle():
         ref = np.linalg.eigvalsh(_rotated_hermitian_part(Ct, theta))[-1]
         assert lam == pytest.approx(ref, rel=1e-12)
         assert 0.0 < eta <= 1e-12 * est.norm  # the pair's own residual
+
+
+def test_small_instances_agree_with_eigvalsh_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        C = np.diag(rng.uniform(1, 3, 12)) + 0.2j * rng.standard_normal((12, 12))
+        est = fov_distance(C)
+        oracle = _eigvalsh_oracle(C)
+        assert est.dist_to_origin == pytest.approx(oracle, abs=1e-8 * est.norm)
+        assert est.dist_to_origin <= oracle + 1e-12 * est.norm
 
 
 def test_distance_never_exceeds_oracle_when_ritz_residuals_lie(monkeypatch):

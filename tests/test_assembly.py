@@ -367,7 +367,8 @@ def test_galerkin_consistency_plane_wave():
         q = (q + 1) / 2
         w = w / 2
         normals = {0: (0, -1), 1: (1, 0), 2: (0, 1), 3: (-1, 0)}
-        for (a, b), side in zip(mesh.boundary_edge_nodes, mesh.boundary_edge_sides):
+        sides = np.repeat(np.arange(4), m)  # m edges each: south, east, north, west
+        for (a, b), side in zip(mesh.boundary_edge_nodes, sides):
             pa, pb = mesh.nodes[a], mesh.nodes[b]
             L = np.linalg.norm(pb - pa)
             nx = normals[side][0]

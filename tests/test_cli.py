@@ -165,6 +165,24 @@ def test_solve_keeps_explicit_alpha_inner_zero(target, monkeypatch, capsys):
     assert seen[0].nesting.alpha_inner == 0.0
 
 
+@pytest.mark.parametrize("extra, named", [
+    (["--mesh-cells", "40"], "mesh_cells"),
+    (["--alpha-inner", "0.3"], "--alpha-inner"),
+    (["--c-star", "1.5"], "c_star"),
+    (["--shift-family", "multiplicative", "--eps-prob-beta", "1.2"], "eps_prob_beta"),
+], ids=["mesh-cells-pollution-free", "alpha-inner-unnested", "c-star-constant",
+        "eps-prob-beta-multiplicative"])
+def test_solve_refuses_settings_it_cannot_use(extra, named, monkeypatch, capsys):
+    # each setting used to be dropped, and the run solved another configuration
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a refused configuration built a mesh")
+
+    monkeypatch.setattr(harness, "build_fine_mesh", no_mesh)
+    code, out, err = run_cli(["solve", "--k", "6", *extra], capsys)
+    assert code == 1
+    assert out == "" and named in err
+
+
 def _converged_row_with_note(cfg):
     return harness.ResultRow(**harness._config_columns(cfg), n=81, outer_iters=7,
                              converged=True, final_relres=3e-6,

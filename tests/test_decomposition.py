@@ -18,6 +18,11 @@ def make(m, M):
     return mesh, layout
 
 
+def node(mesh, ix, iy):
+    """Id of grid node (ix, iy): FineMesh numbers the nodes row by row."""
+    return iy * (mesh.m + 1) + ix
+
+
 def owners(dec, j):
     """Ids of the subdomains owning node j, and their weights there."""
     subs, wts = [], []
@@ -99,13 +104,13 @@ def test_ras_weights_values_and_partition_of_unity():
     dec = build_decomposition(mesh, layout)
     g = 4  # coarse cell width in fine cells
     # strict interior of a coarse cell: single owner, weight 1
-    subs, wt = owners(dec, mesh.node_id(1, 1))
+    subs, wt = owners(dec, node(mesh, 1, 1))
     assert len(subs) == 1 and wt[0] == 1.0
     # interior coarse edge node (not corner): two owners at 1/2
-    subs, wt = owners(dec, mesh.node_id(g, 1))
+    subs, wt = owners(dec, node(mesh, g, 1))
     assert sorted(subs) == [0, 1] and np.all(wt == 0.5)
     # interior coarse corner: four owners at 1/4
-    subs, wt = owners(dec, mesh.node_id(g, g))
+    subs, wt = owners(dec, node(mesh, g, g))
     assert sorted(subs) == [0, 1, 3, 4] and np.all(wt == 0.25)
     # partition of unity at every node, boundary included
     total = np.zeros(mesh.n)
@@ -207,7 +212,7 @@ def test_coarse_interpolation_structure():
     nnz_per_col = np.diff(R0.tocsc().indptr)
     assert nnz_per_col.max() <= 4
     for p, (bx, by) in enumerate((x, y) for y in layout.breaks_y for x in layout.breaks_x):
-        j = mesh.node_id(bx, by)
+        j = node(mesh, bx, by)
         col = R0[:, j].toarray().ravel()
         assert col[p] == 1.0 and np.count_nonzero(col) == 1
 

@@ -27,7 +27,7 @@ def test_smallest_mesh():
     m = build_fine_mesh(1, "explicit", m=1)
     assert m.n == 4
     assert len(m.elements) == 2
-    assert set(m.boundary_nodes) == {0, 1, 2, 3}
+    assert set(m.boundary_edge_nodes.ravel()) == {0, 1, 2, 3}
 
 
 def test_rule_validation():
@@ -42,11 +42,14 @@ def test_rule_validation():
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 12])
 def test_element_areas_and_boundary(m):
     mesh = build_fine_mesh(1, "explicit", m=m)
-    areas = mesh.element_areas()
+    p0, p1, p2 = (mesh.nodes[mesh.elements[:, i]] for i in range(3))
+    areas = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+                   - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
     assert np.allclose(areas, 1.0 / (2 * m * m), rtol=0, atol=1e-15)
     assert abs(areas.sum() - 1.0) < 1e-12
-    assert len(mesh.boundary_nodes) == 4 * m
-    xy = mesh.nodes[mesh.boundary_nodes]
+    boundary_nodes = np.unique(mesh.boundary_edge_nodes)
+    assert len(boundary_nodes) == 4 * m
+    xy = mesh.nodes[boundary_nodes]
     on_edge = (xy == 0.0) | (xy == 1.0)
     assert np.all(on_edge.any(axis=1))
 
@@ -58,7 +61,7 @@ def test_node_element_incidence():
     np.add.at(counts, mesh.elements.ravel(), 1)
     for ix in range(m + 1):
         for iy in range(m + 1):
-            c = counts[mesh.node_id(ix, iy)]
+            c = counts[iy * (m + 1) + ix]
             corner = (ix in (0, m)) and (iy in (0, m))
             edge = (ix in (0, m)) or (iy in (0, m))
             if corner:
