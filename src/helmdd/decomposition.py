@@ -72,6 +72,12 @@ def _templates(m, w, h, west, east, south, north, gw, gh, w_shared, e_shared,
     return elements, interior, closed, own, np.outer(wy, wx).ravel()
 
 
+def overlap_layers(bx, by):
+    """l_ov of the cover by the extended cells between the breaks bx, by:
+    (g_min - 1) // 2, where the narrowest cell is g_min fine cells wide."""
+    return (int(min(np.diff(bx).min(), np.diff(by).min())) - 1) // 2
+
+
 def _decomposition_from_breaks(mesh, bx, by, coarse_interp=None, layout=None):
     """Cover of the rectangle (bx[0], bx[-1], by[0], by[-1]) by the extended
     cells between the breaks.  Each field of the subdomains sharing a
@@ -82,11 +88,10 @@ def _decomposition_from_breaks(mesh, bx, by, coarse_interp=None, layout=None):
     rx0, rx1, ry0, ry1 = bx[0], bx[-1], by[0], by[-1]
     mx = len(bx) - 1
     my = len(by) - 1
-    g_min = int(min(np.diff(bx).min(), np.diff(by).min()))
-    l_ov = (g_min - 1) // 2
+    l_ov = overlap_layers(bx, by)
     degenerate = l_ov == 0
     if degenerate:
-        warnings.warn(f"coarse cells only {g_min} fine cell(s) wide: no overlap "
+        warnings.warn("coarse cells under 3 fine cells wide: no overlap "
                       "(subdomain interiors do not cover the mesh)", stacklevel=3)
 
     # subdomain id = cj * mx + ci

@@ -21,7 +21,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .assembly import AssemblyCoefficients, assemble_systems
-from .decomposition import Decomposition, build_decomposition
+from .decomposition import Decomposition, build_decomposition, overlap_layers
 from .krylov import KrylovConfig, gmres
 from .mesh import (DegenerateLayoutError, FineMesh, build_coarse_layout,
                    build_fine_mesh, build_wavespeed, cells_for_rule, layout_from_blocks,
@@ -212,11 +212,10 @@ def build_problem(cfg):
         layout = _anchored_layout(mesh, k, cfg.alpha, (ax0, ax1))
     else:
         layout = build_coarse_layout(mesh, k, cfg.alpha)
-    decomp = build_decomposition(mesh, layout)
-
     scenario = _config_columns(cfg)["scenario"].replace("-", "_")
-    # the shifted square moves north-west by the overlap
-    offset = decomp.overlap_layers if scenario == "shifted_square" else 0
+    # the shifted square moves north-west by the decomposition's overlap
+    offset = (overlap_layers(layout.breaks_x, layout.breaks_y)
+              if scenario == "shifted_square" else 0)
     ws = build_wavespeed(mesh, scenario, c_star=cfg.c_star, offset=offset)
 
     family, shift_prob, shift_prec = _shift_values(cfg)
@@ -224,7 +223,10 @@ def build_problem(cfg):
                                       shift_value=shift_prob)
     coeff_prec = AssemblyCoefficients(omega=k, wavespeed=ws, shift_mode=family,
                                       shift_value=shift_prec)
+    # assembled first: the decomposition's R0 is not alive through the
+    # assembly's peak
     A_sys, A_prec = assemble_systems(mesh, coeff_prob, (shift_prob, shift_prec))
+    decomp = build_decomposition(mesh, layout)
     return Problem(mesh, decomp, scenario, coeff_prec, A_sys, A_prec,
                    time.perf_counter() - t0)
 

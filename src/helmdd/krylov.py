@@ -15,9 +15,13 @@ on the columns still active, while Gram-Schmidt, the Givens rotations and the
 convergence test are per column.  A column freezes once it converges or
 reaches max_iters (then it counts as not converged).  A vector hands (n,)
 vectors to the operator and preconditioner, a block hands (n, g) blocks of
-its active columns.  V (Z too) and the rotated Hessenberg R are allocated
-once, max_iters steps deep, step axis first (V[j] is step j of every column):
-only the steps a solve writes become resident; a freeze copies only those.
+its active columns.  An operator or preconditioner whose column_aware
+attribute is true is also told which columns of b a block holds (act, in
+ascending order), so that it can treat groups of columns differently; any
+other is called with the block alone.  V (Z too) and the rotated Hessenberg
+R are allocated once, max_iters steps deep, step axis first (V[j] is step j
+of every column): only the steps a solve writes become resident; a freeze
+copies only those, of the columns that move.
 """
 
 from dataclasses import dataclass
@@ -76,6 +80,14 @@ def _as_apply(M):
     return M
 
 
+def _by_columns(op, f):
+    """f as a function of (block, act): a column-aware op gets both, any
+    other op the block only."""
+    if f is None or getattr(op, "column_aware", False):
+        return f
+    return lambda v, act: f(v)
+
+
 def gmres(A, preconditioner, b, config=None):
     """GMRES of the config's variant (standard, weighted or flexible).  For a
     vector b returns (x, KrylovReport); for a block b of G columns returns
@@ -98,15 +110,17 @@ def _rowdots(x, y):
 
 
 def _compacted(a, keep, depth):
-    """a with the columns keep (axis 1) moved to the front; copies depth steps."""
-    a[:depth, :len(keep)] = a[:depth, keep]
+    """a with the columns keep (ascending, axis 1) moved to the front; copies
+    depth steps of the columns after the first dropped one."""
+    lo = int(np.searchsorted(keep - np.arange(len(keep)), 0, side="right"))
+    a[:depth, lo:len(keep)] = a[:depth, keep[lo:]]
     return a[:, :len(keep)]
 
 
 def _solve(A, M, b, cfg):
     flexible = cfg.variant == "fgmres"
-    matvec = _as_matvec(A)
-    apply_m = _as_apply(M)
+    matvec = _by_columns(A, _as_matvec(A))
+    apply_m = _by_columns(M, _as_apply(M))
     if apply_m is not None and cfg.side == "none":
         raise ValueError("side='none' does not take a preconditioner")
     if getattr(M, "flexible", False) and not flexible:
@@ -121,20 +135,22 @@ def _solve(A, M, b, cfg):
     B = b[None] if vector else np.ascontiguousarray(b.T)  # rows (G, n)
     G, n = B.shape
 
-    def call(f, rows):
-        """f on a block of rows (g, n), as (n,) for a vector, else as (n, g)."""
+    def call(f, rows, cols):
+        """f on a block of rows (g, n) of the columns cols, as (n,) for a
+        vector, else as (n, g)."""
         if vector:
-            return np.asarray(f(rows[0]), dtype=np.complex128)[None]
-        return np.ascontiguousarray(np.asarray(f(rows.T), dtype=np.complex128).T)
+            return np.asarray(f(rows[0], cols), dtype=np.complex128)[None]
+        return np.ascontiguousarray(np.asarray(f(rows.T, cols), dtype=np.complex128).T)
 
     def wdot(w):
-        return call(lambda v: weight @ v, w) if weight is not None else w
+        return call(lambda v, _: weight @ v, w, None) if weight is not None else w
 
     def wnorms(w, t):
         return np.sqrt(np.maximum(_rowdots(w, t).real, 0.0))
 
+    every = np.arange(G)
     bnorm = np.linalg.norm(B, axis=1)
-    R0 = call(apply_m, B) if left else B
+    R0 = call(apply_m, B, every) if left else B
     beta = wnorms(R0, wdot(R0))
     act = np.flatnonzero((beta > 0) & (bnorm > 0))  # columns still iterating
 
@@ -160,14 +176,14 @@ def _solve(A, M, b, cfg):
     for j in range(mx if len(act) else 0):
         u = V[j]
         if keep_z:
-            Z[j] = call(apply_m, u)
-            w = call(matvec, Z[j])
+            Z[j] = call(apply_m, u, act)
+            w = call(matvec, Z[j], act)
         elif right:
-            w = call(matvec, call(apply_m, u))
+            w = call(matvec, call(apply_m, u, act), act)
         elif left:
-            w = call(apply_m, call(matvec, u))
+            w = call(apply_m, call(matvec, u, act), act)
         else:
-            w = call(matvec, u)
+            w = call(matvec, u, act)
 
         # classical Gram-Schmidt in the weighted inner product, with one
         # re-orthogonalisation pass for the columns whose orthogonality loss
@@ -230,8 +246,8 @@ def _solve(A, M, b, cfg):
             Z = _compacted(Z, keep, j + 1) if keep_z else None
         V[j + 1] = w / hh[:, None]
 
-    X = call(apply_m, Y) if right and not flexible and iters.any() else Y
-    res = B - call(matvec, X)
+    X = call(apply_m, Y, every) if right and not flexible and iters.any() else Y
+    res = B - call(matvec, X, every)
     true_rel = np.linalg.norm(res, axis=1) / np.where(bnorm > 0, bnorm, np.inf)
     reports = [KrylovReport(bool(converged[c]), int(iters[c]),
                             hist[c, :iters[c] + 1].copy() if iters[c] else np.array([0.0]),

@@ -16,15 +16,18 @@ identity column blocks, so the analysis studies the operator GMRES applies.
 The coarse solve, the local impedance solves, or both may be nested: an inner
 GMRES (NestedSolver) preconditioned by a one-level ImpRAS1 over blocks of
 diameter ~k^-alpha_inner of a cell rectangle (the subdomain's, or the whole
-coarse mesh), both built by _nested_solver.  A nested solver takes the block
-of columns of one class call and solves them in one lockstep GMRES, whose
-columns stop one by one.  build_preconditioner takes either nesting as a dict of the same
-keywords (k, alpha_inner, tol, max_iters).  A nested local solve is per class
-of equal local matrices, as a factorisation is, and the classes share the
-factorisations of their equal inner blocks.  The operator lists its nested
-solvers in one place, PreconditionerOperator.nested; they hold its inner
-iteration counts and failures, and any of them makes the operator vary per
-application (flexible), so it must sit under flexible outer GMRES.
+coarse mesh), both built by _nested_solver.  A nested solver solves a block
+of columns in one lockstep GMRES, whose columns stop one by one.
+build_preconditioner takes either nesting as a dict of the same keywords (k,
+alpha_inner, tol, max_iters).  A nested local solve is per class of equal
+local matrices, as a factorisation is, and the classes share the
+factorisations of their equal inner blocks.  An apply solves the columns of
+every class in one inner GMRES (_NestedClasses, entered through
+NestedSolver.solve), each padded with zero rows to the largest class, with
+one solve per shared block factorisation and inner step.  The operator lists
+its nested solvers in one place, PreconditionerOperator.nested; they hold
+its inner iteration counts and failures, and any of them makes the operator
+vary per application (flexible), so it must sit under flexible outer GMRES.
 """
 
 import contextlib
@@ -154,12 +157,21 @@ class DirectFactorization:
                 raise SingularMatrixError(str(exc)) from exc
             self.fill_nnz = self._splu.L.nnz + self._splu.U.nnz
 
-    def solve(self, rhs):
+    def solve(self, rhs, out=None):
+        """The solution of rhs, a vector or a block; out, if given, is an
+        array of the block's shape that receives it (a dense solve writes a
+        Fortran-ordered out in place)."""
         if not self._dense:
-            return self._splu.solve(rhs)
-        rhs = np.asarray_chkfinite(rhs)  # ValueError on NaN/inf, as lu_solve
-        x = sla.blas.zgemm(1.0, self._inv, rhs if rhs.ndim == 2 else rhs[:, None])
-        return x.reshape(rhs.shape)
+            x = self._splu.solve(rhs)
+        else:
+            rhs = np.asarray_chkfinite(rhs)  # ValueError on NaN/inf, as lu_solve
+            if rhs.ndim == 1:
+                return sla.blas.zgemm(1.0, self._inv, rhs[:, None])[:, 0]
+            x = sla.blas.zgemm(1.0, self._inv, rhs, c=out, overwrite_c=out is not None)
+        if out is None or x is out:
+            return x
+        out[...] = x
+        return out
 
 
 class NestedSolver:
@@ -171,7 +183,9 @@ class NestedSolver:
     iteration count.  A column that reaches the iteration cap is recorded as a
     failure on the solver (its current iterate is still returned), never
     raised.  degenerate_overlap records that the block decomposition of the
-    inner preconditioner has no overlap.
+    inner preconditioner has no overlap.  The nested local solves of an apply
+    do not call each class's solve: one _NestedClasses solves the columns of
+    all classes and records each column on its class's solver.
     """
 
     def __init__(self, matrix, inner_precond, inner_tol=0.5, inner_max_iters=200,
@@ -186,10 +200,120 @@ class NestedSolver:
 
     def solve(self, rhs):
         x, reps = gmres(self.matrix, self.inner_precond, rhs, self.config)
-        reps = [reps] if np.ndim(rhs) == 1 else reps
+        self._record([reps] if np.ndim(rhs) == 1 else reps)
+        return x
+
+    def _record(self, reps):
         self.inner_counts += [rep.iterations for rep in reps]
         self.failures += sum(not rep.converged for rep in reps)
-        return x
+
+
+class _NestedClasses(NestedSolver):
+    """The nested solvers of the classes of one LocalSolves, solved as one.
+
+    solve takes one column per member of every class, class by class, each
+    padded with zero rows to the largest class, and runs one GMRES on them
+    (NestedSolver.solve); each column's report goes to its class's solver,
+    so every class records as if it had run its own GMRES.  Both operators
+    of that GMRES are column-aware (krylov): the group itself applies each
+    class's matrix to that class's columns, and its inner preconditioner
+    (_MergedBlockSolves) applies the classes' ImpRAS1s together.  members
+    is the number of members of each class."""
+
+    column_aware = True
+
+    def __init__(self, solvers, members):
+        cfg = solvers[0].config
+        self.solvers = solvers
+        self.bounds = np.concatenate([[0], np.cumsum(members)]).tolist()
+        self.n = max(s.matrix.shape[0] for s in solvers)
+        inner = _MergedBlockSolves([s.inner_precond for s in solvers], members, self.n)
+        super().__init__(self, inner, cfg.rel_tol, cfg.max_iters)
+
+    def __call__(self, v, act):
+        """Each class's matrix on the active columns of v (n, g) it holds."""
+        out = np.empty((len(act), self.n), dtype=np.complex128)
+        cut = np.searchsorted(act, self.bounds).tolist()
+        for s, a, b in zip(self.solvers, cut, cut[1:]):
+            if b > a:
+                m = s.matrix.shape[0]
+                out[a:b, :m] = (s.matrix @ v[:m, a:b]).T
+                out[a:b, m:] = 0.0
+        return out.T
+
+    def _record(self, reps):
+        for s, lo, hi in zip(self.solvers, self.bounds, self.bounds[1:]):
+            s._record(reps[lo:hi])
+
+
+class _MergedBlockSolves:
+    """The inner ImpRAS1s (LocalSolves) of the classes of a _NestedClasses as
+    one column-aware preconditioner of its columns (members[c] columns of
+    class c, in class order, padded to n rows).
+
+    An apply makes one solve per distinct block solver, on the blocks of
+    every active column that use it: one (s, sum) block gathered from all
+    of them.  Built once: for each solver, the index of its blocks in the
+    flattened (columns, n) block, column by column (idx, (pairs, s)), and
+    the column of each (col); and the recombination of every column's block
+    solutions into its rows, as one sparse matrix over all columns.  The
+    block solutions live in one buffer, solver after solver; a frozen
+    column's blocks keep their last values, and its rows are dropped."""
+
+    column_aware = True
+
+    def __init__(self, inners, members, n):
+        first = np.concatenate([[0], np.cumsum(members)])
+        self.G, self.n = int(first[-1]), n
+        uses = {}  # id(solver) -> (solver, [(class, lo, hi, blocks)]), by first use
+        for c, L in enumerate(inners):
+            for solver, segment in zip(L.solvers, L._segments):
+                uses.setdefault(id(solver), (solver, []))[1].append((c,) + segment)
+        # pos[c][j, e]: the place in the buffer of entry e of class c's
+        # gathered vector (LocalSolves) in the class's column j
+        pos = [np.empty((m, len(L._gather)), dtype=np.int64) for m, L in zip(members, inners)]
+        self._plan, size = [], 0
+        for solver, used in uses.values():
+            idx, col, start = [], [], size
+            for c, lo, hi, g in used:
+                columns = np.arange(first[c], first[c + 1])
+                idx.append((columns[:, None] * n + inners[c]._gather[lo:hi]).reshape(
+                    -1, (hi - lo) // g))
+                col.append(np.repeat(columns, g))
+                pos[c][:, lo:hi] = size + np.arange(len(columns) * (hi - lo)).reshape(
+                    len(columns), -1)
+                size += len(columns) * (hi - lo)
+            self._plan.append((solver, np.concatenate(idx), np.concatenate(col), start, size))
+        r, c, w = [], [], []
+        for cls, L in enumerate(inners):
+            R = L._recombine.tocoo()
+            columns = np.arange(first[cls], first[cls + 1])
+            r.append((columns[:, None] * n + R.row).ravel())
+            c.append(pos[cls][:, R.col].ravel())
+            w.append(np.tile(R.data, len(columns)))
+        self._recombine = sp.csr_matrix(
+            (np.concatenate(w), (np.concatenate(r), np.concatenate(c))), shape=(self.G * n, size))
+        self._x = np.zeros(size, dtype=np.complex128)
+        self._full = np.zeros((self.G, n), dtype=np.complex128)
+
+    def apply(self, v, act):
+        rows = v.T
+        every = len(act) == self.G
+        if not every:
+            self._full[act] = rows
+            alive = np.zeros(self.G, dtype=bool)
+            alive[act] = True
+        flat = (rows if every else self._full).reshape(-1)
+        for solver, idx, col, lo, hi in self._plan:
+            x = self._x[lo:hi].reshape(len(idx), -1)
+            if every:
+                solver.solve(flat.take(idx).T, out=x.T)
+            else:
+                keep = alive[col]
+                if keep.any():
+                    x[keep] = solver.solve(flat.take(idx[keep]).T).T
+        out = (self._recombine @ self._x).reshape(self.G, self.n)
+        return (out if every else out[act]).T
 
 
 def _keyed_positions(keys, want):
@@ -246,6 +370,14 @@ class _MatrixClasses:
                          for key, size in zip(blocks.keys, sizes)], dtype=np.int64)
 
 
+def _groupable(solvers):
+    """Whether the class solvers are nested solvers of one configuration
+    preconditioned by ImpRAS1s (LocalSolves), as _NestedClasses runs them."""
+    return bool(solvers) and all(
+        isinstance(s, NestedSolver) and isinstance(s.inner_precond, LocalSolves)
+        and s.config == solvers[0].config for s in solvers)
+
+
 class LocalSolves:
     """Batched local solves with plain (AS) or RAS-weighted recombination.
 
@@ -267,8 +399,11 @@ class LocalSolves:
     index array, runs one multi-right-hand-side solve per class on the
     (s, G*c) block of its G subdomains, and recombines all local solutions
     with one sparse matrix: R_w^T with the RAS weights of own, else R^T.
-    apply runs its class solves with scipy's BLAS on one thread
-    (_one_blas_thread), entered once per apply.
+    When the class solvers are nested (_groupable), the gather lays every
+    block out as one column of the largest block's rows, with zero padding,
+    and apply hands these columns to one _NestedClasses solve (a block of c
+    columns: one solve per column).  apply runs its class solves with
+    scipy's BLAS on one thread (_one_blas_thread), entered once per apply.
     """
 
     def __init__(self, n, blocks, rows, own=None, classes=None):
@@ -281,19 +416,33 @@ class LocalSolves:
         rank = np.argsort(np.argsort(first))[of_class]  # by first appearance
         self.solvers = [classes.solvers[c] for c in met[np.argsort(first)]]
 
-        # classes occupy consecutive segments [lo, hi) of the gathered vector,
-        # each laid out block after block; col is each block row's place there
-        order = used[np.argsort(rank, kind="stable")]
-        ends = np.cumsum(sizes[order])
-        start = np.zeros(len(sizes), dtype=np.int64)
-        start[order] = ends - sizes[order]
-        block_of = np.repeat(np.arange(len(sizes)), sizes)
-        col = start[block_of] + np.arange(len(rows)) - blocks.offs[block_of]
-        self._gather = np.empty(len(rows), dtype=np.int64)
-        self._gather[col] = rows
+        order = used[np.argsort(rank, kind="stable")]  # class after class
         counts = np.bincount(rank, minlength=len(met))
-        bounds = np.concatenate([[0], ends[np.cumsum(counts) - 1]]).tolist()
-        self._segments = list(zip(bounds[:-1], bounds[1:], counts.tolist()))
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        local = np.arange(len(rows)) - blocks.offs[block_of]  # row within its block
+        self._nested = None
+        if _groupable(self.solvers):
+            # one column per block, padded to the largest (width, blocks),
+            # whose padding gathers the zero appended to v; col is each
+            # block row's place in it
+            place = np.zeros(len(sizes), dtype=np.int64)
+            place[order] = np.arange(len(order))
+            col = local * len(order) + place[block_of]
+            self._gather = np.full((sizes.max(), len(order)), n, dtype=np.int64)
+            self._gather.flat[col] = rows
+            self._nested = _NestedClasses(self.solvers, counts)
+        else:
+            # classes occupy consecutive segments [lo, hi) of the gathered
+            # vector, each laid out block after block; col is each block
+            # row's place there
+            ends = np.cumsum(sizes[order])
+            start = np.zeros(len(sizes), dtype=np.int64)
+            start[order] = ends - sizes[order]
+            col = start[block_of] + local
+            self._gather = np.empty(len(rows), dtype=np.int64)
+            self._gather[col] = rows
+            bounds = np.concatenate([[0], ends[np.cumsum(counts) - 1]]).tolist()
+            self._segments = list(zip(bounds[:-1], bounds[1:], counts.tolist()))
 
         if own is None:
             r, c, w = rows, col, np.ones(len(rows))
@@ -302,9 +451,15 @@ class LocalSolves:
             pos, hit = _keyed_positions(block_of * n + rows, owner * n + nodes)
             r, c, w = nodes[hit], col[pos[hit]], weights[hit]
         self._recombine = sp.csr_matrix((w.astype(np.complex128), (r, c)),
-                                        shape=(n, len(rows)))
+                                        shape=(n, self._gather.size))
 
     def apply(self, v):
+        if self._nested is not None:
+            if v.ndim == 2:
+                return np.column_stack([self.apply(column) for column in v.T])
+            with _one_blas_thread():
+                x = self._nested.solve(np.append(v, 0)[self._gather])
+            return self._recombine @ x.ravel()
         # every restriction of each column of v: (len,) for a vector, (c, len)
         # for a block of c columns
         vg = v.T.take(self._gather, -1)
@@ -504,7 +659,8 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     preconditioned by a block ImpRAS1 on the class's first subdomain
     (_nested_local_solver), shared by all members as a factorisation is; the
     classes' block LocalSolves share one registry, so each distinct block
-    matrix is factorised once.
+    matrix is factorised once, and an apply runs the classes as one inner
+    GMRES (_NestedClasses).
 
     Every factorisation, local or coarse (dense LU or SuperLU), and every
     solve of the operator runs with scipy's BLAS on one thread

@@ -110,6 +110,18 @@ def test_every_scipy_blas_call_runs_on_one_thread(blas_threads, monkeypatch):
         P.to_dense()
         assert get() == 2
 
+    # nested solves: the one inner GMRES of the nested local classes, whose
+    # block solves are grouped across classes, and a nested coarse solve
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(24, 3, k=8.0, eps=8.0)
+    for kind, nesting in (("ImpRAS1", dict(nested_local=dict(k=12.0))),
+                          ("HRAS", dict(nested_coarse=dict(k=8.0)))):
+        P = build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec,
+                                 coeff_prec=coeff, system_matrix=A_sys, **nesting)
+        before = len(seen)
+        P.apply(np.ones(mesh.n, complex))
+        assert "sla.blas.zgemm" in {name for name, _ in seen[before:]}
+        assert get() == 2
+
     ops = analysis.preconditioned_operator(3, eps=9.0, kind="HRAS")
     D, n = ops["D"], ops["left"].shape[0]
     for cutoff in (n, 0):  # the norm by svdvals, then by ARPACK

@@ -242,6 +242,36 @@ def test_block_matches_column_solves(variant, side):
     assert np.all(X[:, 4] == 0) and reps[4].true_relres == 0.0
 
 
+@pytest.mark.parametrize("variant, side", [("gmres", "right"), ("gmres", "left"),
+                                           ("fgmres", "right")])
+def test_column_aware_operators_are_told_the_active_columns(variant, side):
+    # a column-aware operator and preconditioner get each block with the
+    # columns of b it holds, and the solve is bitwise that of plain ones
+    A, M, cfg, B = _block_case(variant, side)
+    seen = []
+
+    class Aware:
+        column_aware = True
+
+        def __init__(self, f):
+            self.f = f
+
+        def __call__(self, v, act):
+            seen.append((v.shape[1], act.tolist()))
+            return self.f(v)
+
+        def apply(self, v, act):
+            return self(v, act)
+    X, reps = gmres(Aware(lambda v: A @ v), Aware(M), B, cfg)
+    want, wreps = gmres(A, M, B, cfg)
+    assert np.array_equal(X, want)
+    assert [r.iterations for r in reps] == [r.iterations for r in wreps]
+    assert all(g == len(act) and act == sorted(set(act)) for g, act in seen)
+    assert seen[-1][1] == [0, 1, 2, 3, 4]  # the true residual of every column
+    steps = [act for _, act in seen[:-1] if len(act) < 5]
+    assert steps[-1] == [1] and 4 not in {c for act in steps for c in act}
+
+
 def test_block_column_at_cap_beside_converging_ones():
     A, b = random_system(40, 9, diag=0.0)
     _, W = np.linalg.eig(A)

@@ -101,6 +101,19 @@ def test_dense_solve_is_stored_inverse_product_bitwise():
     assert np.linalg.norm(fr.solve(b) - x) <= 1e-12 * np.linalg.norm(x)
 
 
+def test_block_solve_into_out_equals_solve():
+    # a block solve given out writes the solve's result into it, bitwise; a
+    # dense solve writes a Fortran-ordered out in place
+    rng = np.random.default_rng(4)
+    for n in (40, precond.DENSE_SOLVE_CUTOFF + 10):  # zgemm, then SuperLU
+        A = (sp.random(n, n, density=0.1, random_state=2) + 4 * sp.identity(n)).astype(complex)
+        f = DirectFactorization(A)
+        b = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+        out = np.empty((5, n), dtype=complex).T
+        assert f.solve(b, out=out) is out
+        assert np.array_equal(out, f.solve(b))
+
+
 def test_dense_solve_of_near_resonant_block_as_accurate_as_lu():
     # the eps=0 Dirichlet block of the centre subdomain lies near a local
     # resonance at k=12.25 (condition number about 5e4): solving with the
@@ -254,7 +267,7 @@ def test_apply_matches_to_dense(kind):
 @pytest.mark.parametrize("kind, nested", [pytest.param(kind, False, id=kind) for kind in KINDS]
                          + [pytest.param("ImpRAS1", True, id="ImpRAS1-nested")])
 def test_block_apply_matches_column_applies(kind, nested):
-    # a nested local solve runs one lockstep inner GMRES over the block's columns
+    # a nested local block apply runs one grouped inner GMRES per column
     if nested:
         mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
         nesting = dict(nested_local=dict(k=6.0))
@@ -505,6 +518,87 @@ def test_benchmark_class_partitions_pinned(monkeypatch, cfg, classes, factors, b
     if blocks is not None:
         assert len(P.nested) == classes
         assert len({id(f) for s in P.nested for f in s.inner_precond.solvers}) == blocks
+
+
+def test_one_inner_gmres_per_outer_apply(monkeypatch):
+    # the 4 nested classes of the nested-local benchmark's layout run one
+    # inner GMRES per outer apply, entered through NestedSolver.solve, and
+    # each of its steps solves each of the 9 block factorisations at most once
+    cfg = _BENCHMARK_LAYOUTS["nested-local-ppw-k30"]
+    pb = harness.build_problem(cfg)
+    P = build_preconditioner(cfg.precond, mesh=pb.mesh, decomp=pb.decomp, A_prec=pb.A_prec,
+                             coeff_prec=pb.coeff_prec, nested_local=dict(
+                                 k=float(cfg.k), alpha_inner=cfg.nesting.alpha_inner,
+                                 tol=cfg.inner_tol, max_iters=cfg.nesting.max_iters))
+    depth, calls, events = [], [], []  # events: None per inner apply, else a solver
+    nested_solve, inner_gmres = NestedSolver.solve, precond.gmres
+    direct_solve = DirectFactorization.solve
+
+    def entered(self, rhs):
+        depth.append(1)
+        try:
+            return nested_solve(self, rhs)
+        finally:
+            depth.pop()
+
+    def counted(A, M, b, config):
+        calls.append(len(depth))
+
+        class Marked:
+            column_aware = getattr(M, "column_aware", False)
+
+            def apply(self, *args):
+                events.append(None)
+                return M.apply(*args)
+        return inner_gmres(A, Marked(), b, config)
+
+    def solve(self, *args, **kwargs):
+        events.append(id(self))
+        return direct_solve(self, *args, **kwargs)
+    monkeypatch.setattr(NestedSolver, "solve", entered)
+    monkeypatch.setattr(precond, "gmres", counted)
+    monkeypatch.setattr(DirectFactorization, "solve", solve)
+    P.apply(np.ones(pb.mesh.n, complex))
+    counts = P.inner_counts()
+    assert calls == [1] and len(counts) == 16
+    steps = []
+    for e in events:
+        if e is None:
+            steps.append([])
+        else:
+            steps[-1].append(e)
+    assert len(steps) == max(counts) + 1  # every step, then the solution's apply
+    assert all(len(set(step)) == len(step) <= 9 for step in steps)
+    assert len({e for step in steps for e in step}) == 9
+
+
+@pytest.mark.parametrize("tol", [0.1, 1e-8])
+def test_grouped_inner_solve_matches_class_by_class_solves(tol):
+    # the one inner GMRES of 4 nested classes of different sizes gives every
+    # column the iteration count, and to round-off the solution, of a GMRES
+    # of its class alone; the padding rows stay zero
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(24, 3, k=8.0, eps=8.0)
+    P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                             coeff_prec=coeff,
+                             nested_local=dict(k=12.0, alpha_inner=0.8, tol=tol))
+    group = P.locals_._nested
+    spans = list(zip(P.nested, group.bounds, group.bounds[1:]))
+    assert len(spans) == 4 and len({s.matrix.shape[0] for s in P.nested}) > 1
+    rng = np.random.default_rng(5)
+    rhs = np.zeros((group.n, group.bounds[-1]), dtype=complex)
+    for s, lo, hi in spans:
+        m = s.matrix.shape[0]
+        rhs[:m, lo:hi] = rng.standard_normal((m, hi - lo)) + 1j * rng.standard_normal((m, hi - lo))
+    x = group.solve(rhs)
+    for s, lo, hi in spans:
+        m = s.matrix.shape[0]
+        want, reps = gmres(s.matrix, s.inner_precond, rhs[:m, lo:hi], s.config)
+        assert s.inner_counts == [rep.iterations for rep in reps]
+        assert not x[m:, lo:hi].any()
+        err = np.linalg.norm(x[:m, lo:hi] - want, axis=0) / np.linalg.norm(want, axis=0)
+        assert err.max() <= 1e-12
+    counts = {c for s in P.nested for c in s.inner_counts}
+    assert len(counts) > 1 and max(counts) > (3 if tol == 0.1 else 20)  # columns freeze apart
 
 
 @pytest.mark.parametrize("name", ["hras-pf-k30", "nested-local-ppw-k30"])
