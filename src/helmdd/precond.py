@@ -22,9 +22,10 @@ build_preconditioner takes either nesting as a dict of the same keywords (k,
 alpha_inner, tol, max_iters).  A nested local solve is per class of equal
 local matrices, as a factorisation is, and the classes share the
 factorisations of their equal inner blocks.  An apply solves the columns of
-every class in one inner GMRES (_NestedClasses, entered through
-NestedSolver.solve), each padded with zero rows to the largest class, with
-one solve per shared block factorisation and inner step.  The operator lists
+every class of a group of similar size in one inner GMRES (_NestedClasses,
+entered through NestedSolver.solve), each padded with zero rows to the
+group's largest class, with one solve per shared block factorisation and
+inner step; the benchmark's classes form one group.  The operator lists
 its nested solvers in one place, PreconditionerOperator.nested; they hold
 its inner iteration counts and failures, and any of them makes the operator
 vary per application (flexible), so it must sit under flexible outer GMRES.
@@ -57,6 +58,13 @@ DENSE_SOLVE_CUTOFF = 200
 # to_dense applies the identity this many columns at a time: an apply holds
 # several (n, columns) temporaries (HRAS, n=3721: 566 MB peak, 1.1 GB at 2048)
 _DENSE_COLUMNS = 512
+
+# a nested local class pads its columns to the size of a group of larger
+# classes, and joins that group's inner GMRES, only while the padding adds
+# at most this many zero rows over its columns: the zero rows cost Arnoldi
+# work, a separate GMRES costs its per-step overhead (table5: one group at
+# k=30 and k=80, two at k=160; README "Nested solves")
+_GROUP_PAD_ROWS = 4096
 
 KINDS = ("AS1", "AS", "RAS1", "HRAS", "ImpRAS1", "ImpHRAS")
 _IMPEDANCE_KINDS = ("ImpRAS1", "ImpHRAS")
@@ -157,21 +165,12 @@ class DirectFactorization:
                 raise SingularMatrixError(str(exc)) from exc
             self.fill_nnz = self._splu.L.nnz + self._splu.U.nnz
 
-    def solve(self, rhs, out=None):
-        """The solution of rhs, a vector or a block; out, if given, is an
-        array of the block's shape that receives it (a dense solve writes a
-        Fortran-ordered out in place)."""
+    def solve(self, rhs):
         if not self._dense:
-            x = self._splu.solve(rhs)
-        else:
-            rhs = np.asarray_chkfinite(rhs)  # ValueError on NaN/inf, as lu_solve
-            if rhs.ndim == 1:
-                return sla.blas.zgemm(1.0, self._inv, rhs[:, None])[:, 0]
-            x = sla.blas.zgemm(1.0, self._inv, rhs, c=out, overwrite_c=out is not None)
-        if out is None or x is out:
-            return x
-        out[...] = x
-        return out
+            return self._splu.solve(rhs)
+        rhs = np.asarray_chkfinite(rhs)  # ValueError on NaN/inf, as lu_solve
+        x = sla.blas.zgemm(1.0, self._inv, rhs if rhs.ndim == 2 else rhs[:, None])
+        return x.reshape(rhs.shape)
 
 
 class NestedSolver:
@@ -184,8 +183,8 @@ class NestedSolver:
     failure on the solver (its current iterate is still returned), never
     raised.  degenerate_overlap records that the block decomposition of the
     inner preconditioner has no overlap.  The nested local solves of an apply
-    do not call each class's solve: one _NestedClasses solves the columns of
-    all classes and records each column on its class's solver.
+    do not call each class's solve: one _NestedClasses per group of classes
+    solves their columns and records each column on its class's solver.
     """
 
     def __init__(self, matrix, inner_precond, inner_tol=0.5, inner_max_iters=200,
@@ -209,16 +208,17 @@ class NestedSolver:
 
 
 class _NestedClasses(NestedSolver):
-    """The nested solvers of the classes of one LocalSolves, solved as one.
+    """The nested solvers of a group of classes of one LocalSolves, solved as
+    one.
 
-    solve takes one column per member of every class, class by class, each
-    padded with zero rows to the largest class, and runs one GMRES on them
-    (NestedSolver.solve); each column's report goes to its class's solver,
-    so every class records as if it had run its own GMRES.  Both operators
-    of that GMRES are column-aware (krylov): the group itself applies each
-    class's matrix to that class's columns, and its inner preconditioner
-    (_MergedBlockSolves) applies the classes' ImpRAS1s together.  members
-    is the number of members of each class."""
+    solve takes one column per member of every class of the group, class by
+    class, each padded with zero rows to the group's largest class, and runs
+    one GMRES on them (NestedSolver.solve); each column's report goes to its
+    class's solver, so every class records as if it had run its own GMRES.
+    Both operators of that GMRES are column-aware (krylov): the group itself
+    applies each class's matrix to that class's columns, and its inner
+    preconditioner (_MergedBlockSolves) applies the classes' ImpRAS1s
+    together.  members is the number of members of each class."""
 
     column_aware = True
 
@@ -227,7 +227,7 @@ class _NestedClasses(NestedSolver):
         self.solvers = solvers
         self.bounds = np.concatenate([[0], np.cumsum(members)]).tolist()
         self.n = max(s.matrix.shape[0] for s in solvers)
-        inner = _MergedBlockSolves([s.inner_precond for s in solvers], members, self.n)
+        inner = _MergedBlockSolves([s.inner_precond for s in solvers], self.bounds, self.n)
         super().__init__(self, inner, cfg.rel_tol, cfg.max_iters)
 
     def __call__(self, v, act):
@@ -246,74 +246,74 @@ class _NestedClasses(NestedSolver):
             s._record(reps[lo:hi])
 
 
+def _size_groups(sizes, counts):
+    """The nested classes (sizes[c] unknowns, counts[c] columns) in groups of
+    one inner GMRES each, largest class first: a class joins the group of
+    the larger classes before it unless padding its columns to that group's
+    size adds more than _GROUP_PAD_ROWS zero rows."""
+    groups = []
+    for c in sorted(range(len(sizes)), key=lambda c: -sizes[c]):
+        if groups and counts[c] * (sizes[groups[-1][0]] - sizes[c]) <= _GROUP_PAD_ROWS:
+            groups[-1].append(c)
+        else:
+            groups.append([c])
+    return [sorted(g) for g in groups]
+
+
 class _MergedBlockSolves:
     """The inner ImpRAS1s (LocalSolves) of the classes of a _NestedClasses as
-    one column-aware preconditioner of its columns (members[c] columns of
-    class c, in class order, padded to n rows).
+    one column-aware preconditioner of its columns (class c holds the columns
+    bounds[c]:bounds[c + 1], padded to n rows).
 
-    An apply makes one solve per distinct block solver, on the blocks of
-    every active column that use it: one (s, sum) block gathered from all
-    of them.  Built once: for each solver, the index of its blocks in the
-    flattened (columns, n) block, column by column (idx, (pairs, s)), and
-    the column of each (col); and the recombination of every column's block
-    solutions into its rows, as one sparse matrix over all columns.  The
-    block solutions live in one buffer, solver after solver; a frozen
-    column's blocks keep their last values, and its rows are dropped."""
+    An apply runs each class's ImpRAS1 on the class's active columns, but
+    makes one solve per distinct block solver and inner step, on the blocks
+    of every class that uses it: one (s, sum) block, gathered class by class
+    through the class's own gather index, whose solutions each class
+    recombines with its own recombination."""
 
     column_aware = True
 
-    def __init__(self, inners, members, n):
-        first = np.concatenate([[0], np.cumsum(members)])
-        self.G, self.n = int(first[-1]), n
-        uses = {}  # id(solver) -> (solver, [(class, lo, hi, blocks)]), by first use
+    def __init__(self, inners, bounds, n):
+        self.inners, self.bounds, self.n = inners, bounds, n
+        uses = {}  # id(solver) -> (solver, [(class, lo, hi, rows of each block)])
         for c, L in enumerate(inners):
-            for solver, segment in zip(L.solvers, L._segments):
-                uses.setdefault(id(solver), (solver, []))[1].append((c,) + segment)
-        # pos[c][j, e]: the place in the buffer of entry e of class c's
-        # gathered vector (LocalSolves) in the class's column j
-        pos = [np.empty((m, len(L._gather)), dtype=np.int64) for m, L in zip(members, inners)]
-        self._plan, size = [], 0
-        for solver, used in uses.values():
-            idx, col, start = [], [], size
-            for c, lo, hi, g in used:
-                columns = np.arange(first[c], first[c + 1])
-                idx.append((columns[:, None] * n + inners[c]._gather[lo:hi]).reshape(
-                    -1, (hi - lo) // g))
-                col.append(np.repeat(columns, g))
-                pos[c][:, lo:hi] = size + np.arange(len(columns) * (hi - lo)).reshape(
-                    len(columns), -1)
-                size += len(columns) * (hi - lo)
-            self._plan.append((solver, np.concatenate(idx), np.concatenate(col), start, size))
-        r, c, w = [], [], []
-        for cls, L in enumerate(inners):
-            R = L._recombine.tocoo()
-            columns = np.arange(first[cls], first[cls + 1])
-            r.append((columns[:, None] * n + R.row).ravel())
-            c.append(pos[cls][:, R.col].ravel())
-            w.append(np.tile(R.data, len(columns)))
-        self._recombine = sp.csr_matrix(
-            (np.concatenate(w), (np.concatenate(r), np.concatenate(c))), shape=(self.G * n, size))
-        self._x = np.zeros(size, dtype=np.complex128)
-        self._full = np.zeros((self.G, n), dtype=np.complex128)
+            for solver, (lo, hi, g) in zip(L.solvers, L._segments):
+                uses.setdefault(id(solver), (solver, []))[1].append(
+                    (c, lo, hi, L._gather[lo:hi].reshape(g, -1)))
+        self._uses = list(uses.values())
+        # blocks[c, u]: the blocks class c hands solver u per column
+        self._blocks = np.zeros((len(inners), len(self._uses)), dtype=np.int64)
+        for u, (_, used) in enumerate(self._uses):
+            for c, _, _, at in used:
+                self._blocks[c, u] = len(at)
 
     def apply(self, v, act):
         rows = v.T
-        every = len(act) == self.G
-        if not every:
-            self._full[act] = rows
-            alive = np.zeros(self.G, dtype=bool)
-            alive[act] = True
-        flat = (rows if every else self._full).reshape(-1)
-        for solver, idx, col, lo, hi in self._plan:
-            x = self._x[lo:hi].reshape(len(idx), -1)
-            if every:
-                solver.solve(flat.take(idx).T, out=x.T)
-            else:
-                keep = alive[col]
-                if keep.any():
-                    x[keep] = solver.solve(flat.take(idx[keep]).T).T
-        out = (self._recombine @ self._x).reshape(self.G, self.n)
-        return (out if every else out[act]).T
+        cut = np.searchsorted(act, self.bounds)
+        # solver u's (sum, s) block holds class c's blocks at [end - took, end)
+        took = np.diff(cut)[:, None] * self._blocks
+        ends = np.cumsum(took, axis=0)
+        cut, took, ends = cut.tolist(), took.tolist(), ends.tolist()
+        ug = [np.empty((b - a, len(L._gather)), dtype=np.complex128)
+              for L, a, b in zip(self.inners, cut, cut[1:])]
+        for u, (solver, used) in enumerate(self._uses):
+            if not ends[-1][u]:
+                continue
+            vg = np.empty((ends[-1][u], used[0][3].shape[1]), dtype=np.complex128)
+            for c, lo, hi, at in used:
+                a, b, end = cut[c], cut[c + 1], ends[c][u]
+                rows[a:b].take(at, -1, out=vg[end - took[c][u]:end].reshape(b - a, *at.shape),
+                               mode="clip")  # in range; clip takes into out unbuffered
+            x = solver.solve(vg.T)
+            for c, lo, hi, at in used:
+                end = ends[c][u]
+                ug[c][:, lo:hi] = x[:, end - took[c][u]:end].T.reshape(-1, hi - lo)
+        out = np.empty((len(act), self.n), dtype=np.complex128)
+        for L, u, a, b in zip(self.inners, ug, cut, cut[1:]):
+            m = L._recombine.shape[0]
+            out[a:b, :m] = (L._recombine @ u.T).T
+            out[a:b, m:] = 0.0
+        return out.T
 
 
 def _keyed_positions(keys, want):
@@ -370,14 +370,6 @@ class _MatrixClasses:
                          for key, size in zip(blocks.keys, sizes)], dtype=np.int64)
 
 
-def _groupable(solvers):
-    """Whether the class solvers are nested solvers of one configuration
-    preconditioned by ImpRAS1s (LocalSolves), as _NestedClasses runs them."""
-    return bool(solvers) and all(
-        isinstance(s, NestedSolver) and isinstance(s.inner_precond, LocalSolves)
-        and s.config == solvers[0].config for s in solvers)
-
-
 class LocalSolves:
     """Batched local solves with plain (AS) or RAS-weighted recombination.
 
@@ -399,11 +391,16 @@ class LocalSolves:
     index array, runs one multi-right-hand-side solve per class on the
     (s, G*c) block of its G subdomains, and recombines all local solutions
     with one sparse matrix: R_w^T with the RAS weights of own, else R^T.
-    When the class solvers are nested (_groupable), the gather lays every
-    block out as one column of the largest block's rows, with zero padding,
-    and apply hands these columns to one _NestedClasses solve (a block of c
-    columns: one solve per column).  apply runs its class solves with
-    scipy's BLAS on one thread (_one_blas_thread), entered once per apply.
+    When the class solvers are nested solvers preconditioned by ImpRAS1s
+    (LocalSolves), as _nested_local_solver builds them all from one
+    configuration, the classes form groups of similar size (_size_groups),
+    the gather lays every block out as one column of the largest block's
+    rows, with zero padding, group after group, and apply hands each group's
+    columns to one _NestedClasses solve (a block of c columns: one solve per
+    column); a nested solver with any other inner preconditioner is solved
+    per class.
+    apply runs its class solves with scipy's BLAS on one thread
+    (_one_blas_thread), entered once per apply.
     """
 
     def __init__(self, n, blocks, rows, own=None, classes=None):
@@ -416,25 +413,33 @@ class LocalSolves:
         rank = np.argsort(np.argsort(first))[of_class]  # by first appearance
         self.solvers = [classes.solvers[c] for c in met[np.argsort(first)]]
 
-        order = used[np.argsort(rank, kind="stable")]  # class after class
         counts = np.bincount(rank, minlength=len(met))
         block_of = np.repeat(np.arange(len(sizes)), sizes)
         local = np.arange(len(rows)) - blocks.offs[block_of]  # row within its block
         self._nested = None
-        if _groupable(self.solvers):
-            # one column per block, padded to the largest (width, blocks),
-            # whose padding gathers the zero appended to v; col is each
-            # block row's place in it
+        if self.solvers and all(isinstance(s, NestedSolver)
+                                and isinstance(s.inner_precond, LocalSolves)
+                                for s in self.solvers):
+            # one column per block, group after group and class after class,
+            # padded to the largest (width, blocks), whose padding gathers
+            # the zero appended to v; col is each block row's place in it
+            groups = _size_groups([s.matrix.shape[0] for s in self.solvers], counts.tolist())
+            seq = np.empty(len(met), dtype=np.int64)
+            seq[np.concatenate(groups)] = np.arange(len(met))
+            order = used[np.argsort(seq[rank], kind="stable")]
             place = np.zeros(len(sizes), dtype=np.int64)
             place[order] = np.arange(len(order))
             col = local * len(order) + place[block_of]
             self._gather = np.full((sizes.max(), len(order)), n, dtype=np.int64)
             self._gather.flat[col] = rows
-            self._nested = _NestedClasses(self.solvers, counts)
+            bounds = np.cumsum([0] + [int(counts[g].sum()) for g in groups]).tolist()
+            self._nested = [(_NestedClasses([self.solvers[c] for c in g], counts[g]), lo, hi)
+                            for g, lo, hi in zip(groups, bounds, bounds[1:])]
         else:
             # classes occupy consecutive segments [lo, hi) of the gathered
             # vector, each laid out block after block; col is each block
             # row's place there
+            order = used[np.argsort(rank, kind="stable")]  # class after class
             ends = np.cumsum(sizes[order])
             start = np.zeros(len(sizes), dtype=np.int64)
             start[order] = ends - sizes[order]
@@ -457,8 +462,10 @@ class LocalSolves:
         if self._nested is not None:
             if v.ndim == 2:
                 return np.column_stack([self.apply(column) for column in v.T])
+            x = np.append(v, 0)[self._gather]
             with _one_blas_thread():
-                x = self._nested.solve(np.append(v, 0)[self._gather])
+                for group, lo, hi in self._nested:
+                    x[:group.n, lo:hi] = group.solve(x[:group.n, lo:hi])
             return self._recombine @ x.ravel()
         # every restriction of each column of v: (len,) for a vector, (c, len)
         # for a block of c columns
@@ -659,8 +666,8 @@ def build_preconditioner(kind, *, mesh, decomp, A_prec, coeff_prec,
     preconditioned by a block ImpRAS1 on the class's first subdomain
     (_nested_local_solver), shared by all members as a factorisation is; the
     classes' block LocalSolves share one registry, so each distinct block
-    matrix is factorised once, and an apply runs the classes as one inner
-    GMRES (_NestedClasses).
+    matrix is factorised once, and an apply runs each group of classes of
+    similar size as one inner GMRES (_NestedClasses).
 
     Every factorisation, local or coarse (dense LU or SuperLU), and every
     solve of the operator runs with scipy's BLAS on one thread

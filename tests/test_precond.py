@@ -101,19 +101,6 @@ def test_dense_solve_is_stored_inverse_product_bitwise():
     assert np.linalg.norm(fr.solve(b) - x) <= 1e-12 * np.linalg.norm(x)
 
 
-def test_block_solve_into_out_equals_solve():
-    # a block solve given out writes the solve's result into it, bitwise; a
-    # dense solve writes a Fortran-ordered out in place
-    rng = np.random.default_rng(4)
-    for n in (40, precond.DENSE_SOLVE_CUTOFF + 10):  # zgemm, then SuperLU
-        A = (sp.random(n, n, density=0.1, random_state=2) + 4 * sp.identity(n)).astype(complex)
-        f = DirectFactorization(A)
-        b = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
-        out = np.empty((5, n), dtype=complex).T
-        assert f.solve(b, out=out) is out
-        assert np.array_equal(out, f.solve(b))
-
-
 def test_dense_solve_of_near_resonant_block_as_accurate_as_lu():
     # the eps=0 Dirichlet block of the centre subdomain lies near a local
     # resonance at k=12.25 (condition number about 5e4): solving with the
@@ -581,7 +568,7 @@ def test_grouped_inner_solve_matches_class_by_class_solves(tol):
     P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
                              coeff_prec=coeff,
                              nested_local=dict(k=12.0, alpha_inner=0.8, tol=tol))
-    group = P.locals_._nested
+    [(group, _, _)] = P.locals_._nested  # one group: padding under the bound
     spans = list(zip(P.nested, group.bounds, group.bounds[1:]))
     assert len(spans) == 4 and len({s.matrix.shape[0] for s in P.nested}) > 1
     rng = np.random.default_rng(5)
@@ -599,6 +586,38 @@ def test_grouped_inner_solve_matches_class_by_class_solves(tol):
         assert err.max() <= 1e-12
     counts = {c for s in P.nested for c in s.inner_counts}
     assert len(counts) > 1 and max(counts) > (3 if tol == 0.1 else 20)  # columns freeze apart
+
+
+def test_size_groups_of_table5_classes():
+    # table5 class sizes and member counts: k=30 pads 20% of its rows and
+    # runs one group; at k=160 the classes of about 3000 unknowns would pad
+    # 945 rows per column, so they run apart from those of about 3900
+    assert precond._size_groups([324, 414, 414, 529], [4, 4, 4, 4]) == [[0, 1, 2, 3]]
+    sizes, counts = [2304, 3024, 2976, 3024, 3969, 3906, 2976, 3906, 3844], [4, 10, 2, 10, 25, 5, 2, 5, 1]
+    groups = precond._size_groups(sizes, counts)
+    assert groups == [[4, 5, 7, 8], [0, 1, 2, 3, 6]]
+    for g in groups:
+        top = max(sizes[c] for c in g)
+        assert all(counts[c] * (top - sizes[c]) <= precond._GROUP_PAD_ROWS for c in g)
+
+
+def test_size_groups_change_no_inner_count(monkeypatch):
+    # the same nested classes solved in one group and in groups of equal size
+    # give every column the same count, in the same order, and the same apply
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(24, 3, k=8.0, eps=8.0)
+    rng = np.random.default_rng(6)
+    vs = rng.standard_normal((3, mesh.n)) + 1j * rng.standard_normal((3, mesh.n))
+    runs = []
+    for bound in (precond._GROUP_PAD_ROWS, 0):
+        monkeypatch.setattr(precond, "_GROUP_PAD_ROWS", bound)
+        P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
+                                 coeff_prec=coeff, nested_local=dict(k=12.0, alpha_inner=0.8))
+        runs.append((len(P.locals_._nested), [P.apply(v) for v in vs], P.inner_counts()))
+    (one, x1, c1), (several, x2, c2) = runs
+    assert one == 1 and several > 1
+    assert c1 == c2
+    for a, b in zip(x1, x2):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("name", ["hras-pf-k30", "nested-local-ppw-k30"])
