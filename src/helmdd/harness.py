@@ -6,8 +6,8 @@ adds the same absorption to problem and preconditioner.  Tables 1-3 use the
 plane-wave right-hand side, the rest the all-ones vector.  A "*" (no
 convergence within the iteration cap) is serialised as outer_iters = -1 with
 converged false.  Reported inner iterations are the average count per inner
-solve of one column (one inner GMRES call solves a class's columns in
-lockstep, each with its own count).
+solve of one column (one inner GMRES call solves the columns of a group of
+classes in lockstep, each with its own count).
 """
 
 import contextlib

@@ -1,5 +1,5 @@
 """Standard, weighted, and flexible GMRES (full Arnoldi, no restarts) with
-left or right preconditioning.
+right preconditioning or none.
 
 The weighted variant runs the Arnoldi process in the inner product induced by
 a Hermitian positive definite matrix D and minimises the residual in the
@@ -41,7 +41,7 @@ class GmresBreakdown(RuntimeError):
 @dataclass
 class KrylovConfig:
     variant: str = "gmres"  # gmres | weighted_gmres | fgmres
-    side: str = "right"     # left | right | none
+    side: str = "right"     # right | none
     rel_tol: float = 1e-6
     max_iters: int = 200
     weight: object = None   # HPD matrix, weighted_gmres only
@@ -49,8 +49,10 @@ class KrylovConfig:
     def __post_init__(self):
         if self.variant not in ("gmres", "weighted_gmres", "fgmres"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.side not in ("left", "right", "none"):
+        if self.side not in ("right", "none"):
             raise ValueError(f"unknown side {self.side!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.variant == "fgmres" and self.side != "right":
             raise ValueError("fgmres requires right preconditioning")
         if self.variant == "weighted_gmres" and self.weight is None:
@@ -126,8 +128,7 @@ def _solve(A, M, b, cfg):
     if getattr(M, "flexible", False) and not flexible:
         raise ValueError("preconditioner varies per application: use fgmres")
     weight = cfg.weight if cfg.variant == "weighted_gmres" else None
-    right = apply_m is not None and cfg.side == "right"
-    left = apply_m is not None and cfg.side == "left"
+    right = apply_m is not None
     keep_z = flexible and apply_m is not None  # store the directions M v
 
     b = np.asarray(b, dtype=np.complex128)
@@ -150,8 +151,7 @@ def _solve(A, M, b, cfg):
 
     every = np.arange(G)
     bnorm = np.linalg.norm(B, axis=1)
-    R0 = call(apply_m, B, every) if left else B
-    beta = wnorms(R0, wdot(R0))
+    beta = wnorms(B, wdot(B))
     act = np.flatnonzero((beta > 0) & (bnorm > 0))  # columns still iterating
 
     mx = cfg.max_iters
@@ -171,7 +171,7 @@ def _solve(A, M, b, cfg):
     g = np.zeros((len(act), mx + 1), dtype=np.complex128)
     beta_a = beta[act]
     g[:, 0] = beta_a
-    V[0] = R0[act] / beta_a[:, None]
+    V[0] = B[act] / beta_a[:, None]
 
     for j in range(mx if len(act) else 0):
         u = V[j]
@@ -180,8 +180,6 @@ def _solve(A, M, b, cfg):
             w = call(matvec, Z[j], act)
         elif right:
             w = call(matvec, call(apply_m, u, act), act)
-        elif left:
-            w = call(apply_m, call(matvec, u, act), act)
         else:
             w = call(matvec, u, act)
 

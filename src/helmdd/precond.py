@@ -21,14 +21,16 @@ of columns in one lockstep GMRES, whose columns stop one by one.
 build_preconditioner takes either nesting as a dict of the same keywords (k,
 alpha_inner, tol, max_iters).  A nested local solve is per class of equal
 local matrices, as a factorisation is, and the classes share the
-factorisations of their equal inner blocks.  An apply solves the columns of
-every class of a group of similar size in one inner GMRES (_NestedClasses,
-entered through NestedSolver.solve), each padded with zero rows to the
-group's largest class, with one solve per shared block factorisation and
-inner step; the benchmark's classes form one group.  The operator lists
-its nested solvers in one place, PreconditionerOperator.nested; they hold
-its inner iteration counts and failures, and any of them makes the operator
-vary per application (flexible), so it must sit under flexible outer GMRES.
+factorisations of their equal inner blocks.  LocalSolves runs its solves in
+units, laid out alike: a class of direct solves, or a group of nested
+classes of similar size (_NestedClasses), whose columns, each padded with
+zero rows to the group's largest class, run in one inner GMRES per input
+column (entered through NestedSolver.solve), with one solve per shared
+block factorisation and inner step; the benchmark's classes form one
+group.  The operator lists its nested solvers in one place,
+PreconditionerOperator.nested; they hold its inner iteration counts and
+failures, and any of them makes the operator vary per application
+(flexible), so it must sit under flexible outer GMRES.
 """
 
 import contextlib
@@ -211,14 +213,15 @@ class _NestedClasses(NestedSolver):
     """The nested solvers of a group of classes of one LocalSolves, solved as
     one.
 
-    solve takes one column per member of every class of the group, class by
-    class, each padded with zero rows to the group's largest class, and runs
-    one GMRES on them (NestedSolver.solve); each column's report goes to its
-    class's solver, so every class records as if it had run its own GMRES.
-    Both operators of that GMRES are column-aware (krylov): the group itself
-    applies each class's matrix to that class's columns, and its inner
-    preconditioner (_MergedBlockSolves) applies the classes' ImpRAS1s
-    together.  members is the number of members of each class."""
+    solve takes, for each input column in turn, one column per member of
+    every class of the group, class by class, each padded with zero rows to
+    the group's largest class, and runs one GMRES (NestedSolver.solve) per
+    input column; each column's report goes to its class's solver, so every
+    class records as if it had run its own GMRES.  The group is both
+    column-aware operators (krylov) of that GMRES: as its matrix it applies
+    each class's matrix to that class's columns, and as its preconditioner
+    (apply) it runs the classes' ImpRAS1s (their LocalSolves) together.
+    members is the number of members of each class."""
 
     column_aware = True
 
@@ -227,8 +230,26 @@ class _NestedClasses(NestedSolver):
         self.solvers = solvers
         self.bounds = np.concatenate([[0], np.cumsum(members)]).tolist()
         self.n = max(s.matrix.shape[0] for s in solvers)
-        inner = _MergedBlockSolves([s.inner_precond for s in solvers], self.bounds, self.n)
-        super().__init__(self, inner, cfg.rel_tol, cfg.max_iters)
+        uses = {}  # id(solver) -> (solver, [(class, lo, hi, rows of each block)])
+        for c, s in enumerate(solvers):
+            L = s.inner_precond
+            for solver, rows, lo, hi in L.units:
+                uses.setdefault(id(solver), (solver, []))[1].append(
+                    (c, lo, hi, L.gather[lo:hi].reshape(-1, rows)))
+        self._uses = list(uses.values())
+        # blocks[c, u]: the blocks class c hands solver u per column
+        self._blocks = np.zeros((len(solvers), len(self._uses)), dtype=np.int64)
+        for u, (_, used) in enumerate(self._uses):
+            for c, _, _, at in used:
+                self._blocks[c, u] = len(at)
+        super().__init__(self, self, cfg.rel_tol, cfg.max_iters)
+
+    def solve(self, rhs):
+        out = np.empty(rhs.shape[::-1], dtype=np.complex128).T  # out.T is C-ordered
+        step = self.bounds[-1]
+        for j in range(0, rhs.shape[1], step):
+            out[:, j:j + step] = super().solve(rhs[:, j:j + step])
+        return out
 
     def __call__(self, v, act):
         """Each class's matrix on the active columns of v (n, g) it holds."""
@@ -239,6 +260,38 @@ class _NestedClasses(NestedSolver):
                 m = s.matrix.shape[0]
                 out[a:b, :m] = (s.matrix @ v[:m, a:b]).T
                 out[a:b, m:] = 0.0
+        return out.T
+
+    def apply(self, v, act):
+        """Each class's ImpRAS1 on the active columns of v (n, g) it holds,
+        with one solve per distinct block solver: one (s, sum) block of the
+        blocks of every class that uses it, gathered class by class through
+        the class's gather index, whose solutions each class recombines."""
+        rows = v.T
+        cut = np.searchsorted(act, self.bounds)
+        # solver u's (sum, s) block holds class c's blocks at [end - took, end)
+        took = np.diff(cut)[:, None] * self._blocks
+        ends = np.cumsum(took, axis=0)
+        cut, took, ends = cut.tolist(), took.tolist(), ends.tolist()
+        ug = [np.empty((b - a, len(s.inner_precond.gather)), dtype=np.complex128)
+              for s, a, b in zip(self.solvers, cut, cut[1:])]
+        for u, (solver, used) in enumerate(self._uses):
+            if not ends[-1][u]:
+                continue
+            vg = np.empty((ends[-1][u], used[0][3].shape[1]), dtype=np.complex128)
+            for c, lo, hi, at in used:
+                a, b, end = cut[c], cut[c + 1], ends[c][u]
+                rows[a:b].take(at, -1, out=vg[end - took[c][u]:end].reshape(b - a, *at.shape),
+                               mode="clip")  # in range; clip takes into out unbuffered
+            x = solver.solve(vg.T)
+            for c, lo, hi, at in used:
+                end = ends[c][u]
+                ug[c][:, lo:hi] = x[:, end - took[c][u]:end].T.reshape(-1, hi - lo)
+        out = np.empty((len(act), self.n), dtype=np.complex128)
+        for s, u, a, b in zip(self.solvers, ug, cut, cut[1:]):
+            m = s.matrix.shape[0]
+            out[a:b, :m] = s.inner_precond.recombine(u).T
+            out[a:b, m:] = 0.0
         return out.T
 
     def _record(self, reps):
@@ -258,62 +311,6 @@ def _size_groups(sizes, counts):
         else:
             groups.append([c])
     return [sorted(g) for g in groups]
-
-
-class _MergedBlockSolves:
-    """The inner ImpRAS1s (LocalSolves) of the classes of a _NestedClasses as
-    one column-aware preconditioner of its columns (class c holds the columns
-    bounds[c]:bounds[c + 1], padded to n rows).
-
-    An apply runs each class's ImpRAS1 on the class's active columns, but
-    makes one solve per distinct block solver and inner step, on the blocks
-    of every class that uses it: one (s, sum) block, gathered class by class
-    through the class's own gather index, whose solutions each class
-    recombines with its own recombination."""
-
-    column_aware = True
-
-    def __init__(self, inners, bounds, n):
-        self.inners, self.bounds, self.n = inners, bounds, n
-        uses = {}  # id(solver) -> (solver, [(class, lo, hi, rows of each block)])
-        for c, L in enumerate(inners):
-            for solver, (lo, hi, g) in zip(L.solvers, L._segments):
-                uses.setdefault(id(solver), (solver, []))[1].append(
-                    (c, lo, hi, L._gather[lo:hi].reshape(g, -1)))
-        self._uses = list(uses.values())
-        # blocks[c, u]: the blocks class c hands solver u per column
-        self._blocks = np.zeros((len(inners), len(self._uses)), dtype=np.int64)
-        for u, (_, used) in enumerate(self._uses):
-            for c, _, _, at in used:
-                self._blocks[c, u] = len(at)
-
-    def apply(self, v, act):
-        rows = v.T
-        cut = np.searchsorted(act, self.bounds)
-        # solver u's (sum, s) block holds class c's blocks at [end - took, end)
-        took = np.diff(cut)[:, None] * self._blocks
-        ends = np.cumsum(took, axis=0)
-        cut, took, ends = cut.tolist(), took.tolist(), ends.tolist()
-        ug = [np.empty((b - a, len(L._gather)), dtype=np.complex128)
-              for L, a, b in zip(self.inners, cut, cut[1:])]
-        for u, (solver, used) in enumerate(self._uses):
-            if not ends[-1][u]:
-                continue
-            vg = np.empty((ends[-1][u], used[0][3].shape[1]), dtype=np.complex128)
-            for c, lo, hi, at in used:
-                a, b, end = cut[c], cut[c + 1], ends[c][u]
-                rows[a:b].take(at, -1, out=vg[end - took[c][u]:end].reshape(b - a, *at.shape),
-                               mode="clip")  # in range; clip takes into out unbuffered
-            x = solver.solve(vg.T)
-            for c, lo, hi, at in used:
-                end = ends[c][u]
-                ug[c][:, lo:hi] = x[:, end - took[c][u]:end].T.reshape(-1, hi - lo)
-        out = np.empty((len(act), self.n), dtype=np.complex128)
-        for L, u, a, b in zip(self.inners, ug, cut, cut[1:]):
-            m = L._recombine.shape[0]
-            out[a:b, :m] = (L._recombine @ u.T).T
-            out[a:b, m:] = 0.0
-        return out.T
 
 
 def _keyed_positions(keys, want):
@@ -386,21 +383,22 @@ class LocalSolves:
     of direct factorisations): translated copies of one subdomain share a
     solver while differing coefficients never do.  solvers lists the solvers
     of the classes met here in order of first appearance; several
-    LocalSolves given one registry share one solver per class.  apply takes a
-    vector or a block of c columns: it gathers every restriction with one
-    index array, runs one multi-right-hand-side solve per class on the
-    (s, G*c) block of its G subdomains, and recombines all local solutions
-    with one sparse matrix: R_w^T with the RAS weights of own, else R^T.
-    When the class solvers are nested solvers preconditioned by ImpRAS1s
-    (LocalSolves), as _nested_local_solver builds them all from one
-    configuration, the classes form groups of similar size (_size_groups),
-    the gather lays every block out as one column of the largest block's
-    rows, with zero padding, group after group, and apply hands each group's
-    columns to one _NestedClasses solve (a block of c columns: one solve per
-    column); a nested solver with any other inner preconditioner is solved
-    per class.
-    apply runs its class solves with scipy's BLAS on one thread
-    (_one_blas_thread), entered once per apply.
+    LocalSolves given one registry share one solver per class.
+
+    units lists the solves of an apply as (unit, rows, lo, hi).  A unit is
+    one class, or, when the class solvers are nested solvers preconditioned
+    by ImpRAS1s (LocalSolves), as _nested_local_solver builds them all from
+    one configuration, one group of classes of similar size (_size_groups)
+    solved as one _NestedClasses.  gather lays every block row out unit
+    after unit, class after class, block after block, each block padded to
+    its unit's rows with the index n, which gathers the zero appended to v;
+    a unit holds [lo, hi) of it, and a class unit pads nothing.  apply takes
+    a vector or a block of c columns: one gather of every restriction, one
+    solve per unit on the (rows, c*G) block of its G blocks, written back in
+    place, and one recombination of all local solutions with one sparse
+    matrix (recombine): R_w^T with the RAS weights of own, else R^T.  apply
+    runs its solves with scipy's BLAS on one thread (_one_blas_thread),
+    entered once per apply.
     """
 
     def __init__(self, n, blocks, rows, own=None, classes=None):
@@ -414,40 +412,33 @@ class LocalSolves:
         self.solvers = [classes.solvers[c] for c in met[np.argsort(first)]]
 
         counts = np.bincount(rank, minlength=len(met))
-        block_of = np.repeat(np.arange(len(sizes)), sizes)
-        local = np.arange(len(rows)) - blocks.offs[block_of]  # row within its block
-        self._nested = None
+        width = np.zeros(len(met), dtype=np.int64)  # each class's block rows
+        width[rank] = sizes[used]
+        unit_of = np.arange(len(met))  # each class's unit
+        units = self.solvers
         if self.solvers and all(isinstance(s, NestedSolver)
                                 and isinstance(s.inner_precond, LocalSolves)
                                 for s in self.solvers):
-            # one column per block, group after group and class after class,
-            # padded to the largest (width, blocks), whose padding gathers
-            # the zero appended to v; col is each block row's place in it
-            groups = _size_groups([s.matrix.shape[0] for s in self.solvers], counts.tolist())
-            seq = np.empty(len(met), dtype=np.int64)
-            seq[np.concatenate(groups)] = np.arange(len(met))
-            order = used[np.argsort(seq[rank], kind="stable")]
-            place = np.zeros(len(sizes), dtype=np.int64)
-            place[order] = np.arange(len(order))
-            col = local * len(order) + place[block_of]
-            self._gather = np.full((sizes.max(), len(order)), n, dtype=np.int64)
-            self._gather.flat[col] = rows
-            bounds = np.cumsum([0] + [int(counts[g].sum()) for g in groups]).tolist()
-            self._nested = [(_NestedClasses([self.solvers[c] for c in g], counts[g]), lo, hi)
-                            for g, lo, hi in zip(groups, bounds, bounds[1:])]
-        else:
-            # classes occupy consecutive segments [lo, hi) of the gathered
-            # vector, each laid out block after block; col is each block
-            # row's place there
-            order = used[np.argsort(rank, kind="stable")]  # class after class
-            ends = np.cumsum(sizes[order])
-            start = np.zeros(len(sizes), dtype=np.int64)
-            start[order] = ends - sizes[order]
-            col = start[block_of] + local
-            self._gather = np.empty(len(rows), dtype=np.int64)
-            self._gather[col] = rows
-            bounds = np.concatenate([[0], ends[np.cumsum(counts) - 1]]).tolist()
-            self._segments = list(zip(bounds[:-1], bounds[1:], counts.tolist()))
+            groups = _size_groups(width.tolist(), counts.tolist())
+            units = [_NestedClasses([self.solvers[c] for c in g], counts[g]) for g in groups]
+            for u, g in enumerate(groups):
+                unit_of[g] = u
+        unit_rows = np.zeros(len(units), dtype=np.int64)
+        np.maximum.at(unit_rows, unit_of, width)
+
+        # col: each block row's place in the gathered vector, unit after unit
+        # and class after class (ascending in a group)
+        by_unit = np.argsort(unit_of[rank] * len(met) + rank, kind="stable")
+        span = unit_rows[unit_of[rank[by_unit]]]
+        start = np.zeros(len(sizes), dtype=np.int64)
+        start[used[by_unit]] = np.cumsum(span) - span
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        col = start[block_of] + np.arange(len(rows)) - blocks.offs[block_of]
+        self.gather = np.full(int(span.sum()), n, dtype=np.int64)
+        self.gather[col] = rows
+        lens = np.bincount(unit_of[rank], minlength=len(units)) * unit_rows
+        bounds = np.concatenate([[0], np.cumsum(lens)]).tolist()
+        self.units = list(zip(units, unit_rows.tolist(), bounds, bounds[1:]))
 
         if own is None:
             r, c, w = rows, col, np.ones(len(rows))
@@ -456,27 +447,24 @@ class LocalSolves:
             pos, hit = _keyed_positions(block_of * n + rows, owner * n + nodes)
             r, c, w = nodes[hit], col[pos[hit]], weights[hit]
         self._recombine = sp.csr_matrix((w.astype(np.complex128), (r, c)),
-                                        shape=(n, self._gather.size))
+                                        shape=(n, self.gather.size))
+
+    def recombine(self, x):
+        """The local solutions x, laid out as gather ((len,) or (c, len)),
+        summed into a vector (n,) or a block (n, c)."""
+        return self._recombine @ x.T
 
     def apply(self, v):
-        if self._nested is not None:
-            if v.ndim == 2:
-                return np.column_stack([self.apply(column) for column in v.T])
-            x = np.append(v, 0)[self._gather]
-            with _one_blas_thread():
-                for group, lo, hi in self._nested:
-                    x[:group.n, lo:hi] = group.solve(x[:group.n, lo:hi])
-            return self._recombine @ x.ravel()
         # every restriction of each column of v: (len,) for a vector, (c, len)
         # for a block of c columns
-        vg = v.T.take(self._gather, -1)
-        ug = np.empty(vg.shape, dtype=np.complex128)
+        x = np.append(v, np.zeros((1,) + v.shape[1:], dtype=np.complex128), axis=0)
+        x = x.T.take(self.gather, -1)
         with _one_blas_thread():
-            for solver, (lo, hi, g) in zip(self.solvers, self._segments):
-                # (s, c*G): one column per input column and subdomain
-                x = solver.solve(vg[..., lo:hi].reshape(-1, (hi - lo) // g).T)
-                ug[..., lo:hi] = x.T.reshape(-1, hi - lo)
-        return self._recombine @ ug.T
+            for unit, rows, lo, hi in self.units:
+                # (rows, c*G): one column per input column and block
+                x_u = x[..., lo:hi]
+                x_u[...] = unit.solve(x_u.reshape(-1, rows).T).T.reshape(x_u.shape)
+        return self.recombine(x)
 
 
 class CoarseSolve:

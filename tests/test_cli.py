@@ -56,6 +56,12 @@ def test_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_iteration_cap_below_one_is_an_error(capsys):
+    code, _, err = run_cli(["solve", "--k", "4", "--max-iters", "0"], capsys)
+    assert code == 1
+    assert "error:" in err and "max_iters" in err
+
+
 def test_solve_dumps(tmp_path, capsys):
     mesh_p = tmp_path / "mesh.txt"
     mat_p = tmp_path / "a.mtx"

@@ -254,10 +254,12 @@ def test_apply_matches_to_dense(kind):
 @pytest.mark.parametrize("kind, nested", [pytest.param(kind, False, id=kind) for kind in KINDS]
                          + [pytest.param("ImpRAS1", True, id="ImpRAS1-nested")])
 def test_block_apply_matches_column_applies(kind, nested):
-    # a nested local block apply runs one grouped inner GMRES per column
-    if nested:
-        mesh, decomp, A_sys, A_prec, coeff = setup_problem(16, 2, k=6.0, eps=6.0)
-        nesting = dict(nested_local=dict(k=6.0))
+    # a nested local block apply runs one grouped inner GMRES per column, and
+    # each class records each input column's members in turn, as the column
+    # applies do
+    if nested:  # 4 classes of different sizes in one group
+        mesh, decomp, A_sys, A_prec, coeff = setup_problem(24, 3, k=8.0, eps=8.0)
+        nesting = dict(nested_local=dict(k=12.0, alpha_inner=0.8))
     else:
         mesh, decomp, A_sys, A_prec, coeff = setup_problem(8, 2)
         nesting = {}
@@ -266,9 +268,13 @@ def test_block_apply_matches_column_applies(kind, nested):
     rng = np.random.default_rng(13)
     V = rng.standard_normal((mesh.n, 3)) + 1j * rng.standard_normal((mesh.n, 3))
     want = np.column_stack([P.apply(V[:, j]) for j in range(3)])
+    split = [len(s.inner_counts) for s in P.nested]
     got = P.apply(V)
     assert got.shape == (mesh.n, 3)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert len(P.nested) == (4 if nested else 0)
+    for s, at in zip(P.nested, split):
+        assert at > 0 and s.inner_counts[at:] == s.inner_counts[:at]
     assert P.apply(V[:, 0]).shape == (mesh.n,)
 
 
@@ -568,7 +574,7 @@ def test_grouped_inner_solve_matches_class_by_class_solves(tol):
     P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
                              coeff_prec=coeff,
                              nested_local=dict(k=12.0, alpha_inner=0.8, tol=tol))
-    [(group, _, _)] = P.locals_._nested  # one group: padding under the bound
+    [(group, _, _, _)] = P.locals_.units  # one group: padding under the bound
     spans = list(zip(P.nested, group.bounds, group.bounds[1:]))
     assert len(spans) == 4 and len({s.matrix.shape[0] for s in P.nested}) > 1
     rng = np.random.default_rng(5)
@@ -612,7 +618,7 @@ def test_size_groups_change_no_inner_count(monkeypatch):
         monkeypatch.setattr(precond, "_GROUP_PAD_ROWS", bound)
         P = build_preconditioner("ImpRAS1", mesh=mesh, decomp=decomp, A_prec=A_prec,
                                  coeff_prec=coeff, nested_local=dict(k=12.0, alpha_inner=0.8))
-        runs.append((len(P.locals_._nested), [P.apply(v) for v in vs], P.inner_counts()))
+        runs.append((len(P.locals_.units), [P.apply(v) for v in vs], P.inner_counts()))
     (one, x1, c1), (several, x2, c2) = runs
     assert one == 1 and several > 1
     assert c1 == c2
@@ -837,7 +843,7 @@ def test_batch_classes_skip_empty_blocks():
     own = (np.array([0, 0, 0, 1, 2, 2, 2, 3]), np.array([0, 1, 2, 7, 3, 4, 5, 6]),
            np.ones(8))
     L = LocalSolves(8, keyed, rows, own)
-    assert len(L.solvers) == 1 and L._segments == [(0, 6, 2)]
+    assert len(L.solvers) == 1 and [u[1:] for u in L.units] == [(3, 0, 6)]
     v = np.arange(8.0) + 1j
     want = np.zeros(8, dtype=complex)
     want[:3] = np.linalg.solve(_BASE, v[:3])
