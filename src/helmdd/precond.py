@@ -52,9 +52,11 @@ from .krylov import KrylovConfig, gmres
 from .mesh import ceil_snapped, round_half_up
 
 # up to this many unknowns a matrix is solved by a product with its dense
-# inverse, above it by SuperLU.  SuperLU factorises faster and solves a
-# single column faster, but the product wins on blocks of 16 or more columns
-# (class solves) up to about 200 unknowns (README "Local solves")
+# inverse, above it by SuperLU in its symmetric mode (a minimum-degree
+# ordering of A^T + A with diagonal pivots, DirectFactorization), which fills
+# less on these complex symmetric matrices.  SuperLU factorises faster, but
+# the product wins on a single column up to about 256 unknowns and on blocks
+# of 16 or more columns (class solves) up to about 200 (README "Local solves")
 DENSE_SOLVE_CUTOFF = 200
 
 # to_dense applies the identity this many columns at a time: an apply holds
@@ -129,13 +131,29 @@ class DirectFactorization:
     the dense inverse.  solve takes one right-hand side or a block of them as
     columns.
 
+    SuperLU runs in its symmetric mode: a minimum-degree ordering of the
+    pattern of A^T + A (MMD_AT_PLUS_A), and threshold pivoting that keeps a
+    diagonal pivot while it is at least 0.1 of its column's largest entry
+    (diag_pivot_thresh=0.1, SymmetricMode).  Every matrix helmdd factorises
+    (local Dirichlet or impedance blocks, coarse_matrix) is complex
+    symmetric bitwise, so the diagonal pivots keep the symmetric ordering,
+    and the factors fill less than with scipy's unsymmetric default (COLAMD
+    on A^T A, partial pivoting): 18% less on the imphras-ppw-k100 classes,
+    24-27% less at table4 k=240-320 (README "Local solves").  A smaller
+    diagonal entry, or a zero one, gives way to the largest entry of its
+    column.  relax and panel_size stay at scipy's defaults: larger
+    supernodes (relax=64) corrupted memory in scipy 1.17.1.  fill_nnz
+    counts the entries of the factors, L.nnz + U.nnz as scipy reports them
+    (L's unit diagonal included), or n^2 for a dense inverse.
+
     A dense matrix is LU-factorised to check its pivots, and the inverse is
     formed from that LU once (getri); the LU is not kept, so the solver holds
-    n^2 entries either way.  A dense solve is one zgemm of scipy's BLAS: for
-    the Fortran-ordered blocks LocalSolves hands it (transposed views of
-    C-ordered arrays) it copies nothing in or out, and on small blocks with
-    many columns it is several times faster than the two triangular solves
-    of getrs.
+    n^2 entries either way.  A dense solve is one product of scipy's BLAS:
+    zgemv for a vector or a single column, which reads the inverse once, and
+    zgemm for a block, which for the Fortran-ordered blocks LocalSolves hands
+    it (transposed views of C-ordered arrays) copies nothing in or out, and
+    on small blocks with many columns is several times faster than the two
+    triangular solves of getrs.
 
     The factorisation runs with scipy's BLAS on one thread (_one_blas_thread;
     the ten of the k=8 FOV operator took 19 ms on two threads, 2 ms on one).
@@ -162,7 +180,9 @@ class DirectFactorization:
         else:
             try:
                 with _one_blas_thread():
-                    self._splu = spla.splu(matrix)
+                    self._splu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                                           diag_pivot_thresh=0.1,
+                                           options=dict(SymmetricMode=True))
             except RuntimeError as exc:  # "Factor is exactly singular"
                 raise SingularMatrixError(str(exc)) from exc
             self.fill_nnz = self._splu.L.nnz + self._splu.U.nnz
@@ -171,6 +191,8 @@ class DirectFactorization:
         if not self._dense:
             return self._splu.solve(rhs)
         rhs = np.asarray_chkfinite(rhs)  # ValueError on NaN/inf, as lu_solve
+        if self.n and (rhs.ndim == 1 or rhs.shape[1] == 1):  # zgemv refuses n = 0
+            return sla.blas.zgemv(1.0, self._inv, rhs.reshape(-1)).reshape(rhs.shape)
         x = sla.blas.zgemm(1.0, self._inv, rhs if rhs.ndim == 2 else rhs[:, None])
         return x.reshape(rhs.shape)
 
@@ -474,8 +496,8 @@ class CoarseSolve:
     vector back; R0AT, the transposed view of R0A, is A R0^T when A^T = A.
     Both views are CSC matrices sharing their CSR matrix's arrays.
 
-    apply runs the coarse solve (zgemm, SuperLU or a nested GMRES) with
-    scipy's BLAS on one thread (_one_blas_thread)."""
+    apply runs the coarse solve (zgemv or zgemm, SuperLU or a nested GMRES)
+    with scipy's BLAS on one thread (_one_blas_thread)."""
 
     def __init__(self, coarse_interp, solver, system_matrix=None):
         self.R0 = coarse_interp
@@ -584,8 +606,13 @@ def _principal_submatrices(A, rows, offs):
 
 
 def coarse_matrix(R0, A):
-    """Galerkin coarse operator A_{eps,0} = R0 A_eps R0^T."""
-    A0 = (R0 @ (A @ R0.T)).tocsr()
+    """Galerkin coarse operator A_{eps,0} = R0 A_eps R0^T, complex symmetric
+    bitwise.  The product sums the terms of entries (i, j) and (j, i) in
+    different orders (they differ by up to 3e-16 relative), so it is averaged
+    with its transpose: SuperLU's symmetric mode (DirectFactorization) and
+    the hybrid projection take A_{eps,0}^T = A_{eps,0}."""
+    A0 = R0 @ (A @ R0.T)
+    A0 = ((A0 + A0.T) * 0.5).tocsr()
     A0.sum_duplicates()
     A0.sort_indices()
     return A0

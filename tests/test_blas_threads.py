@@ -22,6 +22,7 @@ _ENTRIES = (
     (sla, "lu_factor", "sla.lu_factor"),
     (sla.lapack, "zgetri", "sla.lapack.zgetri"),
     (sla.blas, "zgemm", "sla.blas.zgemm"),
+    (sla.blas, "zgemv", "sla.blas.zgemv"),
     (spla, "splu", "spla.splu"),
     (sla, "cholesky_banded", "sla.cholesky_banded"),
     (sla, "solve_banded", "sla.solve_banded"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from helmdd.assembly import AssemblyCoefficients, BlockDiagonal, assemble_system
 from helmdd.decomposition import build_block_decomposition, build_decomposition
@@ -65,6 +66,39 @@ def test_factorize_singular_raises():
     big[7, 7] = 0.0
     with pytest.raises(SingularMatrixError):
         DirectFactorization(big.tocsr())
+    # structurally nonsingular, exactly singular: two equal rows and columns
+    big[7, 7] = big[7, 8] = big[8, 7] = 1.0
+    with pytest.raises(SingularMatrixError):
+        DirectFactorization(big.tocsr())
+
+
+def _zero_diagonal_symmetric(n=300, big=1e6, seed=0):
+    """A complex symmetric n x n matrix whose odd rows have zero diagonal
+    entries: each even row 2i holds big on its diagonal and 1 at 2i+1, and
+    the odd rows couple at random.  Eliminating row 2i leaves -1/big on the
+    diagonal of row 2i+1, far below the rest of its column."""
+    rng = np.random.default_rng(seed)
+    e, o = np.arange(0, n, 2), np.arange(1, n, 2)
+    i, j = o[rng.integers(0, len(o), 4 * n)], o[rng.integers(0, len(o), 4 * n)]
+    v = rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)
+    upper = sp.csr_matrix((v[i < j], (i[i < j], j[i < j])), shape=(n, n))
+    upper += sp.csr_matrix((np.ones(len(e)), (e, e + 1)), shape=(n, n))
+    return upper + upper.T + sp.diags(np.where(np.arange(n) % 2, 0.0, big))
+
+
+def test_zero_diagonal_symmetric_matrix_pivots_off_the_diagonal():
+    # SuperLU keeps a diagonal pivot only while it is at least 0.1 of its
+    # column's largest entry: with diag_pivot_thresh=0.0 it takes the
+    # -1e-6 diagonals left by the even rows, and the residual is 3e-8 (3e-14
+    # at 0.1; the condition number is 4e7)
+    A = _zero_diagonal_symmetric()
+    assert A.shape[0] > precond.DENSE_SOLVE_CUTOFF
+    assert (A != A.T).nnz == 0 and not A.diagonal()[1::2].any()
+    rng = np.random.default_rng(1)
+    b = rng.standard_normal((A.shape[0], 3)) + 1j * rng.standard_normal((A.shape[0], 3))
+    x = DirectFactorization(A).solve(b)
+    res = np.linalg.norm(A @ x - b, axis=0) / np.linalg.norm(b, axis=0)
+    assert res.max() <= 1e-12
 
 
 def test_factorization_well_conditioned_contract():
@@ -77,17 +111,21 @@ def test_factorization_well_conditioned_contract():
 
 
 def test_dense_solve_is_stored_inverse_product_bitwise():
-    # a dense solve is one zgemm with the inverse formed at set-up; it agrees
-    # with the LU solve to round-off only
+    # a dense solve is one product with the inverse formed at set-up: zgemv
+    # for a vector or a single column, zgemm for a block; it agrees with the
+    # LU solve to round-off only
     rng = np.random.default_rng(2)
     A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     f = DirectFactorization(sp.csr_matrix(A))
     lu = sla.lu_factor(A)
     C = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
-    for b in (C[:, 0].copy(), C, C.T.copy().T):  # vector, C-ordered, transposed view
+    for b in (C[:, 0].copy(), C[:, :1], C, C.T.copy().T):  # vector, column, C-ordered, view
         x = f.solve(b)
         assert x.shape == b.shape
-        assert np.array_equal(x, sla.blas.zgemm(1.0, f._inv, b.reshape(40, -1)).reshape(b.shape))
+        if b.ndim == 1 or b.shape[1] == 1:
+            assert np.array_equal(x.ravel(), sla.blas.zgemv(1.0, f._inv, b.ravel()))
+        else:
+            assert np.array_equal(x, sla.blas.zgemm(1.0, f._inv, b))
         want = sla.lu_solve(lu, b)
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     b = np.ones(40, complex)
@@ -652,6 +690,69 @@ def test_dense_classes_of_benchmark_layouts_solve_to_round_off(monkeypatch, name
         b = rng.standard_normal((f.n, 8)) + 1j * rng.standard_normal((f.n, 8))
         res = np.linalg.norm(A @ f.solve(b) - b, axis=0) / np.linalg.norm(b, axis=0)
         assert res.max() <= 1e-12
+
+
+def test_superlu_classes_of_imphras_benchmark_solve_to_backward_error(monkeypatch):
+    # each SuperLU class of the imphras-ppw-k100 layout (576-961 unknowns)
+    # solves a random 8-column block with a normwise backward error
+    # |A x - b|_1 / (|A|_1 |x|_1 + |b|_1) of at most 1e-14 per column
+    # (measured: at most 9e-17)
+    cfg = _BENCHMARK_LAYOUTS["imphras-ppw-k100"]
+    made = []
+    init = DirectFactorization.__init__
+
+    def recorded(self, matrix):
+        init(self, matrix)
+        made.append((self, sp.csr_matrix(matrix)))
+    monkeypatch.setattr(DirectFactorization, "__init__", recorded)
+    pb = harness.build_problem(cfg)
+    P = build_preconditioner(cfg.precond, mesh=pb.mesh, decomp=pb.decomp, A_prec=pb.A_prec,
+                             coeff_prec=pb.coeff_prec, system_matrix=pb.A_sys)
+    sparse = [(f, A) for f, A in made if f in P.locals_.solvers and not f._dense]
+    assert len(sparse) == 4
+    rng = np.random.default_rng(4)
+    for f, A in sparse:
+        b = rng.standard_normal((f.n, 8)) + 1j * rng.standard_normal((f.n, 8))
+        x = f.solve(b)
+        r = np.abs(A @ x - b).sum(axis=0)
+        berr = r / (spla.norm(A, 1) * np.abs(x).sum(axis=0) + np.abs(b).sum(axis=0))
+        assert berr.max() <= 1e-14
+
+
+_LARGE_LOCALS = dict(m=32, M=2, k=5.0, eps=5.0)  # 529 and 576 local unknowns
+_LARGE_COARSE = dict(m=45, M=15, k=6.0, eps=6.0)  # 256 coarse unknowns
+
+
+@pytest.mark.parametrize("kind, setup, nesting", [
+    pytest.param(kind, setup, {}, id=f"{kind}-{name}") for kind in KINDS
+    for name, setup in (("locals", _LARGE_LOCALS),
+                        ("centred", dict(m=32, M=2, k=4.0, scenario="centered-square",
+                                         c_star=1.5)))]
+    + [pytest.param(kind, _LARGE_COARSE, {}, id=f"{kind}-coarse")
+       for kind in ("AS", "HRAS", "ImpHRAS")]
+    + [pytest.param("ImpRAS1", _LARGE_LOCALS, dict(nested_local=dict(k=1.0)),
+                    id="ImpRAS1-nested-local"),
+       pytest.param("ImpHRAS", _LARGE_COARSE, dict(nested_local=dict(k=1.0)),
+                    id="ImpHRAS-nested-local"),
+       pytest.param("HRAS", dict(m=48, M=16, k=5.0, eps=5.0), dict(nested_coarse=dict(k=1.0)),
+                    id="HRAS-nested-coarse")])
+def test_every_superlu_matrix_is_bitwise_symmetric(monkeypatch, kind, setup, nesting):
+    # SuperLU's symmetric mode (DirectFactorization) rests on A^T = A: every
+    # matrix that reaches it, local (Dirichlet, impedance, nested block) or
+    # Galerkin coarse (coarse_matrix), is complex symmetric bitwise
+    factored = []
+    splu = precond.spla.splu
+
+    def recorded(matrix, *args, **kwargs):
+        factored.append(sp.csr_matrix(matrix))
+        return splu(matrix, *args, **kwargs)
+    monkeypatch.setattr(precond.spla, "splu", recorded)
+    mesh, decomp, A_sys, A_prec, coeff = setup_problem(**setup)
+    build_preconditioner(kind, mesh=mesh, decomp=decomp, A_prec=A_prec, coeff_prec=coeff,
+                         system_matrix=A_sys, **nesting)
+    assert factored
+    for A in factored:
+        assert (A != A.T).nnz == 0
 
 
 def _table4_imphras(k):
